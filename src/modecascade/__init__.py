@@ -24,8 +24,8 @@ from .forcing import (ChannelMap, Constant, ExtremeSet, ForcingProgram,
                       cos_pair_segment, delta_distance, oscillatory_amplitudes,
                       program_from_json, program_to_json, relaxation_distance,
                       zero_program)
-from .integrator import (BlowUpError, IntegratorConfig, Trajectory,
-                         convergence_order, integrate, step)
+from .integrator import (BlowUpError, IntegratorConfig, StepBudgetError,
+                         Trajectory, convergence_order, integrate, step)
 from .steering import (ConvergenceError, CoordinateProjection, CoverageResult,
                        EndpointReport, SteeringConfig, SubspaceProjection,
                        averaging_experiment, base_step_program,

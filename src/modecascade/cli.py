@@ -7,8 +7,11 @@ configuration and the tool version; re-running from a manifest
 reproduces the outputs bit for bit.
 
 Exit codes: 0 success, 1 configuration/validation error (the message
-names the offending field), 2 numerical failure (blow-up or
-non-convergence) with partial results still written.
+names the offending field), 2 numerical failure: blow-up or
+non-convergence with partial results still written, or a forcing
+program that needs more integration steps than the budget allows.
+The manifest of a run that integrates also names the quadratic-term
+kernel ("triad" or "fft") its resolution radius selects.
 """
 
 from __future__ import annotations
@@ -26,12 +29,13 @@ from . import __version__
 from .forcing import (ForcingProgram, Oscillatory, chattering_approximation,
                       program_from_json, program_to_json, relaxation_distance,
                       zero_program)
-from .integrator import BlowUpError, IntegratorConfig, integrate
+from .integrator import (BlowUpError, IntegratorConfig, StepBudgetError,
+                         integrate)
 from .lattice import (chain_to_json, norm_sq, parse_mode_set, saturation_chain,
                       symmetrize)
-from .spectral import (SimParams, SpectralState, random_decaying_state,
-                       sobolev_norm, state_from_csv, state_from_json,
-                       state_to_csv)
+from .spectral import (SimParams, SpectralState, quadratic_kernel,
+                       random_decaying_state, sobolev_norm, state_from_csv,
+                       state_from_json, state_to_csv)
 from .steering import (ConvergenceError, SteeringConfig, averaging_experiment,
                        coverage_check, coverage_grid, near_identity_gap,
                        report_to_dict, steer_in_projection, steer_to_target,
@@ -156,11 +160,13 @@ def _chain_for(cfg: dict, observed: frozenset):
 
 
 class _Emitter:
-    """Atomic output writing plus the closing manifest."""
+    """Atomic output writing plus the closing manifest; ``radius`` is the
+    resolution the run integrates at, None when it integrates nothing."""
 
-    def __init__(self, cfg: dict, command: str):
+    def __init__(self, cfg: dict, command: str, radius: int | None = None):
         self.cfg = cfg
         self.command = command
+        self.radius = radius
         self.out_dir = Path(str(cfg.get("output_dir", "out")))
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.written: list[str] = []
@@ -183,6 +189,8 @@ class _Emitter:
     def manifest(self):
         body = {"command": self.command, "version": __version__,
                 "config": self.cfg, "outputs": sorted(self.written)}
+        if self.radius is not None:
+            body["quadratic_term"] = quadratic_kernel(self.radius)
         self.write("manifest.json", json.dumps(body, indent=2, sort_keys=True) + "\n")
 
 
@@ -210,7 +218,7 @@ def _run_simulate(cfg: dict) -> int:
         program = program_from_json(_existing_path(cfg, "program").read_text())
     else:
         program = zero_program(float(_require(cfg, "duration")))
-    em = _Emitter(cfg, "simulate")
+    em = _Emitter(cfg, "simulate", state0.radius)
     code = 0
     try:
         traj = integrate(state0, params, program, _integrator_config(cfg))
@@ -246,7 +254,7 @@ def _run_steer(cfg: dict) -> int:
     params = SimParams(nu=float(cfg.get("nu", 0.0)))
     target = np.asarray(_require(cfg, "target"), dtype=float)
     scfg = _steering_config(cfg)
-    em = _Emitter(cfg, "steer")
+    em = _Emitter(cfg, "steer", state0.radius)
     code = 0
     try:
         report = steer_to_target(target, chain, observed, state0, params, scfg)
@@ -274,7 +282,7 @@ def _run_average(cfg: dict) -> int:
     radius = int(_require(cfg, "radius"))
     state0 = _load_state(cfg, radius)
     params = SimParams(nu=float(cfg.get("nu", 0.0)))
-    em = _Emitter(cfg, "average")
+    em = _Emitter(cfg, "average", state0.radius)
     try:
         devs = averaging_experiment(
             k, pair, float(cfg.get("amplitude", 1.0)), omegas,
@@ -325,7 +333,7 @@ def _run_cover(cfg: dict) -> int:
     grid_density = int(cfg.get("grid_density", 2))
     result = coverage_check(chain, observed, target_radius, grid_density,
                             state0, params, scfg)
-    em = _Emitter(cfg, "cover")
+    em = _Emitter(cfg, "cover", state0.radius)
     em.write_csv("coverage.csv", result.to_csv())
     em.write_json("coverage.json", {"fraction": result.fraction,
                                     "targets": int(len(result.targets))})
@@ -356,8 +364,8 @@ def _run_rxprobe(cfg: dict) -> int:
     mode = str(cfg.get("mode", "trajectory"))
     duration = float(cfg.get("duration", 1.0))
     single = symmetrize({(1, 0)})
-    em = _Emitter(cfg, "rxprobe")
     if mode == "law":
+        em = _Emitter(cfg, "rxprobe")
         lines = ["omega,rx,expected"]
         for omega in cfg.get("omegas", [1e2, 1e3, 1e4]):
             omega = float(omega)
@@ -377,6 +385,7 @@ def _run_rxprobe(cfg: dict) -> int:
     state0 = _load_state(cfg, radius)
     params = SimParams(nu=float(cfg.get("nu", 0.0)))
     icfg = _integrator_config(cfg)
+    em = _Emitter(cfg, "rxprobe", state0.radius)
     sample = np.linspace(0.0, duration, 41)
     base = integrate(state0, params, zero_program(duration, single), icfg, sample)
     lines = ["delta,rx,sup_deviation"]
@@ -408,7 +417,7 @@ def _run_project(cfg: dict) -> int:
     chain = _chain_for(cfg, S)
     target = np.asarray(_require(cfg, "target"), dtype=float)
     scfg = _steering_config(cfg)
-    em = _Emitter(cfg, "project")
+    em = _Emitter(cfg, "project", state0.radius)
     code = 0
     try:
         report = steer_in_projection(proj, target, chain, state0, params,
@@ -475,6 +484,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    except StepBudgetError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
     except (ValueError, KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

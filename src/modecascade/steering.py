@@ -24,7 +24,8 @@ from .forcing import (ChannelMap, Constant, ForcingProgram, Oscillatory, Zero,
                       cascade_packet, chattering_approximation,
                       cos_pair_segment, constant_program, merge_constant_runs,
                       zero_program)
-from .integrator import IntegratorConfig, Trajectory, integrate
+from .integrator import (BlowUpError, IntegratorConfig, StepBudgetError,
+                         Trajectory, integrate)
 from .lattice import (Mode, SaturationChain, check_mode, find_generating_pair,
                       symmetrize)
 from .spectral import (SimParams, SpectralState, inner0, project,
@@ -598,7 +599,8 @@ def coverage_check(chain: SaturationChain, k_obs, radius: float,
                    grid_density: int, state0: SpectralState, params: SimParams,
                    config: SteeringConfig) -> CoverageResult:
     """Run steer_to_target over a grid filling the target ball and report
-    the fraction reaching fp_tol; failures are counted, not raised."""
+    the fraction reaching fp_tol.  A target whose run blows up or exceeds
+    the step budget counts as missed; any other error propagates."""
     obs = _obs_modes(k_obs)
     dim = ChannelMap(obs).size
     targets = coverage_grid(dim, radius, grid_density)
@@ -609,7 +611,7 @@ def coverage_check(chain: SaturationChain, k_obs, radius: float,
             rep = steer_to_target(t, chain, obs, state0, params, config)
         except ConvergenceError as exc:
             rep = exc.report
-        except Exception:
+        except (BlowUpError, StepBudgetError):
             rep = None
         reports.append(rep)
         if rep is not None and rep.converged and rep.error_norm <= config.fp_tol:

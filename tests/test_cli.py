@@ -8,6 +8,8 @@ from modecascade.cli import main
 from modecascade.forcing import constant_program, program_to_json
 from modecascade.lattice import format_mode_set, symmetrize
 from modecascade.spectral import SpectralState, state_to_json
+from modecascade.forcing import ForcingProgram, Oscillatory
+from modecascade.spectral import FFT_RADIUS
 
 FOUR_MODES = symmetrize({(1, 0), (1, 1)})
 
@@ -220,3 +222,40 @@ def test_project_subcommand(tmp_path, mode_file):
     assert main(["project", "--config", cfg]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["error"] <= 2e-2
+
+
+def test_step_budget_exit_2_with_error_line(tmp_path, capsys):
+    single = symmetrize({(1, 0)})
+    seg = Oscillatory.from_cos_pairs(2.0, 1e7, [((1, 0), 1.0)])
+    program = tmp_path / "fast.json"
+    program.write_text(program_to_json(ForcingProgram(single, [seg])))
+    cfg = write_config(tmp_path, "cfg.json", {
+        "radius": 3, "program": str(program), "dt_base": 1e-3,
+        "output_dir": str(tmp_path / "o")})
+    assert main(["simulate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "step budget" in err
+
+
+@pytest.mark.parametrize("radius,kernel", [(3, "triad"), (FFT_RADIUS, "fft")])
+def test_manifest_names_kernel_and_reruns_bitwise(tmp_path, radius, kernel):
+    out = tmp_path / "sim"
+    cfg = write_config(tmp_path, "cfg.json", {
+        "radius": radius, "nu": 0.01, "duration": 0.02, "dt_base": 5e-3,
+        "state": "random", "seed": 4, "output_dir": str(out)})
+    assert main(["simulate", "--config", cfg]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["quadratic_term"] == kernel
+    out2 = tmp_path / "sim2"
+    assert main(["simulate", "--config", str(out / "manifest.json"),
+                 "--output-dir", str(out2)]) == 0
+    assert (out2 / "trajectory.csv").read_bytes() == (out / "trajectory.csv").read_bytes()
+    assert json.loads((out2 / "manifest.json").read_text())["quadratic_term"] == kernel
+
+
+def test_manifest_without_integration_names_no_kernel(tmp_path):
+    out = tmp_path / "rx"
+    cfg = write_config(tmp_path, "cfg.json", {
+        "mode": "law", "omegas": [100.0], "output_dir": str(out)})
+    assert main(["rxprobe", "--config", cfg]) == 0
+    assert "quadratic_term" not in json.loads((out / "manifest.json").read_text())

@@ -10,6 +10,7 @@ from modecascade.forcing import (ForcingProgram, Oscillatory, constant_program,
                                  zero_program)
 from modecascade.integrator import (BlowUpError, IntegratorConfig, Trajectory,
                                     convergence_order, integrate, step)
+from modecascade.integrator import BLOWUP_LIMIT, StepBudgetError, _check_finite
 from modecascade.lattice import symmetrize
 from modecascade.spectral import (SimParams, SpectralState, energy, enstrophy,
                                   random_decaying_state, sobolev_norm)
@@ -217,3 +218,27 @@ def test_euler_drift_across_resolutions():
                                            record_stride=10 ** 9)).final
         assert abs(enstrophy(final) - enstrophy(s0)) <= 1e-9 * enstrophy(s0)
         assert abs(energy(final) - energy(s0)) <= 1e-9 * energy(s0)
+
+
+def test_step_budget_error_is_typed():
+    seg = Oscillatory.from_cos_pairs(2.0, 1e7, [((1, 0), 1.0)])
+    with pytest.raises(StepBudgetError, match="step budget"):
+        integrate(SpectralState.zeros(3), SimParams(), ForcingProgram(SINGLE, [seg]),
+                  IntegratorConfig(dt_base=1e-3))
+
+
+@pytest.mark.parametrize("bad", [complex("nan"), complex(0.0, float("nan")),
+                                 float("inf"), -float("inf"), complex(0.0, -float("inf")),
+                                 2.0 * BLOWUP_LIMIT, -2.0j * BLOWUP_LIMIT],
+                         ids=["nan", "nan-imag", "inf", "-inf", "-inf-imag",
+                              "large", "large-imag"])
+def test_blowup_guard_rejects_nan_inf_and_large(bad):
+    q = np.full(7, 0.5 + 0.5j)
+    q[3] = bad
+    with pytest.raises(BlowUpError) as info:
+        _check_finite(q, 0.25)
+    assert info.value.time == 0.25
+
+
+def test_blowup_guard_accepts_the_limit():
+    _check_finite(np.array([BLOWUP_LIMIT, -BLOWUP_LIMIT, 0.0], dtype=complex), 0.0)

@@ -12,6 +12,9 @@ from modecascade.spectral import (SimParams, SpectralState, energy, enstrophy,
                                   state_from_json, state_to_csv, state_to_json,
                                   vector_field, velocity_from_vorticity,
                                   _tables)
+from modecascade.forcing import zero_program
+from modecascade.integrator import IntegratorConfig, integrate
+from modecascade.spectral import FFT_RADIUS, quadratic_kernel
 
 
 def naive_double_sum(state):
@@ -152,6 +155,52 @@ def test_enstrophy_dissipation_identity():
     nu = 0.3
     f = vector_field(s, SimParams(nu=nu))
     assert inner0(f, s) == pytest.approx(-nu * sobolev_norm(s, 1) ** 2, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# both kernels of the quadratic term
+
+
+def test_kernel_switches_at_the_crossover_radius():
+    assert quadratic_kernel(FFT_RADIUS - 1) == "triad"
+    assert quadratic_kernel(FFT_RADIUS) == "fft"
+    assert _tables(FFT_RADIUS - 1).kernel == "triad"
+    assert _tables(FFT_RADIUS).kernel == "fft"
+    assert not hasattr(_tables(FFT_RADIUS), "tri_k")     # no triad table built
+
+
+@pytest.mark.parametrize("radius", range(FFT_RADIUS - 2, FFT_RADIUS + 6))
+def test_both_kernels_match_double_sum_oracle(radius):
+    rng = np.random.default_rng([2024, radius])
+    s = random_decaying_state(radius, amplitude=0.7, decay=1.5, rng=rng)
+    got = nonlinear_term(s)
+    want = naive_double_sum(s)
+    scale = max(abs(v) for v in want.values())
+    for k, v in want.items():
+        assert abs(got.coeff(k) - v) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("radius", (FFT_RADIUS, 12, 16))
+def test_fft_kernel_conservation_identities(radius):
+    rng = np.random.default_rng(radius)
+    tab = _tables(radius)
+    for _ in range(10):
+        s = random_decaying_state(radius, amplitude=0.5, decay=1.5, rng=rng)
+        n = nonlinear_term(s)
+        inv_lap = SpectralState(radius, s.data / tab.norm_sq)
+        scale = sobolev_norm(n, 0) * sobolev_norm(s, 0)
+        assert abs(inner0(n, s)) <= 1e-12 * scale
+        assert abs(inner0(n, inv_lap)) <= 1e-12 * scale
+
+
+def test_fft_kernel_euler_conserves_energy_and_enstrophy():
+    s0 = random_decaying_state(12, amplitude=0.4, decay=2.0,
+                               rng=np.random.default_rng(31))
+    final = integrate(s0, SimParams(), zero_program(0.1),
+                      IntegratorConfig(dt_base=1e-3, record_stride=10 ** 9)).final
+    assert sobolev_norm(final - s0, 0) > 1e-6 * sobolev_norm(s0, 0)   # it moved
+    assert abs(energy(final) - energy(s0)) <= 1e-8 * energy(s0)
+    assert abs(enstrophy(final) - enstrophy(s0)) <= 1e-8 * enstrophy(s0)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,8 @@ from modecascade.steering import (ConvergenceError, CoordinateProjection,
                                   near_identity_gap, observed_endpoint,
                                   steer_in_projection, steer_to_target,
                                   subspace_setup, synthesize)
+import modecascade.steering as steering_module
+from modecascade.integrator import BlowUpError, StepBudgetError
 
 K1 = symmetrize({(1, 0), (1, 1)})
 CHAIN = saturation_chain(K1, radius=3, max_levels=10)
@@ -423,3 +425,24 @@ def test_coverage_m1_grid():
     res = coverage_check(CHAIN, K1, 0.5, 2, SpectralState.zeros(4),
                          SimParams(nu=0.01), cfg)
     assert res.fraction == 1.0
+
+
+@pytest.mark.parametrize("failure", [BlowUpError(0.5), StepBudgetError("step budget exceeded")])
+def test_coverage_counts_numerical_failures_as_misses(monkeypatch, failure):
+    def failing(*args, **kwargs):
+        raise failure
+    monkeypatch.setattr(steering_module, "steer_to_target", failing)
+    res = coverage_check(CHAIN, K1, 0.5, 2, SpectralState.zeros(4),
+                         SimParams(nu=0.01), quick_config())
+    assert res.fraction == 0.0
+    assert res.reports == [None] * len(res.targets)
+    assert res.to_csv().splitlines()[1].endswith(",inf,False")
+
+
+def test_coverage_propagates_other_errors(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("a defect, not a missed target")
+    monkeypatch.setattr(steering_module, "steer_to_target", broken)
+    with pytest.raises(ZeroDivisionError):
+        coverage_check(CHAIN, K1, 0.5, 2, SpectralState.zeros(4),
+                       SimParams(nu=0.01), quick_config())
