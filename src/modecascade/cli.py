@@ -186,6 +186,18 @@ class _Emitter:
     def write_csv(self, name: str, text: str):
         self.write(name, "# seed=%d\n" % int(self.cfg.get("seed", 0)) + text)
 
+    def failure(self, exc: BlowUpError | StepBudgetError) -> int:
+        """failure.json, manifest and stderr line of a failed run; exit 2."""
+        payload = {"error": str(exc)}
+        if isinstance(exc, BlowUpError):
+            payload["time"] = exc.time
+            print("%s: blow-up at t=%g" % (self.command, exc.time), file=sys.stderr)
+        else:
+            print("error: %s" % exc, file=sys.stderr)
+        self.write_json("failure.json", payload)
+        self.manifest()
+        return 2
+
     def manifest(self):
         body = {"command": self.command, "version": __version__,
                 "config": self.cfg, "outputs": sorted(self.written)}
@@ -222,11 +234,8 @@ def _run_simulate(cfg: dict) -> int:
     code = 0
     try:
         traj = integrate(state0, params, program, _integrator_config(cfg))
-    except BlowUpError as exc:
-        em.write_json("failure.json", {"error": str(exc), "time": exc.time})
-        em.manifest()
-        print("simulate: blow-up at t=%g" % exc.time, file=sys.stderr)
-        return 2
+    except (BlowUpError, StepBudgetError) as exc:
+        return em.failure(exc)
     em.write_csv("trajectory.csv", traj.to_csv())
     em.write_csv("summary.csv", traj.summary_to_csv())
     em.write_csv("final_state.csv", state_to_csv(traj.final))
@@ -261,11 +270,8 @@ def _run_steer(cfg: dict) -> int:
     except ConvergenceError as exc:
         report = exc.report
         code = 2
-    except BlowUpError as exc:
-        em.write_json("failure.json", {"error": str(exc), "time": exc.time})
-        em.manifest()
-        print("steer: blow-up at t=%g" % exc.time, file=sys.stderr)
-        return 2
+    except (BlowUpError, StepBudgetError) as exc:
+        return em.failure(exc)
     em.write("program.json", program_to_json(report.program, indent=2) + "\n")
     em.write_json("report.json", report_to_dict(report, program_ref="program.json"))
     em.manifest()
@@ -289,10 +295,8 @@ def _run_average(cfg: dict) -> int:
             float(_require(cfg, "duration")), state0, params,
             _integrator_config(cfg),
             construction=str(cfg.get("construction", "counter_rotating")))
-    except BlowUpError as exc:
-        em.write_json("failure.json", {"error": str(exc), "time": exc.time})
-        em.manifest()
-        return 2
+    except (BlowUpError, StepBudgetError) as exc:
+        return em.failure(exc)
     lines = ["omega,deviation"]
     lines += ["%r,%r" % (w, d) for w, d in zip(omegas, devs)]
     em.write_csv("deviations.csv", "\n".join(lines) + "\n")
@@ -425,10 +429,8 @@ def _run_project(cfg: dict) -> int:
     except ConvergenceError as exc:
         report = exc.report
         code = 2
-    except BlowUpError as exc:
-        em.write_json("failure.json", {"error": str(exc), "time": exc.time})
-        em.manifest()
-        return 2
+    except (BlowUpError, StepBudgetError) as exc:
+        return em.failure(exc)
     em.write("program.json", program_to_json(report.program, indent=2) + "\n")
     em.write_json("report.json", report_to_dict(report, program_ref="program.json"))
     em.manifest()

@@ -22,6 +22,12 @@ harmonic pattern {+1, +2} on m and {-1, -2} on n have zero-mean
 primitives, start and end at zero, drive the sum mode with a constant
 (time-independent) rate, and leave the difference mode with no mean
 drive at all.  See :func:`cascade_packet`.
+
+Compiled form: a program compiles once into arrays over its support reps
+(constant values, primitive offsets at segment starts, flat oscillatory
+components), read by ``channel_primitive``, hence the relaxation metric and
+chattering; the integrator reads each packet's ``freq``/``coef`` arrays.
+The scalar dict API (``evaluate``, ``primitive``) is the reference.
 """
 
 from __future__ import annotations
@@ -87,9 +93,6 @@ class ChannelMap:
             raise ValueError("channel addressing uses canonical representatives only")
         return 2 * i + (0 if part == "re" else 1)
 
-    def rep_position(self, rep: Mode) -> int:
-        return self._rep_pos[rep]
-
     def vector_to_rep_coeffs(self, vec: np.ndarray) -> dict[Mode, complex]:
         vec = np.asarray(vec, dtype=float)
         if vec.shape != (self.size,):
@@ -116,10 +119,8 @@ class ChannelMap:
         return vec
 
     def complex_to_vector(self, arr: np.ndarray) -> np.ndarray:
-        vec = np.empty(self.size)
-        vec[0::2] = arr.real
-        vec[1::2] = arr.imag
-        return vec
+        """Channels (Re, Im interleaved) of rep values along the last axis."""
+        return np.stack([arr.real, arr.imag], axis=-1).reshape(*arr.shape[:-1], -1)
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +137,17 @@ class Constant:
             raise ValueError("segment duration must be positive")
         self.duration = float(duration)
         self.values = _as_rep_values(values)
+
+    @classmethod
+    def _of_reps(cls, duration: float, values: dict[Mode, complex]) -> "Constant":
+        """Segment from nonzero values on canonical reps, not re-validated."""
+        seg = object.__new__(cls)
+        seg.duration, seg.values = float(duration), values
+        return seg
+
+    @property
+    def reps(self):
+        return self.values.keys()
 
     @property
     def modes(self) -> frozenset[Mode]:
@@ -165,7 +177,7 @@ class Oscillatory:
     """Harmonic packet: per representative mode a set of harmonics of a
     shared base frequency, parameterized by the primitive coefficients."""
 
-    __slots__ = ("duration", "omega", "components")
+    __slots__ = ("duration", "omega", "components", "reps", "freq", "coef")
 
     def __init__(self, duration: float, omega: float,
                  components: Iterable[tuple[Mode, int, complex]]):
@@ -188,6 +200,9 @@ class Oscillatory:
         self.components = tuple(sorted(
             ((k, h, c) for (k, h), c in merged.items() if c != 0),
             key=lambda item: (item[0], item[1])))
+        self.reps = tuple(dict.fromkeys(k for k, _, _ in self.components))
+        self.freq = np.array([h * self.omega for _, h, _ in self.components])
+        self.coef = np.array([c for _, _, c in self.components], dtype=np.complex128)
 
     @classmethod
     def from_cos_pairs(cls, duration: float, omega: float,
@@ -204,7 +219,7 @@ class Oscillatory:
 
     @property
     def modes(self) -> frozenset[Mode]:
-        return symmetrize(k for k, _, _ in self.components)
+        return symmetrize(self.reps)
 
     def rep_value(self, rep: Mode, tloc: float) -> complex:
         w = self.omega
@@ -221,13 +236,6 @@ class Oscillatory:
         for k, h, c in self.components:
             out[k] = out.get(k, 0j) + c * (cmath.exp(1j * h * self.omega * self.duration) - 1.0)
         return out
-
-    def value_bound(self) -> float:
-        """Upper bound on sum over modes of |v_k(t)|, for hull checks."""
-        per_mode: dict[Mode, float] = {}
-        for k, h, c in self.components:
-            per_mode[k] = per_mode.get(k, 0.0) + abs(c) * abs(h) * self.omega
-        return sum(per_mode.values())
 
     def same_value(self, other) -> bool:
         return False
@@ -246,6 +254,7 @@ class Zero:
         self.duration = float(duration)
 
     modes = frozenset()
+    reps = ()
 
     def rep_value(self, rep: Mode, tloc: float) -> complex:
         return 0j
@@ -278,8 +287,9 @@ class ForcingProgram:
         self.segments = tuple(segments)
         if not self.segments:
             raise ValueError("a program needs at least one segment")
+        reps = {canonical_rep(k) for k in self.support}
         for seg in self.segments:
-            if not seg.modes <= self.support:
+            if not reps.issuperset(seg.reps):
                 raise ValueError("segment modes %s escape the program support"
                                  % sorted(seg.modes - self.support))
         self.starts = np.concatenate([[0.0], np.cumsum([s.duration for s in self.segments])])
@@ -305,8 +315,7 @@ class ForcingProgram:
         if t < -1e-12 or t > T + max(1e-12, 1e-12 * T):
             raise ValueError("time out of range: t=%g not in [0, %g]" % (t, T))
         t = min(max(t, 0.0), T)
-        i = int(np.searchsorted(self.starts, t, side="right")) - 1
-        i = min(max(i, 0), len(self.segments) - 1)
+        i = int(np.searchsorted(self.starts[1:-1], t, side="right"))
         return i, t - float(self.starts[i])
 
     def evaluate(self, t: float) -> dict[Mode, complex]:
@@ -333,77 +342,76 @@ class ForcingProgram:
             full[neg(rep)] = v.conjugate()
         return full
 
-    # vectorized representative-space evaluation ----------------------------
+    @cached_property
+    def _compiled(self) -> tuple:
+        """(reps, const, offsets, seg, col, freq, coef): sorted support reps,
+        values (n_seg, n_rep), primitive at segment starts (n_seg + 1, n_rep)
+        and per oscillatory component (by segment): segment, column, h w, c."""
+        reps = rep_modes(self.support)
+        col = {r: j for j, r in enumerate(reps)}
+        const = np.zeros((len(self.segments), len(reps)), dtype=np.complex128)
+        osc = []
+        for i, seg in enumerate(self.segments):
+            if isinstance(seg, Constant):
+                for r, v in seg.values.items():
+                    const[i, col[r]] = v
+            elif isinstance(seg, Oscillatory):
+                osc += [(i, col[k], f, c) for (k, _, _), f, c
+                        in zip(seg.components, seg.freq, seg.coef)]
+        osc = np.array(osc, dtype=[("seg", np.intp), ("col", np.intp),
+                                   ("freq", float), ("coef", np.complex128)])
+        seg, col, freq, coef = (np.ascontiguousarray(osc[f]) for f in osc.dtype.names)
+        durations = np.array([s.duration for s in self.segments])
+        integral = const * durations[:, None]
+        np.add.at(integral, (seg, col), coef * (np.exp(1j * freq * durations[seg]) - 1.0))
+        offsets = np.zeros((len(self.segments) + 1, len(reps)), dtype=np.complex128)
+        np.cumsum(integral, axis=0, out=offsets[1:])
+        return reps, const, offsets, seg, col, freq, coef
 
-    def _rep_matrix(self, times: np.ndarray, cmap: ChannelMap,
-                    primitive: bool) -> np.ndarray:
-        """Complex (len(times), len(cmap.reps)) matrix of v or V values."""
+    def _rep_matrix(self, times: np.ndarray, cmap: ChannelMap) -> np.ndarray:
+        """Complex (len(times), len(cmap.reps)) matrix of primitive values."""
         times = np.asarray(times, dtype=float)
         T = self.total_duration
         if times.size and (times.min() < -1e-12 or times.max() > T + max(1e-12, 1e-12 * T)):
             raise ValueError("time out of range")
-        clipped = np.clip(times, 0.0, T)
-        idx = np.clip(np.searchsorted(self.starts, clipped, side="right") - 1,
-                      0, len(self.segments) - 1)
+        clipped = np.minimum(np.maximum(times, 0.0), T)
+        # interior boundaries only: t == T lands in the last segment
+        idx = np.searchsorted(self.starts[1:-1], clipped, side="right")
+        tloc = clipped - self.starts[idx]
+        reps, const, offsets, seg, col, freq, coef = self._compiled
+        prim = offsets[idx] + const[idx] * tloc[:, None]
+        if seg.size:
+            first = np.searchsorted(seg, idx)
+            count = np.searchsorted(seg, idx, side="right") - first
+            # step k adds the k-th component of each row's segment: one term
+            # per row, so a plain fancy += is exact
+            for k in range(count.max(initial=0)):
+                rows = np.flatnonzero(count > k)
+                j = first[rows] + k
+                prim.reshape(-1)[rows * len(reps) + col[j]] += coef[j] * (
+                    np.exp(1j * freq[j] * tloc[rows]) - 1.0)
+        if cmap.reps == reps:
+            return prim
         out = np.zeros((times.size, len(cmap.reps)), dtype=np.complex128)
-        for i, seg in enumerate(self.segments):
-            mask = idx == i
-            if not mask.any():
-                continue
-            tloc = clipped[mask] - float(self.starts[i])
-            block = np.zeros((tloc.size, len(cmap.reps)), dtype=np.complex128)
-            if isinstance(seg, Constant):
-                for rep, v in seg.values.items():
-                    p = cmap.rep_position(rep)
-                    block[:, p] = v * tloc if primitive else v
-            elif isinstance(seg, Oscillatory):
-                w = seg.omega
-                for rep, h, c in seg.components:
-                    p = cmap.rep_position(rep)
-                    phase = np.exp(1j * h * w * tloc)
-                    block[:, p] += c * (phase - 1.0) if primitive else c * 1j * h * w * phase
-            if primitive:
-                for rep, v in self._offsets[i].items():
-                    block[:, cmap.rep_position(rep)] += v
-            out[mask] = block
+        out[:, [cmap.reps.index(r) for r in reps]] = prim
         return out
 
-    def channel_values(self, times: np.ndarray, cmap: ChannelMap) -> np.ndarray:
-        return _interleave(self._rep_matrix(times, cmap, primitive=False))
-
     def channel_primitive(self, times: np.ndarray, cmap: ChannelMap) -> np.ndarray:
-        return _interleave(self._rep_matrix(times, cmap, primitive=True))
+        return cmap.complex_to_vector(self._rep_matrix(times, cmap))
 
     def is_piecewise_constant(self) -> bool:
         return all(isinstance(s, (Constant, Zero)) for s in self.segments)
 
     def value_l1_bound(self) -> float:
         """Bound on sup_t of the channel-space l1 norm of the forcing."""
-        worst = 0.0
-        for seg in self.segments:
-            if isinstance(seg, Constant):
-                worst = max(worst, sum(abs(v.real) + abs(v.imag)
-                                       for v in seg.values.values()))
-            elif isinstance(seg, Oscillatory):
-                worst = max(worst, math.sqrt(2.0) * seg.value_bound())
-        return worst
-
-    def extended(self, extra: Sequence[Segment],
-                 extra_support: Iterable[Mode] = ()) -> "ForcingProgram":
-        return ForcingProgram(self.support | symmetrize(extra_support)
-                              if extra_support else self.support,
-                              self.segments + tuple(extra))
+        _, const, _, seg, _, freq, coef = self._compiled
+        packets = np.bincount(seg, np.abs(coef) * np.abs(freq), len(self.segments))
+        return float(max((np.abs(const.real) + np.abs(const.imag)).sum(axis=1).max(),
+                         math.sqrt(2.0) * packets.max()))
 
     def __repr__(self):
         return "ForcingProgram(support=%d modes, segments=%d, T=%g)" % (
             len(self.support), len(self.segments), self.total_duration)
-
-
-def _interleave(rep_matrix: np.ndarray) -> np.ndarray:
-    out = np.empty((rep_matrix.shape[0], 2 * rep_matrix.shape[1]))
-    out[:, 0::2] = rep_matrix.real
-    out[:, 1::2] = rep_matrix.imag
-    return out
 
 
 def zero_program(duration: float, support: Iterable[Mode] = ()) -> ForcingProgram:
@@ -419,24 +427,20 @@ def constant_program(support: Iterable[Mode], values: Mapping[Mode, complex],
 # metrics
 
 
-def _boundary_and_extremum_times(program: ForcingProgram) -> list[float]:
-    cands = list(program.starts)
-    for i, seg in enumerate(program.segments):
-        t0 = float(program.starts[i])
-        if isinstance(seg, Oscillatory):
-            for _, h, c in seg.components:
-                # channel extrema of c*(exp(i h w t) - 1): solve sin/cos peaks
-                w_eff = abs(h) * seg.omega
-                phi = cmath.phase(c)
-                # peaks of Re and Im parts, every half period
-                n_half = int(w_eff * seg.duration / math.pi) + 2
-                for fam in (0.5 * math.pi, 0.0):
-                    base = (fam - phi) / w_eff
-                    for j in range(-1, n_half + 1):
-                        t = base + j * math.pi / w_eff
-                        if 0.0 <= t <= seg.duration:
-                            cands.append(t0 + t)
-    return cands
+def _boundary_and_extremum_times(program: ForcingProgram) -> np.ndarray:
+    """Segment starts, then per oscillatory component the half-period
+    ladders where Re and Im of c*(exp(i h w t) - 1) peak."""
+    cands = [program.starts]
+    for t0, seg in zip(program.starts, program.segments):
+        if not isinstance(seg, Oscillatory):
+            continue
+        for w_eff, phi in zip(np.abs(seg.freq), np.angle(seg.coef)):
+            n_half = int(w_eff * seg.duration / math.pi) + 2
+            steps = np.arange(-1, n_half + 1) * math.pi / w_eff
+            for fam in (0.5 * math.pi, 0.0):
+                t = (fam - phi) / w_eff + steps
+                cands.append(t0 + t[(t >= 0.0) & (t <= seg.duration)])
+    return np.concatenate(cands)
 
 
 def relaxation_distance(f: ForcingProgram, g: ForcingProgram,
@@ -609,12 +613,6 @@ class ExtremeSet:
         return float(np.abs(np.asarray(v)).sum()) <= self.amplitude * (1 + 1e-12)
 
 
-def _channel_constant(cmap: ChannelMap, channel: int, value: float,
-                      duration: float) -> Constant:
-    rep, part = cmap.channel(channel)
-    return Constant(duration, {rep: value if part == "re" else 1j * value})
-
-
 def merge_constant_runs(segments: Sequence[Segment]) -> list[Segment]:
     """Coalesce adjacent segments holding the same value."""
     merged: list[Segment] = []
@@ -658,25 +656,27 @@ def chattering_approximation(program: ForcingProgram, amplitude: float,
                          % (bound, amplitude))
     T = program.total_duration
     edges = np.linspace(0.0, T, windows + 1)
-    prim = program.channel_primitive(edges, cmap)
-    segments: list[Segment] = []
-    for i in range(windows):
-        t_w = edges[i + 1] - edges[i]
-        vbar = (prim[i + 1] - prim[i]) / t_w
-        used = 0.0
-        for c in range(cmap.size):
-            lam = abs(vbar[c]) / amplitude
-            if lam * t_w <= 1e-15 * max(1.0, T):
-                continue
-            segments.append(_channel_constant(
-                cmap, c, math.copysign(amplitude, vbar[c]), lam * t_w))
-            used += lam * t_w
-        slack = t_w - used
-        if slack > 1e-14 * max(1.0, T):
-            for sign in (+1.0, -1.0):
-                segments.append(_channel_constant(
-                    cmap, slack_channel, sign * amplitude, slack / 2.0))
-    return ForcingProgram(program.support, merge_constant_runs(segments))
+    t_w = np.diff(edges)[:, None]
+    vbar = np.diff(program.channel_primitive(edges, cmap), axis=0) / t_w
+    dur = np.abs(vbar) / amplitude * t_w
+    dur[dur <= 1e-15 * max(1.0, T)] = 0.0
+    slack = t_w - dur.sum(axis=1, keepdims=True)
+    half = np.where(slack > 1e-14 * max(1.0, T), slack / 2.0, 0.0)
+    # pieces of each window, in order: the channels ascending, then the
+    # slack pair; a piece's key is +-(channel + 1) by the sign of its value
+    slack_key = np.full_like(half, slack_channel + 1)
+    key = np.hstack([np.sign(vbar) * np.arange(1, cmap.size + 1), slack_key, -slack_key])
+    dur = np.hstack([dur, half, half]).ravel()
+    key = key.ravel()[dur > 0].astype(int)
+    dur = dur[dur > 0]
+    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])    # runs of one value
+    segments = []
+    for k, d in zip(key[first].tolist(), np.add.reduceat(dur, first).tolist()):
+        rep, part = cmap.channel(abs(k) - 1)
+        value = math.copysign(amplitude, k)
+        segments.append(Constant._of_reps(d, {rep: complex(value) if part == "re"
+                                              else 1j * value}))
+    return ForcingProgram(program.support, segments)
 
 
 # ---------------------------------------------------------------------------

@@ -135,14 +135,16 @@ def _segment_evaluator(seg: Segment, tab) -> Callable[[float], np.ndarray | floa
             vec[tab.rep_index[rep]] = v
         return lambda tloc: vec
     assert isinstance(seg, Oscillatory)
+    # components are sorted by mode, so each mode's harmonics are adjacent
     idx = np.array([tab.rep_index[k] for k, _, _ in seg.components], dtype=np.intp)
-    freq = np.array([h * seg.omega for _, h, _ in seg.components])
-    coef = np.array([c * 1j * h * seg.omega for _, h, c in seg.components])
+    first = np.flatnonzero(np.diff(idx, prepend=-1))
+    idx = idx[first]
+    freq, coef = seg.freq, 1j * seg.freq * seg.coef
     n = tab.n_reps
 
     def ev(tloc: float) -> np.ndarray:
         out = np.zeros(n, dtype=np.complex128)
-        np.add.at(out, idx, coef * np.exp(1j * freq * tloc))
+        out[idx] = np.add.reduceat(coef * np.exp(1j * freq * tloc), first)
         return out
 
     return ev

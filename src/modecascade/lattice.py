@@ -6,13 +6,19 @@ level iteration K -> next_level(K), saturation decisions for symmetric
 sets, and the generating-pair lookup used by the mode-cascade control
 synthesis.  All norm comparisons are exact integer arithmetic on
 ``kx^2 + ky^2``; no floating point is involved anywhere here.
+
+``next_level`` encodes modes as int64 keys kx*B + ky with B = 4 max|k| + 1:
+keys add like modes and sums decode exactly, so one np.unique dedups.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
+
+import numpy as np
 
 Mode = tuple[int, int]
 
@@ -80,8 +86,9 @@ def rep_modes(modes: Iterable[Mode]) -> tuple[Mode, ...]:
     return tuple(sorted({canonical_rep(k) for k in modes}))
 
 
+@lru_cache(maxsize=None)
 def ball(radius: int) -> frozenset[Mode]:
-    """All modes k with 1 <= |k|^2 <= radius^2."""
+    """All modes k with 1 <= |k|^2 <= radius^2; cached, so users share tuples."""
     if radius < 1:
         return frozenset()
     r2 = radius * radius
@@ -100,34 +107,22 @@ def next_level(modes: Iterable[Mode]) -> frozenset[Mode]:
     m, n in K.  The result always contains K, so iterating is monotone.
     """
     k_set = frozenset(check_mode(k) for k in modes)
-    if len(k_set) > 48:
-        return _next_level_bulk(k_set)
-    out = set(k_set)
-    members = sorted(k_set)
-    for i, m in enumerate(members):
-        for n in members[i + 1:]:
-            if not admissible_pair(m, n):
-                continue
-            s = (m[0] + n[0], m[1] + n[1])
-            if s != (0, 0):
-                out.add(s)
-    return frozenset(out)
-
-
-def _next_level_bulk(k_set: frozenset[Mode]) -> frozenset[Mode]:
-    """Vectorized pair enumeration for large sets."""
-    import numpy as np
-
-    arr = np.array(sorted(k_set), dtype=np.int64)
-    norms = (arr * arr).sum(axis=1)
-    w = arr[:, None, 0] * arr[None, :, 1] - arr[:, None, 1] * arr[None, :, 0]
-    ok = (norms[:, None] != norms[None, :]) & (w != 0)
-    sums = arr[:, None, :] + arr[None, :, :]
-    cand = sums[ok]
-    cand = cand[(cand[:, 0] != 0) | (cand[:, 1] != 0)]
-    out = set(k_set)
-    out.update(map(tuple, np.unique(cand, axis=0).tolist()))
-    return frozenset(out)
+    extent = max((max(abs(kx), abs(ky)) for kx, ky in k_set), default=0)
+    if extent >= 2 ** 29:       # keeps every key, norm and wedge inside int64
+        raise ValueError("mode components must stay below 2**29")
+    arr = np.array(list(k_set), dtype=np.int64).reshape(-1, 2)
+    kx, ky = arr[:, 0], arr[:, 1]
+    norms = kx * kx + ky * ky
+    i, j = np.triu_indices(len(arr), 1)
+    ok = (norms[i] != norms[j]) & (kx[i] * ky[j] != ky[i] * kx[j])
+    # sums have components in [-2 extent, 2 extent], so base 4 extent + 1
+    # decodes them exactly; an admissible pair never sums to zero (n = -m
+    # is collinear)
+    base = 4 * extent + 1
+    keys = kx * base + ky
+    sums = np.unique(keys[i[ok]] + keys[j[ok]]) + 2 * extent
+    sx, sy = np.divmod(sums, base)
+    return k_set | frozenset(zip(sx.tolist(), (sy - 2 * extent).tolist()))
 
 
 @dataclass(frozen=True)
@@ -200,7 +195,8 @@ def saturation_chain(k1: Iterable[Mode], radius: int, max_levels: int = 32,
         if target <= current:
             status = _STATUS_COVERED
             break
-        grown = next_level(current) & clip
+        reached = next_level(current)
+        grown = frozenset({k for k in clip if k in reached})   # clip's shared tuples
         if grown == current:
             status = _STATUS_STATIONARY
             break

@@ -259,3 +259,18 @@ def test_manifest_without_integration_names_no_kernel(tmp_path):
         "mode": "law", "omegas": [100.0], "output_dir": str(out)})
     assert main(["rxprobe", "--config", cfg]) == 0
     assert "quadratic_term" not in json.loads((out / "manifest.json").read_text())
+
+
+def test_step_budget_writes_failure_record(tmp_path):
+    single = symmetrize({(1, 0)})
+    seg = Oscillatory.from_cos_pairs(2.0, 1e7, [((1, 0), 1.0)])
+    program = tmp_path / "fast.json"
+    program.write_text(program_to_json(ForcingProgram(single, [seg])))
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, "cfg.json", {
+        "radius": 3, "program": str(program), "dt_base": 1e-3,
+        "output_dir": str(out)})
+    assert main(["simulate", "--config", cfg]) == 2
+    failure = json.loads((out / "failure.json").read_text())
+    assert "step budget" in failure["error"]
+    assert json.loads((out / "manifest.json").read_text())["outputs"] == ["failure.json"]

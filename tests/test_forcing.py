@@ -4,12 +4,17 @@ metrics, cascade amplitudes, packet averaging, chattering."""
 import json
 import math
 
+import cmath
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from modecascade.forcing import (ChannelMap, Constant, ExtremeSet,
                                  ForcingProgram, Oscillatory, Zero,
+                                 _boundary_and_extremum_times,
                                  cascade_packet, chattering_approximation,
                                  constant_program, cos_pair_segment,
                                  delta_distance, oscillatory_amplitudes,
@@ -371,3 +376,131 @@ def test_extreme_set_validation():
         ExtremeSet(-1.0, 4)
     with pytest.raises(ValueError):
         ExtremeSet(1.0, 0)
+
+
+# ---------------------------------------------------------------------------
+# compiled array form against the scalar closed forms
+
+MIXED_SUPPORT = symmetrize({(1, 0), (1, 1), (2, 1), (0, 1)})
+MIXED_MODES = sorted(MIXED_SUPPORT)
+unit = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def segments(draw):
+    """One Constant, Zero, cosine bundle, general harmonic packet or
+    cascade packet on MIXED_SUPPORT; modes may be given as -k."""
+    duration = draw(st.floats(0.05, 1.0))
+    omega = draw(st.floats(1.0, 300.0))
+    kind = draw(st.sampled_from(["constant", "zero", "cos", "harmonics", "packet"]))
+    modes = st.lists(st.sampled_from(MIXED_MODES), min_size=1, max_size=4)
+    if kind == "constant":
+        values = {}
+        for k in draw(modes):
+            v = complex(draw(unit), draw(unit))
+            values[k], values[(-k[0], -k[1])] = v, v.conjugate()
+        return Constant(duration, values)
+    if kind == "zero":
+        return Zero(duration)
+    if kind == "cos":
+        return Oscillatory.from_cos_pairs(duration, omega,
+                                          [(k, draw(unit)) for k in draw(modes)],
+                                          phase=draw(st.floats(-3.0, 3.0)))
+    if kind == "harmonics":
+        return Oscillatory(duration, omega, [
+            (k, draw(st.sampled_from([-3, -2, -1, 1, 2, 3])), complex(draw(unit), draw(unit)))
+            for k in draw(modes)])
+    return cascade_packet((2, 1), (1, 0), (1, 1), complex(draw(unit), draw(unit)),
+                          omega, duration)
+
+
+programs = st.lists(segments(), min_size=1, max_size=6).map(
+    lambda segs: ForcingProgram(MIXED_SUPPORT, segs))
+
+
+@given(programs, st.lists(st.floats(0.0, 1.0), max_size=20))
+@settings(max_examples=150, deadline=None)
+def test_channel_primitive_matches_scalar_primitive(prog, fractions):
+    cmap = ChannelMap(MIXED_SUPPORT)
+    times = np.concatenate([prog.starts, np.array(fractions) * prog.total_duration])
+    got = prog.channel_primitive(times, cmap)
+    want = np.array([cmap.coeffs_to_vector(prog.primitive(t)) for t in times])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@given(programs)
+@settings(max_examples=50, deadline=None)
+def test_channel_primitive_on_a_wider_channel_map(prog):
+    wide = ChannelMap(MIXED_SUPPORT | symmetrize({(3, 1)}))
+    got = prog.channel_primitive(prog.starts, wide)
+    want = np.array([wide.coeffs_to_vector(prog.primitive(t)) for t in prog.starts])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def loop_extremum_times(program):
+    """Plain-loop enumeration of the candidate times, one at a time."""
+    cands = list(program.starts)
+    for i, seg in enumerate(program.segments):
+        if not isinstance(seg, Oscillatory):
+            continue
+        for _, h, c in seg.components:
+            w_eff = abs(h) * seg.omega
+            n_half = int(w_eff * seg.duration / math.pi) + 2
+            for fam in (0.5 * math.pi, 0.0):
+                base = (fam - cmath.phase(c)) / w_eff
+                for j in range(-1, n_half + 1):
+                    t = base + j * math.pi / w_eff
+                    if 0.0 <= t <= seg.duration:
+                        cands.append(float(program.starts[i]) + t)
+    return cands
+
+
+@pytest.mark.parametrize("omega", [1e2, 1e3, 1e4])
+def test_extremum_candidates_match_plain_loop(omega):
+    prog = ForcingProgram(MIXED_SUPPORT, [
+        Constant(0.3, {(1, 0): 0.5}),
+        cascade_packet((2, 1), (1, 0), (1, 1), 0.4 - 0.7j, omega, 0.6),
+        Oscillatory.from_cos_pairs(0.4, omega, [((0, 1), 0.2), ((2, 1), -0.1)], phase=0.3),
+    ])
+    got = np.sort(_boundary_and_extremum_times(prog))
+    np.testing.assert_array_equal(got, np.sort(loop_extremum_times(prog)))
+
+
+@st.composite
+def hull_programs(draw):
+    """Programs whose values stay in the l1 ball of radius A: constant and
+    zero segments, plus slow cosine bundles scaled into the ball."""
+    amplitude = draw(st.floats(0.5, 2.0))
+    cmap = ChannelMap(PAIR_SUPPORT)
+    segs = []
+    for _ in range(draw(st.integers(1, 5))):
+        duration = draw(st.floats(0.05, 1.0))
+        kind = draw(st.sampled_from(["constant", "zero", "cos"]))
+        if kind == "constant":
+            vec = np.array([draw(unit) for _ in range(cmap.size)])
+            scale = draw(st.floats(0.0, 1.0)) * amplitude / max(np.abs(vec).sum(), 1e-12)
+            segs.append(Constant(duration, cmap.vector_to_rep_coeffs(vec * scale)))
+        elif kind == "zero":
+            segs.append(Zero(duration))
+        else:
+            omega = draw(st.floats(1.0, 30.0))
+            # the hull check bounds this bundle by 2 sqrt(2) amp w
+            amp = draw(st.floats(0.0, 1.0)) * amplitude / (2.0 * math.sqrt(2.0) * omega)
+            segs.append(Oscillatory.from_cos_pairs(duration, omega,
+                                                   [((1, 0), amp), ((1, 1), -amp)]))
+    return ForcingProgram(PAIR_SUPPORT, segs), amplitude
+
+
+@given(hull_programs(), st.integers(1, 60), st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_chattering_bound_on_random_programs(drawn, windows, slack):
+    prog, amplitude = drawn
+    out = chattering_approximation(prog, amplitude, windows, slack)
+    assert out.is_piecewise_constant()
+    bound = 2.0 * amplitude * math.sqrt(len(PAIR_SUPPORT)) * prog.total_duration / windows
+    assert relaxation_distance(out, prog) <= bound + 1e-12
+    # each window's primitive increment is kept exactly
+    cmap = ChannelMap(PAIR_SUPPORT)
+    edges = np.linspace(0.0, prog.total_duration, windows + 1)
+    np.testing.assert_allclose(out.channel_primitive(edges, cmap),
+                               prog.channel_primitive(edges, cmap), rtol=0, atol=1e-12)

@@ -11,9 +11,13 @@ from modecascade.forcing import (ForcingProgram, Oscillatory, constant_program,
 from modecascade.integrator import (BlowUpError, IntegratorConfig, Trajectory,
                                     convergence_order, integrate, step)
 from modecascade.integrator import BLOWUP_LIMIT, StepBudgetError, _check_finite
+from modecascade.integrator import _segment_evaluator
+from modecascade.forcing import Constant, cascade_packet
 from modecascade.lattice import symmetrize
-from modecascade.spectral import (SimParams, SpectralState, energy, enstrophy,
-                                  random_decaying_state, sobolev_norm)
+from modecascade.spectral import (SimParams, SpectralState, _tables, energy,
+                                  enstrophy, random_decaying_state, sobolev_norm)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 SINGLE = symmetrize({(1, 0)})
 
@@ -242,3 +246,53 @@ def test_blowup_guard_rejects_nan_inf_and_large(bad):
 
 def test_blowup_guard_accepts_the_limit():
     _check_finite(np.array([BLOWUP_LIMIT, -BLOWUP_LIMIT, 0.0], dtype=complex), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# per-stage forcing evaluator against the scalar closed form
+
+EVAL_SUPPORT = symmetrize({(1, 0), (1, 1), (2, 1), (0, 2)})
+unit = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def evaluator_segments(draw):
+    duration = draw(st.floats(0.05, 1.0))
+    omega = draw(st.floats(1.0, 1e3))
+    modes = st.lists(st.sampled_from(sorted(EVAL_SUPPORT)), min_size=1, max_size=4)
+    kind = draw(st.sampled_from(["constant", "harmonics", "packet"]))
+    if kind == "constant":
+        values = {}
+        for k in draw(modes):
+            v = complex(draw(unit), draw(unit))
+            values[k], values[(-k[0], -k[1])] = v, v.conjugate()
+        return Constant(duration, values)
+    if kind == "harmonics":
+        return Oscillatory(duration, omega, [
+            (k, draw(st.sampled_from([-3, -2, -1, 1, 2, 3])), complex(draw(unit), draw(unit)))
+            for k in draw(modes)])
+    return cascade_packet((2, 1), (1, 0), (1, 1), complex(draw(unit), draw(unit)),
+                          omega, duration)
+
+
+@given(evaluator_segments(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+       st.sampled_from([3, 5]))
+@settings(max_examples=100, deadline=None)
+def test_segment_evaluator_matches_scalar_evaluate(seg, fractions, radius):
+    tab = _tables(radius)
+    ev = _segment_evaluator(seg, tab)
+    prog = ForcingProgram(EVAL_SUPPORT, [seg])
+    for frac in fractions:
+        tloc = frac * seg.duration
+        want = np.zeros(tab.n_reps, dtype=complex)
+        for k, v in prog.evaluate(tloc).items():
+            if k in tab.rep_index:
+                want[tab.rep_index[k]] = v
+        scale = max(1.0, np.abs(want).max())
+        np.testing.assert_allclose(ev(tloc), want, rtol=0, atol=1e-12 * scale)
+
+
+def test_segment_evaluator_rejects_modes_outside_the_radius():
+    seg = Oscillatory.from_cos_pairs(1.0, 10.0, [((2, 1), 1.0)])
+    with pytest.raises(ValueError, match="outside resolution radius"):
+        _segment_evaluator(seg, _tables(2))

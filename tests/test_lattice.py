@@ -207,3 +207,27 @@ def test_chain_json_schema_and_round_trip():
     assert back.levels == chain.levels
     assert back.status == chain.status
     assert chain_to_dict(back) == data
+
+
+# the single vectorized path on sets larger than the strategy above draws
+large_modes = st.frozensets(
+    st.tuples(st.integers(-12, 12), st.integers(-12, 12)).filter(lambda k: k != (0, 0)),
+    min_size=49, max_size=200)
+
+
+@given(large_modes, st.sampled_from(["asymmetric", "symmetric", "far mode"]))
+@settings(max_examples=30, deadline=None)
+def test_next_level_matches_brute_force_on_large_sets(k, shape):
+    if shape == "symmetric":
+        k = symmetrize(k)          # holds k and -k, whose sum is zero
+    elif shape == "far mode":
+        k = k | {(10 ** 6, 3)}
+    assert next_level(k) == brute_next_level(k)
+
+
+def test_next_level_exact_at_the_largest_components():
+    big = 2 ** 29 - 1
+    k = frozenset({(big, 1), (-big, 2), (3, -big), (1, 1), (-1, -1)})
+    assert next_level(k) == brute_next_level(k)
+    with pytest.raises(ValueError, match="below 2"):
+        next_level(k | {(2 ** 29, 0)})
