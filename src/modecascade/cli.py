@@ -10,7 +10,8 @@ Exit codes: 0 success, 1 configuration/validation error (the message
 names the offending field), 2 numerical failure: blow-up or
 non-convergence with partial results still written, or a forcing
 program that needs more integration steps than the budget allows.
-The manifest of a run that integrates also names the quadratic-term
+``main`` turns the last two, raised by any subcommand, into
+``failure.json`` plus the manifest.  The manifest of a run that integrates also names the quadratic-term
 kernel ("triad" or "fft") its resolution radius selects.
 """
 
@@ -131,6 +132,14 @@ def _load_state(cfg: dict, radius: int) -> SpectralState:
     return state
 
 
+def _initial(cfg: dict, em: _Emitter, radius: int) -> tuple[SpectralState, SimParams]:
+    """Initial state and parameters of a run that integrates; the emitter
+    records the state's resolution for the manifest."""
+    state0 = _load_state(cfg, radius)
+    em.radius = state0.radius
+    return state0, SimParams(nu=float(cfg.get("nu", 0.0)))
+
+
 def _integrator_config(cfg: dict) -> IntegratorConfig:
     return IntegratorConfig(
         dt_base=float(cfg.get("dt_base", 1e-3)),
@@ -142,7 +151,6 @@ def _steering_config(cfg: dict) -> SteeringConfig:
     return SteeringConfig(
         tau=float(cfg.get("tau", 0.02)),
         gamma=float(cfg.get("gamma", 1.1)),
-        radius=float(cfg.get("target_radius", cfg.get("radius", 0.5))),
         omega=float(cfg.get("omega", 400.0)),
         correction_tau=(None if cfg.get("correction_tau") is None
                         else float(cfg["correction_tau"])),
@@ -161,17 +169,18 @@ def _chain_for(cfg: dict, observed: frozenset):
 
 class _Emitter:
     """Atomic output writing plus the closing manifest; ``radius`` is the
-    resolution the run integrates at, None when it integrates nothing."""
+    resolution the run integrates at (set by the runner), None when it
+    integrates nothing.  The output directory is made on the first write."""
 
-    def __init__(self, cfg: dict, command: str, radius: int | None = None):
+    def __init__(self, cfg: dict, command: str):
         self.cfg = cfg
         self.command = command
-        self.radius = radius
+        self.radius: int | None = None
         self.out_dir = Path(str(cfg.get("output_dir", "out")))
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         self.written: list[str] = []
 
     def write(self, name: str, text: str):
+        self.out_dir.mkdir(parents=True, exist_ok=True)
         path = self.out_dir / name
         tmp = path.with_name(path.name + ".tmp")
         tmp.write_text(text)
@@ -210,11 +219,10 @@ class _Emitter:
 # subcommands
 
 
-def _run_saturate(cfg: dict) -> int:
+def _run_saturate(cfg: dict, em: _Emitter) -> int:
     modes = parse_mode_set(_existing_path(cfg, "mode_set").read_text())
     chain = saturation_chain(modes, radius=int(_require(cfg, "radius")),
                              max_levels=int(cfg.get("max_levels", 32)))
-    em = _Emitter(cfg, "saturate")
     em.write("chain.json", chain_to_json(chain, indent=2) + "\n")
     em.manifest()
     print("saturate: status=%s covered_radius=%d levels=%d"
@@ -222,27 +230,20 @@ def _run_saturate(cfg: dict) -> int:
     return 0
 
 
-def _run_simulate(cfg: dict) -> int:
-    radius = int(_require(cfg, "radius"))
-    state0 = _load_state(cfg, radius)
-    params = SimParams(nu=float(cfg.get("nu", 0.0)))
+def _run_simulate(cfg: dict, em: _Emitter) -> int:
+    state0, params = _initial(cfg, em, int(_require(cfg, "radius")))
     if cfg.get("program"):
         program = program_from_json(_existing_path(cfg, "program").read_text())
     else:
         program = zero_program(float(_require(cfg, "duration")))
-    em = _Emitter(cfg, "simulate", state0.radius)
-    code = 0
-    try:
-        traj = integrate(state0, params, program, _integrator_config(cfg))
-    except (BlowUpError, StepBudgetError) as exc:
-        return em.failure(exc)
+    traj = integrate(state0, params, program, _integrator_config(cfg))
     em.write_csv("trajectory.csv", traj.to_csv())
     em.write_csv("summary.csv", traj.summary_to_csv())
     em.write_csv("final_state.csv", state_to_csv(traj.final))
     em.manifest()
     summary = traj.summary()
     print("simulate: %d records, final enstrophy %.6g" % (len(traj), summary[-1, 2]))
-    return code
+    return 0
 
 
 def _observed_set(cfg: dict) -> frozenset:
@@ -255,23 +256,18 @@ def _observed_set(cfg: dict) -> frozenset:
     return symmetrize(parse_mode_set(p.read_text()))
 
 
-def _run_steer(cfg: dict) -> int:
+def _run_steer(cfg: dict, em: _Emitter) -> int:
     observed = _observed_set(cfg)
     chain = _chain_for(cfg, observed)
-    radius = int(_require(cfg, "radius"))
-    state0 = _load_state(cfg, radius)
-    params = SimParams(nu=float(cfg.get("nu", 0.0)))
+    state0, params = _initial(cfg, em, int(_require(cfg, "radius")))
     target = np.asarray(_require(cfg, "target"), dtype=float)
     scfg = _steering_config(cfg)
-    em = _Emitter(cfg, "steer", state0.radius)
     code = 0
     try:
         report = steer_to_target(target, chain, observed, state0, params, scfg)
     except ConvergenceError as exc:
         report = exc.report
         code = 2
-    except (BlowUpError, StepBudgetError) as exc:
-        return em.failure(exc)
     em.write("program.json", program_to_json(report.program, indent=2) + "\n")
     em.write_json("report.json", report_to_dict(report, program_ref="program.json"))
     em.manifest()
@@ -280,23 +276,17 @@ def _run_steer(cfg: dict) -> int:
     return code
 
 
-def _run_average(cfg: dict) -> int:
+def _run_average(cfg: dict, em: _Emitter) -> int:
     k = tuple(int(x) for x in _require(cfg, "k"))
     pair_raw = _require(cfg, "pair")
     pair = (tuple(int(x) for x in pair_raw[0]), tuple(int(x) for x in pair_raw[1]))
     omegas = [float(w) for w in _require(cfg, "omegas")]
-    radius = int(_require(cfg, "radius"))
-    state0 = _load_state(cfg, radius)
-    params = SimParams(nu=float(cfg.get("nu", 0.0)))
-    em = _Emitter(cfg, "average", state0.radius)
-    try:
-        devs = averaging_experiment(
-            k, pair, float(cfg.get("amplitude", 1.0)), omegas,
-            float(_require(cfg, "duration")), state0, params,
-            _integrator_config(cfg),
-            construction=str(cfg.get("construction", "counter_rotating")))
-    except (BlowUpError, StepBudgetError) as exc:
-        return em.failure(exc)
+    state0, params = _initial(cfg, em, int(_require(cfg, "radius")))
+    devs = averaging_experiment(
+        k, pair, float(cfg.get("amplitude", 1.0)), omegas,
+        float(_require(cfg, "duration")), state0, params,
+        _integrator_config(cfg),
+        construction=str(cfg.get("construction", "counter_rotating")))
     lines = ["omega,deviation"]
     lines += ["%r,%r" % (w, d) for w, d in zip(omegas, devs)]
     em.write_csv("deviations.csv", "\n".join(lines) + "\n")
@@ -306,7 +296,7 @@ def _run_average(cfg: dict) -> int:
     return 0
 
 
-def _run_chatter(cfg: dict) -> int:
+def _run_chatter(cfg: dict, em: _Emitter) -> int:
     program = program_from_json(_existing_path(cfg, "program").read_text())
     amplitude = float(_require(cfg, "amplitude"))
     windows = int(_require(cfg, "windows"))
@@ -316,7 +306,6 @@ def _run_chatter(cfg: dict) -> int:
     # kappa real channels = number of support modes
     bound = 2.0 * amplitude * np.sqrt(len(program.support)) \
         * program.total_duration / windows
-    em = _Emitter(cfg, "chatter")
     em.write("chattered.json", program_to_json(out, indent=2) + "\n")
     em.write_json("chatter_report.json", {
         "rx_distance": rx, "bound": float(bound), "windows": windows,
@@ -326,18 +315,15 @@ def _run_chatter(cfg: dict) -> int:
     return 0
 
 
-def _run_cover(cfg: dict) -> int:
+def _run_cover(cfg: dict, em: _Emitter) -> int:
     observed = _observed_set(cfg)
     chain = _chain_for(cfg, observed)
-    radius = int(_require(cfg, "radius"))
-    state0 = _load_state(cfg, radius)
-    params = SimParams(nu=float(cfg.get("nu", 0.0)))
+    state0, params = _initial(cfg, em, int(_require(cfg, "radius")))
     scfg = _steering_config(cfg)
     target_radius = float(_require(cfg, "target_radius"))
     grid_density = int(cfg.get("grid_density", 2))
     result = coverage_check(chain, observed, target_radius, grid_density,
                             state0, params, scfg)
-    em = _Emitter(cfg, "cover", state0.radius)
     em.write_csv("coverage.csv", result.to_csv())
     em.write_json("coverage.json", {"fraction": result.fraction,
                                     "targets": int(len(result.targets))})
@@ -356,7 +342,7 @@ def _run_cover(cfg: dict) -> int:
     return 0
 
 
-def _run_rxprobe(cfg: dict) -> int:
+def _run_rxprobe(cfg: dict, em: _Emitter) -> int:
     """Relaxation-metric probes.
 
     mode "law": rx distance of v = sqrt(omega) cos(omega t) to zero for a
@@ -369,7 +355,6 @@ def _run_rxprobe(cfg: dict) -> int:
     duration = float(cfg.get("duration", 1.0))
     single = symmetrize({(1, 0)})
     if mode == "law":
-        em = _Emitter(cfg, "rxprobe")
         lines = ["omega,rx,expected"]
         for omega in cfg.get("omegas", [1e2, 1e3, 1e4]):
             omega = float(omega)
@@ -385,11 +370,8 @@ def _run_rxprobe(cfg: dict) -> int:
     if mode != "trajectory":
         raise ConfigError("field 'mode': expected 'law' or 'trajectory', got %r"
                           % mode)
-    radius = int(_require(cfg, "radius"))
-    state0 = _load_state(cfg, radius)
-    params = SimParams(nu=float(cfg.get("nu", 0.0)))
+    state0, params = _initial(cfg, em, int(_require(cfg, "radius")))
     icfg = _integrator_config(cfg)
-    em = _Emitter(cfg, "rxprobe", state0.radius)
     sample = np.linspace(0.0, duration, 41)
     base = integrate(state0, params, zero_program(duration, single), icfg, sample)
     lines = ["delta,rx,sup_deviation"]
@@ -408,20 +390,17 @@ def _run_rxprobe(cfg: dict) -> int:
     return 0
 
 
-def _run_project(cfg: dict) -> int:
+def _run_project(cfg: dict, em: _Emitter) -> int:
     basis_path = _existing_path(cfg, "basis")
     entries = json.loads(basis_path.read_text())
     basis = [state_from_json(json.dumps(e)) for e in entries]
     observed_radius = max(s.radius for s in basis)
-    radius = int(cfg.get("radius", max(observed_radius, 4)))
-    state0 = _load_state(cfg, radius)
-    params = SimParams(nu=float(cfg.get("nu", 0.0)))
+    state0, params = _initial(cfg, em, int(cfg.get("radius", max(observed_radius, 4))))
     epsilon = float(_require(cfg, "epsilon"))
     proj, S = subspace_setup(basis, epsilon)
     chain = _chain_for(cfg, S)
     target = np.asarray(_require(cfg, "target"), dtype=float)
     scfg = _steering_config(cfg)
-    em = _Emitter(cfg, "project", state0.radius)
     code = 0
     try:
         report = steer_in_projection(proj, target, chain, state0, params,
@@ -429,8 +408,6 @@ def _run_project(cfg: dict) -> int:
     except ConvergenceError as exc:
         report = exc.report
         code = 2
-    except (BlowUpError, StepBudgetError) as exc:
-        return em.failure(exc)
     em.write("program.json", program_to_json(report.program, indent=2) + "\n")
     em.write_json("report.json", report_to_dict(report, program_ref="program.json"))
     em.manifest()
@@ -482,13 +459,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             if value is not None:
                 cfg[fieldname] = _coerce(value)
         cfg.setdefault("seed", 0)
-        return _RUNNERS[args.command](cfg)
+        em = _Emitter(cfg, args.command)
+        return _RUNNERS[args.command](cfg, em)
     except ConfigError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    except StepBudgetError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    except (BlowUpError, StepBudgetError) as exc:
+        return em.failure(exc)
     except (ValueError, KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

@@ -42,8 +42,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy import optimize
 
-from .lattice import (Mode, canonical_rep, check_mode, neg, norm_sq,
-                      rep_modes, symmetrize, wedge)
+from .lattice import (Mode, canonical_rep, check_mode, fold_conjugate, norm_sq,
+                      rep_modes, symmetrize, unfold_conjugate, wedge)
 
 __all__ = [
     "ChannelMap", "Constant", "Oscillatory", "Zero", "ForcingProgram",
@@ -53,21 +53,6 @@ __all__ = [
     "chattering_approximation",
     "program_to_dict", "program_from_dict", "program_to_json", "program_from_json",
 ]
-
-def _as_rep_values(values: Mapping[Mode, complex]) -> dict[Mode, complex]:
-    """Fold a conjugate-symmetric mode map onto canonical representatives."""
-    out: dict[Mode, complex] = {}
-    for k, v in values.items():
-        k = check_mode(k)
-        r = canonical_rep(k)
-        val = complex(v) if k == r else complex(v).conjugate()
-        if r in out:
-            if abs(out[r] - val) > 1e-9 * max(1.0, abs(val)):
-                raise ValueError("asymmetric forcing: v(-k) != conj(v(k)) at %s" % (k,))
-        else:
-            out[r] = val
-    return {r: v for r, v in out.items() if v != 0}
-
 
 class ChannelMap:
     """Ordered identification of a symmetric mode set with R^kappa.
@@ -102,15 +87,11 @@ class ChannelMap:
                 if vec[2 * i] != 0 or vec[2 * i + 1] != 0}
 
     def vector_to_coeffs(self, vec: np.ndarray) -> dict[Mode, complex]:
-        out = {}
-        for r, v in self.vector_to_rep_coeffs(vec).items():
-            out[r] = v
-            out[neg(r)] = v.conjugate()
-        return out
+        return unfold_conjugate(self.vector_to_rep_coeffs(vec))
 
     def coeffs_to_vector(self, values: Mapping[Mode, complex]) -> np.ndarray:
         vec = np.zeros(self.size)
-        for r, v in _as_rep_values(values).items():
+        for r, v in fold_conjugate(values, 1e-9, "forcing").items():
             if r not in self._rep_pos:
                 raise ValueError("mode %s outside the channel support" % (r,))
             i = self._rep_pos[r]
@@ -136,7 +117,7 @@ class Constant:
         if duration <= 0:
             raise ValueError("segment duration must be positive")
         self.duration = float(duration)
-        self.values = _as_rep_values(values)
+        self.values = fold_conjugate(values, 1e-9, "forcing")
 
     @classmethod
     def _of_reps(cls, duration: float, values: dict[Mode, complex]) -> "Constant":
@@ -148,10 +129,6 @@ class Constant:
     @property
     def reps(self):
         return self.values.keys()
-
-    @property
-    def modes(self) -> frozenset[Mode]:
-        return symmetrize(self.values) if self.values else frozenset()
 
     def rep_value(self, rep: Mode, tloc: float) -> complex:
         return self.values.get(rep, 0j)
@@ -217,10 +194,6 @@ class Oscillatory:
             comps.append((k, -1, c_plus.conjugate()))
         return cls(duration, omega, comps)
 
-    @property
-    def modes(self) -> frozenset[Mode]:
-        return symmetrize(self.reps)
-
     def rep_value(self, rep: Mode, tloc: float) -> complex:
         w = self.omega
         return sum(c * 1j * h * w * cmath.exp(1j * h * w * tloc)
@@ -253,7 +226,6 @@ class Zero:
             raise ValueError("segment duration must be positive")
         self.duration = float(duration)
 
-    modes = frozenset()
     reps = ()
 
     def rep_value(self, rep: Mode, tloc: float) -> complex:
@@ -291,7 +263,7 @@ class ForcingProgram:
         for seg in self.segments:
             if not reps.issuperset(seg.reps):
                 raise ValueError("segment modes %s escape the program support"
-                                 % sorted(seg.modes - self.support))
+                                 % sorted(set(seg.reps) - reps))
         self.starts = np.concatenate([[0.0], np.cumsum([s.duration for s in self.segments])])
 
     @property
@@ -322,25 +294,16 @@ class ForcingProgram:
         """Forcing vector at time t, over the full symmetric support."""
         i, tloc = self.segment_index(t)
         seg = self.segments[i]
-        out = {}
-        for rep in rep_modes(seg.modes):
-            v = seg.rep_value(rep, tloc)
-            out[rep] = v
-            out[neg(rep)] = v.conjugate()
-        return out
+        return unfold_conjugate({rep: seg.rep_value(rep, tloc) for rep in sorted(seg.reps)})
 
     def primitive(self, t: float) -> dict[Mode, complex]:
         """Exact closed-form primitive of the forcing at time t."""
         i, tloc = self.segment_index(t)
         seg = self.segments[i]
         out = dict(self._offsets[i])
-        for rep in rep_modes(seg.modes):
+        for rep in sorted(seg.reps):
             out[rep] = out.get(rep, 0j) + seg.rep_primitive(rep, tloc)
-        full = {}
-        for rep, v in out.items():
-            full[rep] = v
-            full[neg(rep)] = v.conjugate()
-        return full
+        return unfold_conjugate(out)
 
     @cached_property
     def _compiled(self) -> tuple:
@@ -718,10 +681,8 @@ def program_to_dict(program: ForcingProgram) -> dict:
         if isinstance(seg, Zero):
             segs.append({"kind": "zero", "duration": seg.duration})
         elif isinstance(seg, Constant):
-            values = {}
-            for rep, v in seg.values.items():
-                values[_mode_key(rep)] = [v.real, v.imag]
-                values[_mode_key(neg(rep))] = [v.real, -v.imag]
+            values = {_mode_key(k): [v.real, v.imag]
+                      for k, v in unfold_conjugate(seg.values).items()}
             segs.append({"kind": "constant", "duration": seg.duration,
                          "values": values})
         else:

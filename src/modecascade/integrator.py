@@ -14,12 +14,12 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .forcing import Constant, ForcingProgram, Oscillatory, Segment, Zero
+from .forcing import Constant, ForcingProgram, Oscillatory, Segment
 from .spectral import (SimParams, SpectralState, _tables, energy, enstrophy,
                        sobolev_norm)
 
@@ -123,20 +123,14 @@ class Trajectory:
 def _segment_evaluator(seg: Segment, tab) -> Callable[[float], np.ndarray | float]:
     """Segment-local forcing as a function of local time, folded onto the
     stored representatives of the state's resolution."""
-    if isinstance(seg, Zero) or not seg.modes:
+    if not seg.reps:
         return lambda tloc: 0.0
-    for k in seg.modes:
-        if (k[0] ** 2 + k[1] ** 2) > tab.radius ** 2:
-            raise ValueError("forcing mode %s outside resolution radius %d"
-                             % (k, tab.radius))
     if isinstance(seg, Constant):
-        vec = np.zeros(tab.n_reps, dtype=np.complex128)
-        for rep, v in seg.values.items():
-            vec[tab.rep_index[rep]] = v
+        vec = tab.vector(seg.values)
         return lambda tloc: vec
     assert isinstance(seg, Oscillatory)
     # components are sorted by mode, so each mode's harmonics are adjacent
-    idx = np.array([tab.rep_index[k] for k, _, _ in seg.components], dtype=np.intp)
+    idx = tab.positions(k for k, _, _ in seg.components)
     first = np.flatnonzero(np.diff(idx, prepend=-1))
     idx = idx[first]
     freq, coef = seg.freq, 1j * seg.freq * seg.coef
@@ -153,10 +147,16 @@ def _segment_evaluator(seg: Segment, tab) -> Callable[[float], np.ndarray | floa
 def _segment_dt(seg: Segment, config: IntegratorConfig) -> float:
     dt = config.dt_base
     if isinstance(seg, Oscillatory):
-        h_max = max(abs(h) for _, h, _ in seg.components)
-        period = 2.0 * math.pi / (seg.omega * h_max)
+        period = 2.0 * math.pi / np.abs(seg.freq).max()
         dt = min(dt, period / config.oscillation_resolution)
     return dt
+
+
+def _integrating_factors(nu: float, tab, h: float):
+    """exp(-nu |k|^2 h) and exp(-nu |k|^2 h / 2) per rep; (None, None) at nu = 0."""
+    if not nu:
+        return None, None
+    return np.exp(-nu * tab.norm_sq * h), np.exp(-nu * tab.norm_sq * h / 2.0)
 
 
 def _lawson_rk4(q: np.ndarray, tloc: float, h: float, decay: np.ndarray | None,
@@ -194,13 +194,9 @@ def step(state: SpectralState, t: float, dt: float, params: SimParams,
     if tloc + dt > seg.duration * (1 + 1e-12) + 1e-15:
         raise ValueError("step crosses a forcing segment boundary; split the step")
     tab = _tables(state.radius)
-    ev = _segment_evaluator(seg, tab)
-    if params.nu:
-        decay = np.exp(-params.nu * tab.norm_sq * dt)
-        half = np.exp(-params.nu * tab.norm_sq * dt / 2.0)
-    else:
-        decay = half = None
-    q = _lawson_rk4(state.data, tloc, dt, decay, half, tab.nonlinear, ev)
+    decay, half = _integrating_factors(params.nu, tab, dt)
+    q = _lawson_rk4(state.data, tloc, dt, decay, half, tab.nonlinear,
+                    _segment_evaluator(seg, tab))
     _check_finite(q, t + dt)
     return SpectralState(state.radius, q, _copy=False)
 
@@ -248,21 +244,13 @@ def integrate(state0: SpectralState, params: SimParams, program: ForcingProgram,
         dt_seg = _segment_dt(seg, config)
         inner = samples[(samples > t0 + 1e-15) & (samples < t1 - 1e-15)] - t0
         brk = np.unique(np.concatenate([[0.0, seg.duration], inner]))
-        if params.nu:
-            cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
         for a, b in zip(brk[:-1], brk[1:]):
             span = float(b - a)
             if span <= 0:
                 continue
             n = max(1, math.ceil(span / dt_seg - 1e-9))
             h = span / n
-            if params.nu:
-                if h not in cache:
-                    cache[h] = (np.exp(-params.nu * tab.norm_sq * h),
-                                np.exp(-params.nu * tab.norm_sq * h / 2.0))
-                decay, half = cache[h]
-            else:
-                decay = half = None
+            decay, half = _integrating_factors(params.nu, tab, h)
             for j in range(n):
                 tloc = float(a) + j * h
                 q = _lawson_rk4(q, tloc, h, decay, half, tab.nonlinear, ev)
@@ -294,9 +282,7 @@ def convergence_order(state0: SpectralState, params: SimParams,
         raise ValueError("insufficient dt ladder: need >= 3 strictly decreasing steps")
 
     def run(dt: float) -> SpectralState:
-        cfg = IntegratorConfig(dt_base=dt,
-                               oscillation_resolution=config.oscillation_resolution,
-                               record_stride=10 ** 9)
+        cfg = replace(config, dt_base=dt, record_stride=10 ** 9)
         return integrate(state0, params, program, cfg).final
 
     ref = run(dts[-1] / 4.0)

@@ -9,6 +9,12 @@ synthesis.  All norm comparisons are exact integer arithmetic on
 
 ``next_level`` encodes modes as int64 keys kx*B + ky with B = 4 max|k| + 1:
 keys add like modes and sums decode exactly, so one np.unique dedups.
+
+Vorticity and forcing are real fields on T^2, so every coefficient map
+obeys v(-k) = conj(v(k)) and is stored on the canonical representative
+of each {k, -k} pair (``canonical_rep``).  ``fold_conjugate`` is the one
+place a map given on either member is checked and folded onto the
+representatives; ``unfold_conjugate`` expands it back to both members.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -84,6 +90,36 @@ def canonical_rep(k: Mode) -> Mode:
 def rep_modes(modes: Iterable[Mode]) -> tuple[Mode, ...]:
     """Sorted canonical representatives of a symmetric mode set."""
     return tuple(sorted({canonical_rep(k) for k in modes}))
+
+
+def fold_conjugate(values: Mapping[Mode, complex], rtol: float,
+                   what: str) -> dict[Mode, complex]:
+    """Fold a map v(k) of a real field onto canonical representatives.
+
+    An entry on -k is conjugated onto k.  A pair given on both members
+    must satisfy |v(k) - conj(v(-k))| <= rtol * max(1, |v|), else
+    ValueError names ``what``.  Zero values are dropped.
+    """
+    out: dict[Mode, complex] = {}
+    for k, v in values.items():
+        k = check_mode(k)
+        r = canonical_rep(k)
+        val = complex(v) if k == r else complex(v).conjugate()
+        if r not in out:
+            out[r] = val
+        elif abs(out[r] - val) > rtol * max(1.0, abs(val)):
+            raise ValueError("asymmetric %s: v(-k) is not the conjugate of v(k) at %s"
+                             % (what, k))
+    return {r: v for r, v in out.items() if v != 0}
+
+
+def unfold_conjugate(values: Mapping[Mode, complex]) -> dict[Mode, complex]:
+    """Expand a representative map to both members: v(-k) = conj(v(k))."""
+    out: dict[Mode, complex] = {}
+    for r, v in values.items():
+        out[r] = v
+        out[neg(r)] = v.conjugate()
+    return out
 
 
 @lru_cache(maxsize=None)

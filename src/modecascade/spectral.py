@@ -4,7 +4,11 @@ A state holds the Fourier coefficients q_k of a real scalar vorticity
 field over the symmetric ball 1 <= |k|^2 <= R^2.  Realness means
 q_{-k} = conj(q_k), so only one canonical representative of each
 {k, -k} pair is stored; the conjugate half is implicit and the
-symmetry invariant is structural rather than checked.
+symmetry invariant is structural rather than checked.  Maps given on
+either member are folded by ``lattice.fold_conjugate``; the sorted
+representatives of a radius hold fixed slots, and ``_Tables.positions``
+is the one lookup from representatives to slots, which also rejects
+modes outside the ball.
 
 The quadratic term is the truncated convolution
 
@@ -49,8 +53,8 @@ from typing import Iterable, Mapping
 import numpy as np
 import scipy.fft
 
-from .lattice import (Mode, ball, canonical_rep, check_mode, is_symmetric,
-                      neg, norm_sq, wedge)
+from .lattice import (Mode, ball, canonical_rep, check_mode, fold_conjugate,
+                      is_symmetric, neg, norm_sq, unfold_conjugate, wedge)
 
 __all__ = [
     "SimParams", "SpectralState", "vector_field", "nonlinear_term",
@@ -146,8 +150,19 @@ class _Tables:
         self.tri_n = np.array(rows_n, dtype=np.intp)
         self.tri_c = np.array(rows_c, dtype=np.float64)
 
-    def full_vector(self, data: np.ndarray) -> np.ndarray:
-        return np.concatenate([data, np.conj(data)])
+    def positions(self, reps: Iterable[Mode]) -> np.ndarray:
+        """Slots of canonical representatives in the stored layout."""
+        try:
+            return np.array([self.rep_index[r] for r in reps], dtype=np.intp)
+        except KeyError as exc:
+            raise ValueError("mode %s outside resolution radius %d"
+                             % (exc.args[0], self.radius)) from None
+
+    def vector(self, values: Mapping[Mode, complex]) -> np.ndarray:
+        """Stored-layout vector of a representative map (see fold_conjugate)."""
+        vec = np.zeros(self.n_reps, dtype=np.complex128)
+        vec[self.positions(values)] = list(values.values())
+        return vec
 
     def nonlinear(self, data: np.ndarray) -> np.ndarray:
         """Quadratic term over the stored representatives."""
@@ -161,7 +176,7 @@ class _Tables:
             ab = scipy.fft.rfft2(grid[0] * grid[1:], norm="forward")
             a, b = ab.reshape(2, -1)[:, self.grid_at]
             return 1j * (self.ky * a - self.kx * b)
-        f = self.full_vector(data)
+        f = np.concatenate([data, np.conj(data)])     # the full triad layout
         prod = self.tri_c * f[self.tri_m] * f[self.tri_n]
         re = np.bincount(self.tri_k, weights=prod.real, minlength=self.n_reps)
         im = np.bincount(self.tri_k, weights=prod.imag, minlength=self.n_reps)
@@ -207,26 +222,11 @@ class SpectralState:
     def from_coeffs(cls, coeffs: Mapping[Mode, complex], radius: int) -> "SpectralState":
         """Build a state from a mode -> coefficient map.
 
-        Entries may be given on either member of a {k, -k} pair (or both,
-        in which case they must be conjugate to round-off).
+        Entries may be given on either member of a {k, -k} pair, or on
+        both if v(-k) = conj(v(k)) to within 1e-12 * max(1, |v|).
         """
-        tab = _tables(radius)
-        data = np.zeros(tab.n_reps, dtype=np.complex128)
-        seen: dict[int, complex] = {}
-        for k, v in coeffs.items():
-            k = check_mode(k)
-            if norm_sq(k) > radius * radius:
-                raise ValueError("mode %s outside resolution radius %d" % (k, radius))
-            r = canonical_rep(k)
-            val = complex(v) if k == r else np.conj(complex(v))
-            i = tab.rep_index[r]
-            if i in seen:
-                if abs(seen[i] - val) > 1e-12 * max(1.0, abs(val)):
-                    raise ValueError("conjugate-symmetry violation at mode %s" % (k,))
-            else:
-                seen[i] = val
-                data[i] = val
-        return cls(radius, data, _copy=False)
+        values = fold_conjugate(coeffs, 1e-12, "state")
+        return cls(radius, _tables(radius).vector(values), _copy=False)
 
     # -- access -------------------------------------------------------------
 
@@ -251,9 +251,7 @@ class SpectralState:
 
     def full_items(self):
         """Iterate (mode, coefficient) over the whole symmetric ball."""
-        for k, v in self.items():
-            yield k, complex(v)
-            yield neg(k), complex(np.conj(v))
+        return unfold_conjugate({k: complex(v) for k, v in self.items()}).items()
 
     # -- arithmetic (pointwise on coefficients) ------------------------------
 
@@ -282,27 +280,6 @@ class SpectralState:
 # operations
 
 
-def _forcing_rep_vector(forcing: Mapping[Mode, complex], tab: _Tables) -> np.ndarray:
-    """Validate a conjugate-symmetric forcing map and fold it onto reps."""
-    vec = np.zeros(tab.n_reps, dtype=np.complex128)
-    seen: dict[int, complex] = {}
-    for k, v in forcing.items():
-        k = check_mode(k)
-        r = canonical_rep(k)
-        i = tab.rep_index.get(r)
-        if i is None:
-            raise ValueError("forcing mode %s outside resolution radius %d"
-                             % (k, tab.radius))
-        val = complex(v) if k == r else np.conj(complex(v))
-        if i in seen:
-            if abs(seen[i] - val) > 1e-9 * max(1.0, abs(val)):
-                raise ValueError("asymmetric forcing: v(-k) != conj(v(k)) at %s" % (k,))
-        else:
-            seen[i] = val
-            vec[i] = val
-    return vec
-
-
 def nonlinear_term(state: SpectralState) -> SpectralState:
     """Quadratic advection term of the vorticity equation, as a state-shaped
     derivative."""
@@ -318,7 +295,7 @@ def vector_field(state: SpectralState, params: SimParams,
     if params.nu:
         out = out - params.nu * tab.norm_sq * state.data
     if forcing:
-        out = out + _forcing_rep_vector(forcing, tab)
+        out = out + tab.vector(fold_conjugate(forcing, 1e-9, "forcing"))
     return SpectralState(state.radius, out, _copy=False)
 
 

@@ -48,15 +48,14 @@ class SteeringConfig:
     """Knobs of the synthesis.
 
     tau is the main actuation interval, gamma > 1 the chattering
-    amplitude margin, radius the intended target-ball scale, omega the
-    base oscillation frequency of the cascade (multiplied by
-    level_omega_ratio for each additional cascade level).  The terminal
-    correction ramp lasts correction_tau (tau/10 when unset).
+    amplitude margin, omega the base oscillation frequency of the
+    cascade (multiplied by level_omega_ratio for each additional cascade
+    level).  The terminal correction ramp lasts correction_tau (tau/10
+    when unset).
     """
 
     tau: float = 0.02
     gamma: float = 1.1
-    radius: float = 0.5
     omega: float = 400.0
     correction_tau: float | None = None
     max_fp_iters: int = 20
@@ -287,7 +286,7 @@ def _synthesize_main(p: np.ndarray, chain: SaturationChain,
         slack = next((i for i in range(cmap.size)
                       if cmap.channel(i)[0] in k_prev), 0)
         windows = config.chatter_windows
-        fastest = max((seg.omega * max(abs(h) for _, h, _ in seg.components)
+        fastest = max((np.abs(seg.freq).max()
                        for seg in prog.segments if isinstance(seg, Oscillatory)),
                       default=0.0)
         if fastest > 0:

@@ -274,3 +274,40 @@ def test_step_budget_writes_failure_record(tmp_path):
     failure = json.loads((out / "failure.json").read_text())
     assert "step budget" in failure["error"]
     assert json.loads((out / "manifest.json").read_text())["outputs"] == ["failure.json"]
+
+
+BLOWUP_STATE = {"state": "random", "amplitude": 1e5, "decay": 0.0, "dt_base": 0.05}
+
+
+def test_rxprobe_blowup_writes_failure_record(tmp_path):
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, "cfg.json", dict(
+        BLOWUP_STATE, mode="trajectory", radius=4, deltas=[0.1], output_dir=str(out)))
+    assert main(["rxprobe", "--config", cfg]) == 2
+    assert "time" in json.loads((out / "failure.json").read_text())
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == ["failure.json"]
+    assert manifest["quadratic_term"] == "triad"
+
+
+def test_cover_tau_ladder_blowup_keeps_coverage(tmp_path, mode_file):
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, "cfg.json", dict(
+        BLOWUP_STATE, mode_set=mode_file, radius=4, target_radius=0.2,
+        grid_density=2, tau=0.02, max_fp_iters=1, tau_ladder=[0.02],
+        output_dir=str(out)))
+    assert main(["cover", "--config", cfg]) == 2
+    assert (out / "coverage.csv").exists()
+    assert "time" in json.loads((out / "failure.json").read_text())
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert "coverage.csv" in outputs and "failure.json" in outputs
+
+
+def test_rxprobe_step_budget_writes_failure_record(tmp_path):
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, "cfg.json", {
+        "mode": "trajectory", "radius": 4, "deltas": [0.1], "duration": 10000,
+        "output_dir": str(out)})
+    assert main(["rxprobe", "--config", cfg]) == 2
+    assert "step budget" in json.loads((out / "failure.json").read_text())["error"]
+    assert (out / "manifest.json").exists()

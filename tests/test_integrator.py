@@ -296,3 +296,10 @@ def test_segment_evaluator_rejects_modes_outside_the_radius():
     seg = Oscillatory.from_cos_pairs(1.0, 10.0, [((2, 1), 1.0)])
     with pytest.raises(ValueError, match="outside resolution radius"):
         _segment_evaluator(seg, _tables(2))
+
+
+def test_convergence_order_keeps_the_step_budget():
+    # every run of the dt ladder honours the caller's max_steps
+    with pytest.raises(StepBudgetError, match="step budget"):
+        convergence_order(SpectralState.zeros(3), SimParams(), zero_program(0.1),
+                          [1e-2, 5e-3, 2.5e-3], IntegratorConfig(max_steps=5))
