@@ -140,25 +140,26 @@ def _initial(cfg: dict, em: _Emitter, radius: int) -> tuple[SpectralState, SimPa
     return state0, SimParams(nu=float(cfg.get("nu", 0.0)))
 
 
+_INTEGRATOR_FIELDS = {"dt_base": float, "oscillation_resolution": int,
+                      "record_stride": int}
+_STEERING_FIELDS = {"tau": float, "gamma": float, "omega": float,
+                    "correction_tau": float, "max_fp_iters": int,
+                    "fp_tol": float, "chatter_windows": int, "construction": str}
+
+
+def _given(cfg: dict, fields: dict) -> dict:
+    """The fields set in cfg, converted; the dataclass defaults fill the rest."""
+    return {name: conv(cfg[name]) for name, conv in fields.items()
+            if cfg.get(name) is not None}
+
+
 def _integrator_config(cfg: dict) -> IntegratorConfig:
-    return IntegratorConfig(
-        dt_base=float(cfg.get("dt_base", 1e-3)),
-        oscillation_resolution=int(cfg.get("oscillation_resolution", 40)),
-        record_stride=int(cfg.get("record_stride", 1)))
+    return IntegratorConfig(**_given(cfg, _INTEGRATOR_FIELDS))
 
 
 def _steering_config(cfg: dict) -> SteeringConfig:
-    return SteeringConfig(
-        tau=float(cfg.get("tau", 0.02)),
-        gamma=float(cfg.get("gamma", 1.1)),
-        omega=float(cfg.get("omega", 400.0)),
-        correction_tau=(None if cfg.get("correction_tau") is None
-                        else float(cfg["correction_tau"])),
-        max_fp_iters=int(cfg.get("max_fp_iters", 20)),
-        fp_tol=float(cfg.get("fp_tol", 1e-3)),
-        chatter_windows=int(cfg.get("chatter_windows", 4)),
-        construction=str(cfg.get("construction", "counter_rotating")),
-        integrator=_integrator_config(cfg))
+    return SteeringConfig(integrator=_integrator_config(cfg),
+                          **_given(cfg, _STEERING_FIELDS))
 
 
 def _chain_for(cfg: dict, observed: frozenset):
@@ -286,7 +287,7 @@ def _run_average(cfg: dict, em: _Emitter) -> int:
         k, pair, float(cfg.get("amplitude", 1.0)), omegas,
         float(_require(cfg, "duration")), state0, params,
         _integrator_config(cfg),
-        construction=str(cfg.get("construction", "counter_rotating")))
+        **_given(cfg, {"construction": str}))
     lines = ["omega,deviation"]
     lines += ["%r,%r" % (w, d) for w, d in zip(omegas, devs)]
     em.write_csv("deviations.csv", "\n".join(lines) + "\n")

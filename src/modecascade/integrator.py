@@ -162,15 +162,16 @@ def _integrating_factors(nu: float, tab, h: float):
 def _lawson_rk4(q: np.ndarray, tloc: float, h: float, decay: np.ndarray | None,
                 half_decay: np.ndarray | None, nl, ev) -> np.ndarray:
     k1 = nl(q) + ev(tloc)
+    mid = ev(tloc + 0.5 * h)              # the forcing of stages 2 and 3
     if decay is None:
-        k2 = nl(q + 0.5 * h * k1) + ev(tloc + 0.5 * h)
-        k3 = nl(q + 0.5 * h * k2) + ev(tloc + 0.5 * h)
+        k2 = nl(q + 0.5 * h * k1) + mid
+        k3 = nl(q + 0.5 * h * k2) + mid
         k4 = nl(q + h * k3) + ev(tloc + h)
         return q + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
     u2 = half_decay * (q + 0.5 * h * k1)
-    k2 = nl(u2) + ev(tloc + 0.5 * h)
+    k2 = nl(u2) + mid
     u3 = half_decay * q + 0.5 * h * k2
-    k3 = nl(u3) + ev(tloc + 0.5 * h)
+    k3 = nl(u3) + mid
     u4 = decay * q + h * half_decay * k3
     k4 = nl(u4) + ev(tloc + h)
     return decay * q + (h / 6.0) * (decay * k1 + 2.0 * half_decay * (k2 + k3) + k4)

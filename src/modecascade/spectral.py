@@ -22,8 +22,9 @@ resolution radius alone (both agree to round-off):
       N_k = sum over m+n=k, |m| < |n| of  wedge(m,n) (|m|^-2 - |n|^-2) q_m q_n,
 
   which makes the vanishing of equal-length interactions explicit, runs
-  over a triad table built once per radius: a few numpy gathers and two
-  bincounts per call.  The table holds O(R^4) triads.
+  over a triad table built once per radius, its rows sorted by output
+  representative: a few numpy gathers and one ``np.add.reduceat`` over
+  the row groups per call.  The table holds O(R^4) triads.
 * From ``FFT_RADIUS`` on, a dealiased pseudo-spectral product.  With
   psi = Delta^-1 w, the sum equals N = d_y(w d_x psi) - d_x(w d_y psi),
   i.e. N_k = i (k_y a_k - k_x b_k) with a = w d_x psi and b = w d_y psi.
@@ -77,10 +78,12 @@ class SimParams:
 
 
 # Smallest radius at which the quadratic term runs on the dealiased grid.
-# Median per-call times on a 2-core x86 VM, one thread, triad sum against
-# grid product: 49 / 83 us at R = 7, 86 / 84 at R = 8 (a tie), 133 / 76
-# at R = 9, 214 / 112 at R = 10, 458 / 129 at R = 12, 9,935 / 244 at R = 24.
-FFT_RADIUS = 9
+# Median per-call times on a 2-core x86 VM, one thread, interleaved by
+# tools/kernel_crossover.py, triad sum against grid product: 44 / 97 us at
+# R = 8, 75 / 125 at R = 9, 109 / 139 at R = 10, 163 / 172 at R = 11 (a tie
+# over repeated runs, and the grid builds no table), 235 / 190 at R = 12,
+# 310 / 132 at R = 14, 4,376 / 417 at R = 24.
+FFT_RADIUS = 11
 
 
 def quadratic_kernel(radius: int) -> str:
@@ -127,7 +130,7 @@ class _Tables:
         # full layout: reps first, then their negatives
         self.full_modes: tuple[Mode, ...] = self.reps + tuple(neg(k) for k in self.reps)
         self.full_index = {k: i for i, k in enumerate(self.full_modes)}
-        rows_k, rows_m, rows_n, rows_c = [], [], [], []
+        rows = []
         full = self.full_index
         for k in self.reps:
             ki = self.rep_index[k]
@@ -141,14 +144,18 @@ class _Tables:
                 w = wedge(m, n)
                 if w == 0:
                     continue
-                rows_k.append(ki)
-                rows_m.append(full[m])
-                rows_n.append(full[n])
-                rows_c.append(w * (1.0 / nm - 1.0 / nn))
-        self.tri_k = np.array(rows_k, dtype=np.intp)
-        self.tri_m = np.array(rows_m, dtype=np.intp)
-        self.tri_n = np.array(rows_n, dtype=np.intp)
-        self.tri_c = np.array(rows_c, dtype=np.float64)
+                rows.append((ki, full[m], full[n], w * (1.0 / nm - 1.0 / nn)))
+        # reduceat needs a row in every group, so a rep without triads (all
+        # of them at R = 1, some at R = 2) gets one zero-weight row
+        have = {row[0] for row in rows}
+        rows += [(ki, 0, 0, 0.0) for ki in range(self.n_reps) if ki not in have]
+        rows.sort(key=lambda row: row[0])       # stable: one run per output rep
+        k, m, n, c = zip(*rows)
+        self.tri_k = np.array(k, dtype=np.intp)
+        self.tri_m = np.array(m, dtype=np.intp)
+        self.tri_n = np.array(n, dtype=np.intp)
+        self.tri_c = np.array(c, dtype=np.float64)
+        self.tri_start = np.flatnonzero(np.diff(self.tri_k, prepend=-1))
 
     def positions(self, reps: Iterable[Mode]) -> np.ndarray:
         """Slots of canonical representatives in the stored layout."""
@@ -177,10 +184,8 @@ class _Tables:
             a, b = ab.reshape(2, -1)[:, self.grid_at]
             return 1j * (self.ky * a - self.kx * b)
         f = np.concatenate([data, np.conj(data)])     # the full triad layout
-        prod = self.tri_c * f[self.tri_m] * f[self.tri_n]
-        re = np.bincount(self.tri_k, weights=prod.real, minlength=self.n_reps)
-        im = np.bincount(self.tri_k, weights=prod.imag, minlength=self.n_reps)
-        return re + 1j * im
+        return np.add.reduceat(self.tri_c * f[self.tri_m] * f[self.tri_n],
+                               self.tri_start)
 
 
 @lru_cache(maxsize=None)

@@ -43,6 +43,15 @@ __all__ = [
 ]
 
 
+CONSTRUCTIONS = ("counter_rotating", "plain")
+
+
+def _check_construction(construction: str):
+    if construction not in CONSTRUCTIONS:
+        raise ValueError("unknown construction %r: expected one of %s"
+                         % (construction, ", ".join(CONSTRUCTIONS)))
+
+
 @dataclass(frozen=True)
 class SteeringConfig:
     """Knobs of the synthesis.
@@ -72,6 +81,7 @@ class SteeringConfig:
             raise ValueError("gamma must exceed 1")
         if self.fp_tol <= 0:
             raise ValueError("fp_tol must be positive")
+        _check_construction(self.construction)
 
     @property
     def corr_tau(self) -> float:
@@ -220,6 +230,7 @@ def cascade_program(extended: ForcingProgram, k_prev: Iterable[Mode],
     an oscillation packet on the generating pair of k in k_prev, whose
     averaged quadratic interaction reproduces the segment's drive.
     """
+    _check_construction(construction)
     k_prev = symmetrize(k_prev)
     cmap = ChannelMap(extended.support)
     out = []
@@ -250,12 +261,10 @@ def cascade_program(extended: ForcingProgram, k_prev: Iterable[Mode],
         if construction == "counter_rotating":
             target = complex(value) if part == "re" else 1j * value
             out.append(cascade_packet(rep, m, n, target, omega, seg.duration))
-        elif construction == "plain":
+        else:
             if part != "re":
                 raise ValueError("plain construction drives real channels only")
             out.append(cos_pair_segment(rep, m, n, value, omega, seg.duration))
-        else:
-            raise ValueError("unknown construction %r" % construction)
     return ForcingProgram(k_prev, merge_constant_runs(out))
 
 
@@ -423,6 +432,7 @@ def averaging_experiment(k: Mode, pair: tuple[Mode, Mode], amplitude: float,
     settles; pass a list as ``pair_deviation`` to have it recorded per
     omega as a diagnostic.
     """
+    _check_construction(construction)
     m, n = pair
     k = check_mode(k)
     if (m[0] + n[0], m[1] + n[1]) != k:
@@ -556,22 +566,25 @@ def steer_in_projection(subspace, target: np.ndarray, chain: SaturationChain,
 
 @dataclass(eq=False)
 class CoverageResult:
+    """Per target: the best report (None when the run failed) and why the
+    target missed: "blowup", "step_budget", "not_converged", or "" for a hit."""
     fraction: float
     targets: np.ndarray
     reports: list[EndpointReport | None]
+    misses: list[str]
 
     def to_csv(self) -> str:
         lines = []
         dim = self.targets.shape[1] if self.targets.size else 0
         header = ",".join("target_%d" % c for c in range(dim))
-        lines.append(header + ",error,converged")
-        for t, rep in zip(self.targets, self.reports):
+        lines.append(header + ",miss,error,converged")
+        for t, rep, miss in zip(self.targets, self.reports, self.misses):
             if rep is None:
                 err, conv = float("inf"), False
             else:
                 err, conv = rep.error_norm, rep.converged
             lines.append(",".join(repr(float(x)) for x in t)
-                         + ",%r,%s" % (float(err), conv))
+                         + ",%s,%r,%s" % (miss, float(err), conv))
         return "\n".join(lines) + "\n"
 
 
@@ -604,16 +617,18 @@ def coverage_check(chain: SaturationChain, k_obs, radius: float,
     dim = ChannelMap(obs).size
     targets = coverage_grid(dim, radius, grid_density)
     reports: list[EndpointReport | None] = []
-    hits = 0
+    misses: list[str] = []
     for t in targets:
+        rep, miss = None, ""
         try:
             rep = steer_to_target(t, chain, obs, state0, params, config)
         except ConvergenceError as exc:
-            rep = exc.report
-        except (BlowUpError, StepBudgetError):
-            rep = None
+            rep, miss = exc.report, "not_converged"
+        except BlowUpError:
+            miss = "blowup"
+        except StepBudgetError:
+            miss = "step_budget"
         reports.append(rep)
-        if rep is not None and rep.converged and rep.error_norm <= config.fp_tol:
-            hits += 1
-    return CoverageResult(fraction=hits / len(targets), targets=targets,
-                          reports=reports)
+        misses.append(miss)
+    return CoverageResult(fraction=misses.count("") / len(targets), targets=targets,
+                          reports=reports, misses=misses)

@@ -4,12 +4,14 @@ import json
 
 import pytest
 
-from modecascade.cli import main
+from modecascade.cli import _integrator_config, _steering_config, main
 from modecascade.forcing import constant_program, program_to_json
 from modecascade.lattice import format_mode_set, symmetrize
 from modecascade.spectral import SpectralState, state_to_json
 from modecascade.forcing import ForcingProgram, Oscillatory
 from modecascade.spectral import FFT_RADIUS
+from modecascade.integrator import IntegratorConfig
+from modecascade.steering import SteeringConfig
 
 FOUR_MODES = symmetrize({(1, 0), (1, 1)})
 
@@ -311,3 +313,20 @@ def test_rxprobe_step_budget_writes_failure_record(tmp_path):
     assert main(["rxprobe", "--config", cfg]) == 2
     assert "step budget" in json.loads((out / "failure.json").read_text())["error"]
     assert (out / "manifest.json").exists()
+
+
+def test_empty_config_takes_the_dataclass_defaults():
+    assert _integrator_config({}) == IntegratorConfig()
+    assert _steering_config({}) == SteeringConfig()
+    # given keys are converted; a null one keeps the default
+    scfg = _steering_config({"tau": 1, "correction_tau": None, "dt_base": "5e-3"})
+    assert scfg.tau == 1.0 and scfg.correction_tau is None
+    assert scfg.integrator == IntegratorConfig(dt_base=5e-3)
+
+
+def test_unknown_construction_exits_1(tmp_path, mode_file, capsys):
+    cfg = write_config(tmp_path, "cfg.json", {
+        "mode_set": mode_file, "radius": 4, "target": [0.0] * 4,
+        "construction": "counter-rotating", "output_dir": str(tmp_path / "o")})
+    assert main(["steer", "--config", cfg]) == 1
+    assert "unknown construction 'counter-rotating'" in capsys.readouterr().err

@@ -3,6 +3,8 @@ velocity recovery and projections."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from modecascade.lattice import norm_sq, wedge
 from modecascade.spectral import (SimParams, SpectralState, energy, enstrophy,
@@ -178,6 +180,37 @@ def test_both_kernels_match_double_sum_oracle(radius):
     scale = max(abs(v) for v in want.values())
     for k, v in want.items():
         assert abs(got.coeff(k) - v) <= 1e-12 * scale
+
+
+@given(radius=st.integers(1, FFT_RADIUS + 2), seed=st.integers(0, 2 ** 32 - 1),
+       decay=st.floats(0.0, 3.0))
+@example(radius=1, seed=0, decay=1.5)     # no triads: padding rows only
+@example(radius=2, seed=0, decay=1.5)     # some representatives without triads
+@settings(max_examples=40, deadline=None)
+def test_kernel_matches_double_sum_oracle_at_random_radii(radius, seed, decay):
+    s = random_decaying_state(radius, amplitude=0.7, decay=decay,
+                              rng=np.random.default_rng(seed))
+    got = nonlinear_term(s)
+    want = naive_double_sum(s)
+    scale = max(abs(v) for v in want.values())
+    for k, v in want.items():
+        assert abs(got.coeff(k) - v) <= 1e-12 * scale
+
+
+@given(radius=st.integers(1, FFT_RADIUS + 6), seed=st.integers(0, 2 ** 32 - 1),
+       decay=st.floats(0.0, 3.0))
+@example(radius=1, seed=0, decay=1.5)
+@example(radius=2, seed=0, decay=1.5)
+@settings(max_examples=60, deadline=None)
+def test_truncated_euler_conservation_at_random_radii(radius, seed, decay):
+    # sum conj(q) N = 0 (enstrophy) and sum conj(q) N / |k|^2 = 0 (energy)
+    s = random_decaying_state(radius, amplitude=0.5, decay=decay,
+                              rng=np.random.default_rng(seed))
+    n = nonlinear_term(s)
+    inv_lap = SpectralState(radius, s.data / _tables(radius).norm_sq)
+    scale = sobolev_norm(n, 0) * sobolev_norm(s, 0)
+    assert abs(inner0(n, s)) <= 1e-12 * scale
+    assert abs(inner0(n, inv_lap)) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("radius", (FFT_RADIUS, 12, 16))

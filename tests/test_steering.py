@@ -446,3 +446,47 @@ def test_coverage_propagates_other_errors(monkeypatch):
     with pytest.raises(ZeroDivisionError):
         coverage_check(CHAIN, K1, 0.5, 2, SpectralState.zeros(4),
                        SimParams(nu=0.01), quick_config())
+
+
+def test_steering_config_rejects_unknown_construction():
+    with pytest.raises(ValueError, match="unknown construction 'counter-rotating'"):
+        SteeringConfig(construction="counter-rotating")
+    assert SteeringConfig(construction="plain").construction == "plain"
+
+
+def test_averaging_experiment_rejects_unknown_construction(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("integrated before validating the construction")
+    monkeypatch.setattr(steering_module, "integrate", never)
+    with pytest.raises(ValueError, match="unknown construction 'plane'"):
+        averaging_experiment((2, 1), ((1, 0), (1, 1)), 1.0, [50.0], 0.2,
+                             SpectralState.zeros(4), SimParams(),
+                             construction="plane")
+
+
+@pytest.mark.parametrize("failure,reason", [
+    (BlowUpError(0.5), "blowup"),
+    (StepBudgetError("step budget exceeded"), "step_budget")])
+def test_coverage_names_why_each_target_missed(monkeypatch, failure, reason):
+    def failing(*args, **kwargs):
+        raise failure
+    monkeypatch.setattr(steering_module, "steer_to_target", failing)
+    res = coverage_check(CHAIN, K1, 0.5, 2, SpectralState.zeros(4),
+                         SimParams(nu=0.01), quick_config())
+    assert res.misses == [reason] * len(res.targets)
+    lines = res.to_csv().splitlines()
+    assert lines[0].endswith(",miss,error,converged")
+    assert lines[1].endswith(",%s,inf,False" % reason)
+
+
+def test_coverage_marks_hits_and_unconverged_targets():
+    res = coverage_check(CHAIN, K1, 0.0, 2, SpectralState.zeros(4),
+                         SimParams(), quick_config(tau=0.02))
+    assert res.misses == [""]
+    assert res.to_csv().splitlines()[1].endswith(",,0.0,True")
+    res = coverage_check(CHAIN, K1, 0.5, 2, SpectralState.zeros(4),
+                         SimParams(nu=0.01), quick_config(max_fp_iters=1, fp_tol=1e-12))
+    # the center is met exactly from rest; every other target runs out of iterations
+    assert res.misses == [""] + ["not_converged"] * (len(res.targets) - 1)
+    assert res.fraction == 1 / len(res.targets)
+    assert all(not rep.converged for rep in res.reports[1:])
