@@ -109,7 +109,7 @@ class _Tables:
         if self.kernel == "fft":
             self._build_grid()
         else:
-            self._build_triads(modes)
+            self._build_triads()
 
     def _build_grid(self):
         m = scipy.fft.next_fast_len(3 * self.radius + 1, real=True)
@@ -126,15 +126,14 @@ class _Tables:
                                       -1j * self.kx / self.norm_sq,
                                       -1j * self.ky / self.norm_sq])
 
-    def _build_triads(self, modes: frozenset[Mode]):
+    def _build_triads(self):
         # full layout: reps first, then their negatives
-        self.full_modes: tuple[Mode, ...] = self.reps + tuple(neg(k) for k in self.reps)
-        self.full_index = {k: i for i, k in enumerate(self.full_modes)}
+        full_modes = self.reps + tuple(neg(k) for k in self.reps)
+        full = {k: i for i, k in enumerate(full_modes)}
         rows = []
-        full = self.full_index
         for k in self.reps:
             ki = self.rep_index[k]
-            for m in self.full_modes:
+            for m in full_modes:
                 n = (k[0] - m[0], k[1] - m[1])
                 if n == (0, 0) or n not in full:
                     continue

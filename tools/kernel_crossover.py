@@ -59,7 +59,7 @@ def measure(radius: int, rounds: int, block_s: float, seed: int) -> dict:
     kernels = {"bincount": lambda d: bincount_sum(triad, d),
                "reduceat": triad.nonlinear, "fft": fft.nonlinear}
     ref = fft.nonlinear(data)
-    scale = np.abs(ref).max()
+    scale = np.abs(ref).max() or 1.0          # N = 0 at R = 1
     diff = max(np.abs(fn(data) - ref).max() for fn in kernels.values()) / scale
     # calls per block: about block_s of the slowest kernel
     calls = max(1, int(block_s / max(per_call(fn, data, 3) for fn in kernels.values())))
