@@ -27,7 +27,8 @@ Compiled form: a program compiles once into arrays over its support reps
 (constant values, primitive offsets at segment starts, flat oscillatory
 components), read by ``channel_primitive``, hence the relaxation metric and
 chattering; the integrator reads each packet's ``freq``/``coef`` arrays.
-The scalar dict API (``evaluate``, ``primitive``) is the reference.
+Chattering output is built from arrays, its ``segments`` made only when
+read.  The scalar dict API (``evaluate``, ``primitive``) is the reference.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .lattice import (Mode, canonical_rep, check_mode, fold_conjugate, norm_sq,
                       rep_modes, symmetrize, unfold_conjugate, wedge)
@@ -118,13 +118,6 @@ class Constant:
             raise ValueError("segment duration must be positive")
         self.duration = float(duration)
         self.values = fold_conjugate(values, 1e-9, "forcing")
-
-    @classmethod
-    def _of_reps(cls, duration: float, values: dict[Mode, complex]) -> "Constant":
-        """Segment from nonzero values on canonical reps, not re-validated."""
-        seg = object.__new__(cls)
-        seg.duration, seg.values = float(duration), values
-        return seg
 
     @property
     def reps(self):
@@ -266,6 +259,28 @@ class ForcingProgram:
                                  % sorted(set(seg.reps) - reps))
         self.starts = np.concatenate([[0.0], np.cumsum([s.duration for s in self.segments])])
 
+    @classmethod
+    def _of_arrays(cls, support: frozenset[Mode], durations: np.ndarray,
+                   const: np.ndarray) -> "ForcingProgram":
+        """Constant-valued program from durations and rep values (n_seg, n_rep)."""
+        prog = object.__new__(cls)
+        prog.support, prog._durations = support, durations
+        prog.starts = np.concatenate([[0.0], np.cumsum(durations)])
+        offsets = np.zeros((len(durations) + 1, const.shape[1]), dtype=np.complex128)
+        np.cumsum(const * durations[:, None], axis=0, out=offsets[1:])   # as in _compiled
+        no_osc = np.zeros(0, dtype=np.intp)
+        prog._compiled = (rep_modes(support), const, offsets, no_osc, no_osc,
+                          np.zeros(0), np.zeros(0, np.complex128))
+        return prog
+
+    @cached_property
+    def segments(self) -> tuple[Segment, ...]:
+        """Segment view of an array-built program (``__init__`` sets it)."""
+        reps, const = self._compiled[:2]
+        return tuple(Constant(d, {reps[j]: v for j, v in enumerate(row) if v})
+                     if any(row) else Zero(d)
+                     for d, row in zip(self._durations.tolist(), const.tolist()))
+
     @property
     def total_duration(self) -> float:
         return float(self.starts[-1])
@@ -363,18 +378,19 @@ class ForcingProgram:
         return cmap.complex_to_vector(self._rep_matrix(times, cmap))
 
     def is_piecewise_constant(self) -> bool:
-        return all(isinstance(s, (Constant, Zero)) for s in self.segments)
+        """No oscillatory component (a packet of zero coefficients is zero)."""
+        return not self._compiled[3].size
 
     def value_l1_bound(self) -> float:
         """Bound on sup_t of the channel-space l1 norm of the forcing."""
         _, const, _, seg, _, freq, coef = self._compiled
-        packets = np.bincount(seg, np.abs(coef) * np.abs(freq), len(self.segments))
+        packets = np.bincount(seg, np.abs(coef) * np.abs(freq), len(const))
         return float(max((np.abs(const.real) + np.abs(const.imag)).sum(axis=1).max(),
                          math.sqrt(2.0) * packets.max()))
 
     def __repr__(self):
         return "ForcingProgram(support=%d modes, segments=%d, T=%g)" % (
-            len(self.support), len(self.segments), self.total_duration)
+            len(self.support), len(self.starts) - 1, self.total_duration)
 
 
 def zero_program(duration: float, support: Iterable[Mode] = ()) -> ForcingProgram:
@@ -412,9 +428,10 @@ def relaxation_distance(f: ForcingProgram, g: ForcingProgram,
     norm of the difference of control primitives.
 
     Primitives are exact; the time search uses a uniform grid enriched
-    with segment boundaries and per-channel oscillation extrema, then a
-    bounded local refinement, so single-harmonic cases are resolved to
-    machine accuracy.
+    with segment boundaries and per-channel oscillation extrema.  The
+    brackets (neighbours) of the 8 best candidates are then zoomed at once:
+    33 samples each per batched read, narrowed to the best sample's
+    neighbours until below 1e-13 max(1, T), to machine accuracy.
     """
     T = f.total_duration
     if abs(T - g.total_duration) > 1e-9 * max(1.0, T):
@@ -440,17 +457,16 @@ def relaxation_distance(f: ForcingProgram, g: ForcingProgram,
     cands = np.unique(cands)
     vals = dist_many(cands)
     best = float(vals.max())
-    order = np.argsort(vals)[::-1][:8]
-    for i in order:
-        lo = cands[max(i - 1, 0)]
-        hi = cands[min(i + 1, len(cands) - 1)]
-        if hi - lo <= 1e-14 * max(1.0, T):
-            continue
-        res = optimize.minimize_scalar(
-            lambda t: -dist_many(np.array([t]))[0],
-            bounds=(lo, hi), method="bounded",
-            options={"xatol": 1e-13 * max(1.0, T)})
-        best = max(best, float(-res.fun))
+    top = np.argsort(vals)[::-1][:8]
+    lo = cands[np.maximum(top - 1, 0)]
+    hi = cands[np.minimum(top + 1, len(cands) - 1)]
+    rows, sample = np.arange(lo.size), np.linspace(0.0, 1.0, 33)
+    while (hi - lo).max() > 1e-13 * max(1.0, T):
+        ts = lo[:, None] + (hi - lo)[:, None] * sample
+        d = dist_many(ts.ravel()).reshape(ts.shape)
+        best = max(best, float(d.max()))
+        j = d.argmax(axis=1)
+        lo, hi = ts[rows, np.maximum(j - 1, 0)], ts[rows, np.minimum(j + 1, sample.size - 1)]
     return best
 
 
@@ -633,13 +649,11 @@ def chattering_approximation(program: ForcingProgram, amplitude: float,
     key = key.ravel()[dur > 0].astype(int)
     dur = dur[dur > 0]
     first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])    # runs of one value
-    segments = []
-    for k, d in zip(key[first].tolist(), np.add.reduceat(dur, first).tolist()):
-        rep, part = cmap.channel(abs(k) - 1)
-        value = math.copysign(amplitude, k)
-        segments.append(Constant._of_reps(d, {rep: complex(value) if part == "re"
-                                              else 1j * value}))
-    return ForcingProgram(program.support, segments)
+    channel = np.abs(key[first]) - 1
+    value = np.copysign(amplitude, key[first])
+    const = np.zeros((first.size, len(cmap.reps)), dtype=np.complex128)
+    const[np.arange(first.size), channel // 2] = np.where(channel % 2, 1j * value, value)
+    return ForcingProgram._of_arrays(program.support, np.add.reduceat(dur, first), const)
 
 
 # ---------------------------------------------------------------------------

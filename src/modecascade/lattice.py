@@ -20,7 +20,6 @@ representatives; ``unfold_conjugate`` expands it back to both members.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping
 
@@ -31,6 +30,7 @@ Mode = tuple[int, int]
 _STATUS_COVERED = "covered"
 _STATUS_STATIONARY = "stationary"
 _STATUS_BUDGET = "budget"
+_STATUSES = (_STATUS_COVERED, _STATUS_STATIONARY, _STATUS_BUDGET)
 
 
 def check_mode(k: Mode) -> Mode:
@@ -161,7 +161,6 @@ def next_level(modes: Iterable[Mode]) -> frozenset[Mode]:
     return k_set | frozenset(zip(sx.tolist(), (sy - 2 * extent).tolist()))
 
 
-@dataclass(frozen=True)
 class SaturationChain:
     """Monotone sequence of mode-set levels with a termination status.
 
@@ -172,16 +171,42 @@ class SaturationChain:
     definitive within that ball) or "budget" (level budget exhausted,
     inconclusive).  ``covered_radius`` is the largest integer r not
     exceeding the requested radius with ball(r) inside the top level.
+
+    Stored compactly: ``modes`` (n, 2) is the top level and ``first_level``
+    the level each mode first appears in; ``levels`` rebuilds the nested
+    frozensets, which must be nested when given (else ValueError).
     """
 
-    levels: tuple[frozenset[Mode], ...]
-    status: str
-    covered_radius: int
-    requested_radius: int
+    __slots__ = ("modes", "first_level", "depth", "status", "covered_radius",
+                 "requested_radius")
+
+    def __init__(self, levels: Iterable[frozenset[Mode]], status: str,
+                 covered_radius: int, requested_radius: int):
+        if status not in _STATUSES:
+            raise ValueError("unknown chain status %r" % (status,))
+        fresh, prev = [], frozenset()
+        for j, level in enumerate(levels):
+            if not prev <= level:
+                raise ValueError("chain levels are not nested: level %d drops %s"
+                                 % (j, sorted(prev - level)))
+            fresh.append(sorted(level - prev))
+            prev = level
+        modes = np.array([k for new in fresh for k in new], dtype=np.int64).reshape(-1, 2)
+        self.modes = modes.astype(np.int32) if np.abs(modes).max(initial=0) < 2 ** 31 else modes
+        self.first_level = np.repeat(np.arange(len(fresh), dtype=np.min_scalar_type(len(fresh))),
+                                     [len(new) for new in fresh])
+        self.depth, self.status = len(fresh), status
+        self.covered_radius, self.requested_radius = covered_radius, requested_radius
+
+    @property
+    def levels(self) -> tuple[frozenset[Mode], ...]:
+        modes = list(map(tuple, self.modes.tolist()))
+        ends = np.searchsorted(self.first_level, np.arange(self.depth), side="right")
+        return tuple(frozenset(modes[:e]) for e in ends.tolist())
 
     @property
     def top(self) -> frozenset[Mode]:
-        return self.levels[-1]
+        return frozenset(map(tuple, self.modes.tolist()))
 
     def level_containing(self, modes: Iterable[Mode]) -> int:
         """Index of the first level containing every given mode."""
@@ -190,7 +215,12 @@ class SaturationChain:
             if need <= level:
                 return j
         raise ValueError("chain too shallow: modes %s not covered by any level"
-                         % sorted(need - self.levels[-1]))
+                         % sorted(need - self.top))
+
+    def __eq__(self, other):
+        return isinstance(other, SaturationChain) and (
+            self.levels, self.status, self.covered_radius, self.requested_radius) == (
+            other.levels, other.status, other.covered_radius, other.requested_radius)
 
 
 def _covered_radius(modes: frozenset[Mode], radius: int) -> int:

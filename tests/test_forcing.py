@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 from scipy.integrate import quad
 
 from modecascade.forcing import (ChannelMap, Constant, ExtremeSet,
@@ -20,7 +21,7 @@ from modecascade.forcing import (ChannelMap, Constant, ExtremeSet,
                                  delta_distance, oscillatory_amplitudes,
                                  program_from_json, program_to_json,
                                  relaxation_distance, zero_program)
-from modecascade.lattice import norm_sq, symmetrize, wedge
+from modecascade.lattice import admissible_pair, norm_sq, symmetrize, wedge
 
 PAIR_SUPPORT = symmetrize({(1, 0), (1, 1)})
 SINGLE = symmetrize({(1, 0)})
@@ -504,3 +505,172 @@ def test_chattering_bound_on_random_programs(drawn, windows, slack):
     edges = np.linspace(0.0, prog.total_duration, windows + 1)
     np.testing.assert_allclose(out.channel_primitive(edges, cmap),
                                prog.channel_primitive(edges, cmap), rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# array-built chattering and the batched refinement against the
+# segment-at-a-time oracles they replaced
+
+
+def segment_built_chattering(program, amplitude, windows, slack_channel=0):
+    """Chattering emitted one Constant per run through ForcingProgram, as
+    it was before programs were built from arrays."""
+    cmap = ChannelMap(program.support)
+    T = program.total_duration
+    edges = np.linspace(0.0, T, windows + 1)
+    t_w = np.diff(edges)[:, None]
+    vbar = np.diff(program.channel_primitive(edges, cmap), axis=0) / t_w
+    dur = np.abs(vbar) / amplitude * t_w
+    dur[dur <= 1e-15 * max(1.0, T)] = 0.0
+    slack = t_w - dur.sum(axis=1, keepdims=True)
+    half = np.where(slack > 1e-14 * max(1.0, T), slack / 2.0, 0.0)
+    slack_key = np.full_like(half, slack_channel + 1)
+    key = np.hstack([np.sign(vbar) * np.arange(1, cmap.size + 1), slack_key, -slack_key])
+    dur = np.hstack([dur, half, half]).ravel()
+    key = key.ravel()[dur > 0].astype(int)
+    dur = dur[dur > 0]
+    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    segments = []
+    for k, d in zip(key[first].tolist(), np.add.reduceat(dur, first).tolist()):
+        rep, part = cmap.channel(abs(k) - 1)
+        value = math.copysign(amplitude, k)
+        segments.append(Constant(d, {rep: complex(value) if part == "re" else 1j * value}))
+    return ForcingProgram(program.support, segments)
+
+
+def segment_bits(program):
+    """Kind, duration and values of every segment, signed zeros included."""
+    return [(type(s).__name__, s.duration.hex(),
+             sorted((k, v.real.hex(), v.imag.hex()) for k, v in getattr(s, "values", {}).items()))
+            for s in program.segments]
+
+
+@given(programs, st.integers(1, 60), st.integers(0, 7), st.lists(st.floats(0.0, 1.0), max_size=20))
+@settings(max_examples=120, deadline=None)
+def test_array_built_chattering_matches_segment_oracle(prog, windows, slack, fractions):
+    amplitude = max(prog.value_l1_bound(), 0.5)
+    got = chattering_approximation(prog, amplitude, windows, slack)
+    want = segment_built_chattering(prog, amplitude, windows, slack)
+    assert got.is_piecewise_constant()
+    assert "segments" not in vars(got)          # the check reads the arrays only
+    np.testing.assert_array_equal(got.starts, want.starts)
+    cmap = ChannelMap(MIXED_SUPPORT)
+    times = np.concatenate([want.starts, np.array(fractions) * prog.total_duration])
+    np.testing.assert_array_equal(got.channel_primitive(times, cmap),
+                                  want.channel_primitive(times, cmap))
+    assert segment_bits(got) == segment_bits(want)
+
+
+def bounded_search_distance(f, g, grid=4096):
+    """The relaxation distance with one bounded scalar search per
+    candidate bracket, as it was before the batched zoom."""
+    T = f.total_duration
+    cmap = ChannelMap(f.support | g.support)
+
+    def dist_many(ts):
+        diff = f.channel_primitive(ts, cmap) - g.channel_primitive(ts, cmap)
+        return np.sqrt((diff * diff).sum(axis=1))
+
+    cands = np.unique(np.concatenate([np.linspace(0.0, T, grid + 1),
+                                      np.clip(_boundary_and_extremum_times(f), 0, T),
+                                      np.clip(_boundary_and_extremum_times(g), 0, T)]))
+    vals = dist_many(cands)
+    best = float(vals.max())
+    for i in np.argsort(vals)[::-1][:8]:
+        lo, hi = cands[max(i - 1, 0)], cands[min(i + 1, len(cands) - 1)]
+        if hi - lo <= 1e-14 * max(1.0, T):
+            continue
+        res = optimize.minimize_scalar(lambda t: -dist_many(np.array([t]))[0],
+                                       bounds=(lo, hi), method="bounded",
+                                       options={"xatol": 1e-13 * max(1.0, T)})
+        best = max(best, float(-res.fun))
+    return best
+
+
+small_modes = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda k: k != (0, 0))
+generating_pairs = st.tuples(small_modes, small_modes).filter(lambda p: admissible_pair(*p))
+
+
+@st.composite
+def fast_packets(draw):
+    """One cosine bundle or cascade packet with base frequency in [1e2, 1e4]."""
+    omega = draw(st.floats(1e2, 1e4))
+    duration = draw(st.floats(0.1, 2.0))
+    if draw(st.booleans()):
+        m, n = draw(generating_pairs)
+        seg = cascade_packet((m[0] + n[0], m[1] + n[1]), m, n,
+                             complex(draw(unit), draw(unit)), omega, duration)
+        return ForcingProgram(symmetrize({m, n}), [seg])
+    modes = draw(st.lists(st.sampled_from(MIXED_MODES), min_size=1, max_size=3))
+    seg = Oscillatory.from_cos_pairs(duration, omega, [(k, draw(unit)) for k in modes],
+                                     phase=draw(st.floats(-3.0, 3.0)))
+    return ForcingProgram(MIXED_SUPPORT, [seg])
+
+
+@given(fast_packets())
+@settings(max_examples=40, deadline=None)
+def test_batched_refinement_matches_bounded_search_on_packets(prog):
+    zero = zero_program(prog.total_duration, prog.support)
+    got, want = relaxation_distance(prog, zero), bounded_search_distance(prog, zero)
+    assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("omega", [1e2, 1e3, 1e4])
+def test_batched_refinement_matches_bounded_search_on_closed_forms(omega):
+    m, n, target = (1, 0), (1, 1), 0.3 - 0.4j
+    cases = [
+        (Oscillatory.from_cos_pairs(1.0, omega, [((1, 0), omega ** -0.5)]), SINGLE,
+         omega ** -0.5),
+        (cascade_packet((2, 1), m, n, target, omega, 1.0), symmetrize({m, n}),
+         2.0 * math.sqrt(2.0) * math.sqrt(abs(target) / (2.0 * abs(
+             wedge(m, n) * (1.0 / norm_sq(m) - 1.0 / norm_sq(n)))))),
+    ]
+    for seg, support, closed in cases:
+        f, zero = ForcingProgram(support, [seg]), zero_program(1.0, support)
+        got, want = relaxation_distance(f, zero), bounded_search_distance(f, zero)
+        assert abs(got - want) <= 1e-12 * want
+        assert got == pytest.approx(closed, rel=1e-9)
+
+
+@given(programs, unit, unit)
+@settings(max_examples=30, deadline=None)
+def test_batched_refinement_never_below_bounded_search(prog, re, im):
+    # mixed programs: the zoom keeps its bracket's best sample, so it
+    # finds at least the bounded search's local maximum
+    other = constant_program(MIXED_SUPPORT, {(1, 0): complex(re, im)}, prog.total_duration)
+    assert relaxation_distance(prog, other) >= bounded_search_distance(prog, other) * (1 - 1e-14)
+
+
+@given(generating_pairs, unit, unit, st.floats(1.0, 1e4), st.floats(0.05, 2.0))
+@settings(max_examples=100, deadline=None)
+def test_cascade_packet_primitives_close_at_segment_end(pair, re, im, omega, duration):
+    m, n = pair
+    seg = cascade_packet((m[0] + n[0], m[1] + n[1]), m, n, complex(re, im), omega, duration)
+    prog = ForcingProgram(symmetrize(pair), [seg])
+    end = prog.channel_primitive(np.array([duration]), ChannelMap(prog.support))
+    if isinstance(seg, Zero):
+        assert not end.any()
+        return
+    # the snapped phase 2 w T is a whole number of turns up to its rounding
+    tol = 8 * np.finfo(float).eps * 2 * seg.omega * duration * np.abs(seg.coef).max()
+    assert np.abs(end).max() <= tol
+
+
+@given(programs, st.integers(1, 30))
+@settings(max_examples=80, deadline=None)
+def test_program_json_round_trip_property(prog, windows):
+    back = program_from_json(program_to_json(prog))
+    assert back.support == prog.support
+    assert [(type(s), s.duration, getattr(s, "omega", None)) for s in back.segments] == \
+        [(type(s), s.duration, getattr(s, "omega", None)) for s in prog.segments]
+    cmap = ChannelMap(MIXED_SUPPORT)
+    ts = np.linspace(0.0, prog.total_duration, 257)
+    # cosine bundles are written as (amp, phase) and rebuilt, so their
+    # coefficients come back to round-off; everything else is exact
+    np.testing.assert_allclose(back.channel_primitive(ts, cmap),
+                               prog.channel_primitive(ts, cmap), rtol=0, atol=1e-12)
+    chattered = chattering_approximation(prog, max(prog.value_l1_bound(), 0.5), windows)
+    text = program_to_json(chattered)
+    again = program_from_json(text)
+    assert program_to_json(again) == text
+    assert segment_bits(again) == segment_bits(chattered)

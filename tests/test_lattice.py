@@ -231,3 +231,49 @@ def test_next_level_exact_at_the_largest_components():
     assert next_level(k) == brute_next_level(k)
     with pytest.raises(ValueError, match="below 2"):
         next_level(k | {(2 ** 29, 0)})
+
+
+# ---------------------------------------------------------------------------
+# compact chains and chain JSON validation
+
+
+def plain_chain_levels(seed, radius, max_levels):
+    """saturation_chain's levels as a plain list of next_level frozensets."""
+    extent = max((norm_sq(k) for k in seed), default=1)
+    clip = ball(2 * max(radius, int(extent ** 0.5) + 1)) | seed
+    levels = [frozenset(seed)]
+    while len(levels) <= max_levels and not ball(radius) <= levels[-1]:
+        grown = next_level(levels[-1]) & clip
+        if grown == levels[-1]:
+            break
+        levels.append(grown)
+    return levels
+
+
+@given(modes_strategy, st.integers(1, 5), st.integers(1, 6))
+@settings(max_examples=60, deadline=None)
+def test_compact_chain_matches_plain_iteration(k, radius, max_levels):
+    chain = saturation_chain(k, radius=radius, max_levels=max_levels)
+    levels = plain_chain_levels(k, radius, max_levels)
+    assert chain.levels == tuple(levels)
+    assert chain.top == levels[-1]
+    for j, level in enumerate(levels):
+        assert chain.level_containing(level) == j
+    back = chain_from_dict(chain_to_dict(chain), requested_radius=radius)
+    assert back == chain
+    assert back.levels == chain.levels
+    assert chain_to_dict(back) == chain_to_dict(chain)
+
+
+def test_chain_json_rejects_levels_that_are_not_nested():
+    data = {"levels": [[[1, 0], [-1, 0], [1, 1], [-1, -1]], [[1, 0], [-1, 0]]],
+            "covered_radius": 1, "status": "covered"}
+    with pytest.raises(ValueError, match=r"level 1 drops \[\(-1, -1\), \(1, 1\)\]"):
+        chain_from_dict(data)
+
+
+def test_chain_json_rejects_unknown_status():
+    data = chain_to_dict(saturation_chain(FOUR_MODES, radius=2, max_levels=10))
+    data["status"] = "bogus"
+    with pytest.raises(ValueError, match="unknown chain status 'bogus'"):
+        chain_from_dict(data)

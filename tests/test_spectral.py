@@ -317,3 +317,26 @@ def test_json_round_trip():
     back = state_from_json(state_to_json(s))
     assert back.radius == 4
     assert sobolev_norm(back - s, 0) == 0
+
+
+coefficient_parts = st.one_of(st.just(0.0), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def states(draw):
+    """A state at a random radius; many coefficients zero, the rest any
+    finite double."""
+    radius = draw(st.integers(1, 8))
+    n = _tables(radius).n_reps
+    data = np.empty(n, dtype=np.complex128)
+    data.real = draw(st.lists(coefficient_parts, min_size=n, max_size=n))
+    data.imag = draw(st.lists(coefficient_parts, min_size=n, max_size=n))
+    return SpectralState(radius, data)
+
+
+@given(states())
+@settings(max_examples=100, deadline=None)
+def test_state_csv_and_json_round_trip_property(s):
+    for back in (state_from_csv(state_to_csv(s)), state_from_json(state_to_json(s))):
+        assert back.radius == s.radius
+        np.testing.assert_array_equal(back.data, s.data)

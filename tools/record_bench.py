@@ -1,16 +1,21 @@
 """Record alternating before/after benchmark runs into one JSON file.
 
     python3 tools/record_bench.py --before ../parent --after . \
-        --pairs 10 --first-seed 81 --out BENCH.json
+        --pairs 10 --first-seed 81 --out BENCH.json [--workload control_algebra]
 
-Each pair runs ``python3 perfbench/run.py --workload all --seed N
---seconds 20`` once in the ``--before`` checkout and once in the
+Each pair runs ``python3 perfbench/run.py --workload W --seed N
+--seconds 20`` (W is ``--workload``, default ``all``) once in the
+``--before`` checkout and once in the
 ``--after`` checkout, with the same seed N (``--first-seed`` plus the
 pair's index); the order within a pair alternates, so slow drifts of the
 machine hit both sides alike.  Every run keeps the bench's ``env:`` line
 and its final JSON line.  The output file holds all runs and, per
 metric, the median and quartiles of each side.  Stdlib only; runs one
 benchmark process at a time.
+
+A workload run alone reads its own ``peak_rss_mb``; under ``all`` that
+metric is the process high-water mark, which the workloads before it may
+already have set.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ import sys
 from pathlib import Path
 
 
-def bench(checkout: Path, seed: int, seconds: float) -> dict:
-    cmd = [sys.executable, "perfbench/run.py", "--workload", "all",
+def bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
@@ -62,6 +67,7 @@ def main() -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=81)
     parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--workload", default="all", help="perfbench workload name, or all")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
     runs = []
@@ -70,14 +76,15 @@ def main() -> int:
         order = ("before", "after") if i % 2 == 0 else ("after", "before")
         pair = {"seed": seed, "order": list(order)}
         for side in order:
-            pair[side] = bench(getattr(args, side), seed, args.seconds)
+            pair[side] = bench(getattr(args, side), args.workload, seed, args.seconds)
             print("pair %d %s: %s" % (i, side, json.dumps(
                 {k: round(v["value"], 4) for k, v in pair[side]["result"]["metrics"].items()
                  if k.endswith("ops_per_s")})), flush=True)
         runs.append(pair)
         # written after every pair, so an interrupted recording keeps what it has
         args.out.write_text(json.dumps({
-            "command": "perfbench/run.py --workload all --seconds %g" % args.seconds,
+            "command": "perfbench/run.py --workload %s --seconds %g" % (args.workload,
+                                                                      args.seconds),
             "pairs": runs, "summary": summary(runs)}, indent=1) + "\n")
     return 0
 
