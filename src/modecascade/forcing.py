@@ -23,12 +23,16 @@ primitives, start and end at zero, drive the sum mode with a constant
 (time-independent) rate, and leave the difference mode with no mean
 drive at all.  See :func:`cascade_packet`.
 
-Compiled form: a program compiles once into arrays over its support reps
-(constant values, primitive offsets at segment starts, flat oscillatory
-components), read by ``channel_primitive``, hence the relaxation metric and
-chattering; the integrator reads each packet's ``freq``/``coef`` arrays.
-Chattering output is built from arrays, its ``segments`` made only when
-read.  The scalar dict API (``evaluate``, ``primitive``) is the reference.
+Array form: a program's state is arrays over its sorted support reps
+(durations, constant values, primitive offsets at segment starts, flat
+oscillatory components; see :class:`ForcingProgram`).  One compiled read
+gives the forcing or its primitive at many times; ``evaluate``,
+``primitive``, ``channel_primitive``, the metrics, chattering, the
+integrator and the cascade all read these arrays.  The segment classes are
+builders and a view for JSON, the CLI and the demos; chattering output is
+built from arrays, its ``segments`` made only when read.  The scalar
+``cmath`` closed forms, one segment and mode at a time, live in the tests
+(``tests/forcing_oracle.py``) as the oracle of the compiled read.
 """
 
 from __future__ import annotations
@@ -73,10 +77,14 @@ class ChannelMap:
         return rep, ("re" if index % 2 == 0 else "im")
 
     def index(self, rep: Mode, part: str) -> int:
-        i = self._rep_pos[canonical_rep(rep)]
-        if canonical_rep(rep) != check_mode(rep):
+        if part not in ("re", "im"):
+            raise ValueError("channel part must be 're' or 'im', not %r" % (part,))
+        rep = check_mode(rep)
+        if canonical_rep(rep) != rep:
             raise ValueError("channel addressing uses canonical representatives only")
-        return 2 * i + (0 if part == "re" else 1)
+        if rep not in self._rep_pos:
+            raise ValueError("mode %s outside the channel support" % (rep,))
+        return 2 * self._rep_pos[rep] + (part == "im")
 
     def vector_to_rep_coeffs(self, vec: np.ndarray) -> dict[Mode, complex]:
         vec = np.asarray(vec, dtype=float)
@@ -119,25 +127,9 @@ class Constant:
         self.duration = float(duration)
         self.values = fold_conjugate(values, 1e-9, "forcing")
 
-    @property
-    def reps(self):
-        return self.values.keys()
-
-    def rep_value(self, rep: Mode, tloc: float) -> complex:
-        return self.values.get(rep, 0j)
-
-    def rep_primitive(self, rep: Mode, tloc: float) -> complex:
-        return self.values.get(rep, 0j) * tloc
-
-    def integral(self) -> dict[Mode, complex]:
-        return {r: v * self.duration for r, v in self.values.items()}
-
     def __eq__(self, other):
         return (isinstance(other, Constant) and self.values == other.values
                 and self.duration == other.duration)
-
-    def same_value(self, other) -> bool:
-        return isinstance(other, Constant) and self.values == other.values
 
     def __repr__(self):
         return "Constant(duration=%g, modes=%s)" % (self.duration, sorted(self.values))
@@ -147,7 +139,7 @@ class Oscillatory:
     """Harmonic packet: per representative mode a set of harmonics of a
     shared base frequency, parameterized by the primitive coefficients."""
 
-    __slots__ = ("duration", "omega", "components", "reps", "freq", "coef")
+    __slots__ = ("duration", "omega", "components", "freq", "coef")
 
     def __init__(self, duration: float, omega: float,
                  components: Iterable[tuple[Mode, int, complex]]):
@@ -170,7 +162,6 @@ class Oscillatory:
         self.components = tuple(sorted(
             ((k, h, c) for (k, h), c in merged.items() if c != 0),
             key=lambda item: (item[0], item[1])))
-        self.reps = tuple(dict.fromkeys(k for k, _, _ in self.components))
         self.freq = np.array([h * self.omega for _, h, _ in self.components])
         self.coef = np.array([c for _, _, c in self.components], dtype=np.complex128)
 
@@ -187,25 +178,6 @@ class Oscillatory:
             comps.append((k, -1, c_plus.conjugate()))
         return cls(duration, omega, comps)
 
-    def rep_value(self, rep: Mode, tloc: float) -> complex:
-        w = self.omega
-        return sum(c * 1j * h * w * cmath.exp(1j * h * w * tloc)
-                   for k, h, c in self.components if k == rep)
-
-    def rep_primitive(self, rep: Mode, tloc: float) -> complex:
-        w = self.omega
-        return sum(c * (cmath.exp(1j * h * w * tloc) - 1.0)
-                   for k, h, c in self.components if k == rep)
-
-    def integral(self) -> dict[Mode, complex]:
-        out: dict[Mode, complex] = {}
-        for k, h, c in self.components:
-            out[k] = out.get(k, 0j) + c * (cmath.exp(1j * h * self.omega * self.duration) - 1.0)
-        return out
-
-    def same_value(self, other) -> bool:
-        return False
-
     def __repr__(self):
         return "Oscillatory(duration=%g, omega=%g, components=%d)" % (
             self.duration, self.omega, len(self.components))
@@ -219,20 +191,6 @@ class Zero:
             raise ValueError("segment duration must be positive")
         self.duration = float(duration)
 
-    reps = ()
-
-    def rep_value(self, rep: Mode, tloc: float) -> complex:
-        return 0j
-
-    def rep_primitive(self, rep: Mode, tloc: float) -> complex:
-        return 0j
-
-    def integral(self) -> dict[Mode, complex]:
-        return {}
-
-    def same_value(self, other) -> bool:
-        return isinstance(other, Zero)
-
     def __repr__(self):
         return "Zero(duration=%g)" % self.duration
 
@@ -245,119 +203,95 @@ Segment = Constant | Oscillatory | Zero
 
 
 class ForcingProgram:
-    """Piecewise-in-time forcing over a symmetric support mode set."""
+    """Piecewise-in-time forcing over a symmetric support mode set.
+
+    Its state is arrays over the sorted support reps ``reps``: segment
+    ``durations`` and ``starts`` (n_seg + 1), constant values ``const``
+    (n_seg, n_rep), the primitive at each segment start ``offsets``
+    (n_seg + 1, n_rep), and the oscillatory components sorted by segment:
+    ``comp_seg``, ``comp_col`` (rep column), ``freq`` (h w) and ``coef`` (c).
+    ``segments`` is a view of the segments, for JSON, the CLI and the demos.
+    """
 
     def __init__(self, support: Iterable[Mode], segments: Sequence[Segment]):
-        self.support = symmetrize(support) if support else frozenset()
+        support = symmetrize(support) if support else frozenset()
         self.segments = tuple(segments)
         if not self.segments:
             raise ValueError("a program needs at least one segment")
-        reps = {canonical_rep(k) for k in self.support}
-        for seg in self.segments:
-            if not reps.issuperset(seg.reps):
-                raise ValueError("segment modes %s escape the program support"
-                                 % sorted(set(seg.reps) - reps))
-        self.starts = np.concatenate([[0.0], np.cumsum([s.duration for s in self.segments])])
+        reps = rep_modes(support)
+        col = {r: j for j, r in enumerate(reps)}
+        const = np.zeros((len(self.segments), len(reps)), dtype=np.complex128)
+        osc = []
+        for i, seg in enumerate(self.segments):
+            comps = getattr(seg, "components", ())
+            escaped = set(getattr(seg, "values", ())).union(k for k, _, _ in comps) - col.keys()
+            if escaped:
+                raise ValueError("segment modes %s escape the program support" % sorted(escaped))
+            if isinstance(seg, Constant):
+                for r, v in seg.values.items():
+                    const[i, col[r]] = v
+            elif comps:
+                osc += [(i, col[k], f, c) for (k, _, _), f, c in zip(comps, seg.freq, seg.coef)]
+        osc = np.array(osc, dtype=[("seg", np.intp), ("col", np.intp),
+                                   ("freq", float), ("coef", np.complex128)])
+        self._set_arrays(support, reps, np.array([s.duration for s in self.segments]), const,
+                         *(np.ascontiguousarray(osc[f]) for f in osc.dtype.names))
 
     @classmethod
     def _of_arrays(cls, support: frozenset[Mode], durations: np.ndarray,
                    const: np.ndarray) -> "ForcingProgram":
         """Constant-valued program from durations and rep values (n_seg, n_rep)."""
         prog = object.__new__(cls)
-        prog.support, prog._durations = support, durations
-        prog.starts = np.concatenate([[0.0], np.cumsum(durations)])
-        offsets = np.zeros((len(durations) + 1, const.shape[1]), dtype=np.complex128)
-        np.cumsum(const * durations[:, None], axis=0, out=offsets[1:])   # as in _compiled
         no_osc = np.zeros(0, dtype=np.intp)
-        prog._compiled = (rep_modes(support), const, offsets, no_osc, no_osc,
-                          np.zeros(0), np.zeros(0, np.complex128))
+        prog._set_arrays(support, rep_modes(support), durations, const, no_osc, no_osc,
+                         np.zeros(0), np.zeros(0, np.complex128))
         return prog
+
+    def _set_arrays(self, support, reps, durations, const, comp_seg, comp_col, freq, coef):
+        self.support, self.reps, self.durations, self.const = support, reps, durations, const
+        self.comp_seg, self.comp_col, self.freq, self.coef = comp_seg, comp_col, freq, coef
+        self.starts = np.concatenate([[0.0], np.cumsum(durations)])
+        integral = const * durations[:, None]
+        np.add.at(integral, (comp_seg, comp_col),
+                  coef * (np.exp(1j * freq * durations[comp_seg]) - 1.0))
+        self.offsets = np.zeros((len(durations) + 1, len(reps)), dtype=np.complex128)
+        np.cumsum(integral, axis=0, out=self.offsets[1:])
 
     @cached_property
     def segments(self) -> tuple[Segment, ...]:
         """Segment view of an array-built program (``__init__`` sets it)."""
-        reps, const = self._compiled[:2]
-        return tuple(Constant(d, {reps[j]: v for j, v in enumerate(row) if v})
+        return tuple(Constant(d, {self.reps[j]: v for j, v in enumerate(row) if v})
                      if any(row) else Zero(d)
-                     for d, row in zip(self._durations.tolist(), const.tolist()))
+                     for d, row in zip(self.durations.tolist(), self.const.tolist()))
 
     @property
     def total_duration(self) -> float:
         return float(self.starts[-1])
 
-    @cached_property
-    def _offsets(self) -> tuple[dict[Mode, complex], ...]:
-        """Accumulated primitive at each segment start."""
-        offsets = [dict()]
-        for seg in self.segments:
-            nxt = dict(offsets[-1])
-            for k, v in seg.integral().items():
-                nxt[k] = nxt.get(k, 0j) + v
-            offsets.append(nxt)
-        return tuple(offsets)
+    def _locate(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Segment (left-closed; t == T lands in the last) and local time of
+        each time."""
+        times = np.asarray(times, dtype=float)
+        T = self.total_duration
+        lo, hi = (times.min(), times.max()) if times.size else (0.0, 0.0)
+        if lo < -1e-12 or hi > T + max(1e-12, 1e-12 * T):
+            raise ValueError("time out of range: t=%g not in [0, %g]"
+                             % (lo if lo < -1e-12 else hi, T))
+        clipped = np.minimum(np.maximum(times, 0.0), T)
+        idx = np.searchsorted(self.starts[1:-1], clipped, side="right")
+        return idx, clipped - self.starts[idx]
 
     def segment_index(self, t: float) -> tuple[int, float]:
         """Segment containing t (left-closed; t == total hits the last)."""
-        T = self.total_duration
-        if t < -1e-12 or t > T + max(1e-12, 1e-12 * T):
-            raise ValueError("time out of range: t=%g not in [0, %g]" % (t, T))
-        t = min(max(t, 0.0), T)
-        i = int(np.searchsorted(self.starts[1:-1], t, side="right"))
-        return i, t - float(self.starts[i])
+        idx, tloc = self._locate(np.array([t]))
+        return int(idx[0]), float(tloc[0])
 
-    def evaluate(self, t: float) -> dict[Mode, complex]:
-        """Forcing vector at time t, over the full symmetric support."""
-        i, tloc = self.segment_index(t)
-        seg = self.segments[i]
-        return unfold_conjugate({rep: seg.rep_value(rep, tloc) for rep in sorted(seg.reps)})
-
-    def primitive(self, t: float) -> dict[Mode, complex]:
-        """Exact closed-form primitive of the forcing at time t."""
-        i, tloc = self.segment_index(t)
-        seg = self.segments[i]
-        out = dict(self._offsets[i])
-        for rep in sorted(seg.reps):
-            out[rep] = out.get(rep, 0j) + seg.rep_primitive(rep, tloc)
-        return unfold_conjugate(out)
-
-    @cached_property
-    def _compiled(self) -> tuple:
-        """(reps, const, offsets, seg, col, freq, coef): sorted support reps,
-        values (n_seg, n_rep), primitive at segment starts (n_seg + 1, n_rep)
-        and per oscillatory component (by segment): segment, column, h w, c."""
-        reps = rep_modes(self.support)
-        col = {r: j for j, r in enumerate(reps)}
-        const = np.zeros((len(self.segments), len(reps)), dtype=np.complex128)
-        osc = []
-        for i, seg in enumerate(self.segments):
-            if isinstance(seg, Constant):
-                for r, v in seg.values.items():
-                    const[i, col[r]] = v
-            elif isinstance(seg, Oscillatory):
-                osc += [(i, col[k], f, c) for (k, _, _), f, c
-                        in zip(seg.components, seg.freq, seg.coef)]
-        osc = np.array(osc, dtype=[("seg", np.intp), ("col", np.intp),
-                                   ("freq", float), ("coef", np.complex128)])
-        seg, col, freq, coef = (np.ascontiguousarray(osc[f]) for f in osc.dtype.names)
-        durations = np.array([s.duration for s in self.segments])
-        integral = const * durations[:, None]
-        np.add.at(integral, (seg, col), coef * (np.exp(1j * freq * durations[seg]) - 1.0))
-        offsets = np.zeros((len(self.segments) + 1, len(reps)), dtype=np.complex128)
-        np.cumsum(integral, axis=0, out=offsets[1:])
-        return reps, const, offsets, seg, col, freq, coef
-
-    def _rep_matrix(self, times: np.ndarray, cmap: ChannelMap) -> np.ndarray:
-        """Complex (len(times), len(cmap.reps)) matrix of primitive values."""
-        times = np.asarray(times, dtype=float)
-        T = self.total_duration
-        if times.size and (times.min() < -1e-12 or times.max() > T + max(1e-12, 1e-12 * T)):
-            raise ValueError("time out of range")
-        clipped = np.minimum(np.maximum(times, 0.0), T)
-        # interior boundaries only: t == T lands in the last segment
-        idx = np.searchsorted(self.starts[1:-1], clipped, side="right")
-        tloc = clipped - self.starts[idx]
-        reps, const, offsets, seg, col, freq, coef = self._compiled
-        prim = offsets[idx] + const[idx] * tloc[:, None]
+    def _read(self, times: np.ndarray, value: bool) -> np.ndarray:
+        """Forcing (``value``) or its primitive at each time, complex
+        (len(times), n_rep)."""
+        idx, tloc = self._locate(times)
+        out = self.const[idx] if value else self.offsets[idx] + self.const[idx] * tloc[:, None]
+        seg, col, freq, coef = self.comp_seg, self.comp_col, self.freq, self.coef
         if seg.size:
             first = np.searchsorted(seg, idx)
             count = np.searchsorted(seg, idx, side="right") - first
@@ -366,12 +300,30 @@ class ForcingProgram:
             for k in range(count.max(initial=0)):
                 rows = np.flatnonzero(count > k)
                 j = first[rows] + k
-                prim.reshape(-1)[rows * len(reps) + col[j]] += coef[j] * (
-                    np.exp(1j * freq[j] * tloc[rows]) - 1.0)
-        if cmap.reps == reps:
-            return prim
-        out = np.zeros((times.size, len(cmap.reps)), dtype=np.complex128)
-        out[:, [cmap.reps.index(r) for r in reps]] = prim
+                phase = np.exp(1j * freq[j] * tloc[rows])
+                out.reshape(-1)[rows * len(self.reps) + col[j]] += coef[j] * (
+                    1j * freq[j] * phase if value else phase - 1.0)
+        return out
+
+    def _unfolded_row(self, t: float, value: bool) -> dict[Mode, complex]:
+        row = self._read(np.array([t]), value)[0].tolist()
+        return unfold_conjugate({r: v for r, v in zip(self.reps, row) if v})
+
+    def evaluate(self, t: float) -> dict[Mode, complex]:
+        """Forcing vector at time t, over the full symmetric support."""
+        return self._unfolded_row(t, value=True)
+
+    def primitive(self, t: float) -> dict[Mode, complex]:
+        """Exact closed-form primitive of the forcing at time t."""
+        return self._unfolded_row(t, value=False)
+
+    def _rep_matrix(self, times: np.ndarray, cmap: ChannelMap, value: bool = False) -> np.ndarray:
+        """Complex (len(times), len(cmap.reps)) matrix of primitive (or forcing) values."""
+        read = self._read(times, value)
+        if cmap.reps == self.reps:
+            return read
+        out = np.zeros((read.shape[0], len(cmap.reps)), dtype=np.complex128)
+        out[:, [cmap.reps.index(r) for r in self.reps]] = read
         return out
 
     def channel_primitive(self, times: np.ndarray, cmap: ChannelMap) -> np.ndarray:
@@ -379,18 +331,18 @@ class ForcingProgram:
 
     def is_piecewise_constant(self) -> bool:
         """No oscillatory component (a packet of zero coefficients is zero)."""
-        return not self._compiled[3].size
+        return not self.comp_seg.size
 
     def value_l1_bound(self) -> float:
         """Bound on sup_t of the channel-space l1 norm of the forcing."""
-        _, const, _, seg, _, freq, coef = self._compiled
-        packets = np.bincount(seg, np.abs(coef) * np.abs(freq), len(const))
-        return float(max((np.abs(const.real) + np.abs(const.imag)).sum(axis=1).max(),
+        packets = np.bincount(self.comp_seg, np.abs(self.coef) * np.abs(self.freq),
+                              len(self.const))
+        return float(max((np.abs(self.const.real) + np.abs(self.const.imag)).sum(axis=1).max(),
                          math.sqrt(2.0) * packets.max()))
 
     def __repr__(self):
         return "ForcingProgram(support=%d modes, segments=%d, T=%g)" % (
-            len(self.support), len(self.starts) - 1, self.total_duration)
+            len(self.support), len(self.durations), self.total_duration)
 
 
 def zero_program(duration: float, support: Iterable[Mode] = ()) -> ForcingProgram:
@@ -410,15 +362,14 @@ def _boundary_and_extremum_times(program: ForcingProgram) -> np.ndarray:
     """Segment starts, then per oscillatory component the half-period
     ladders where Re and Im of c*(exp(i h w t) - 1) peak."""
     cands = [program.starts]
-    for t0, seg in zip(program.starts, program.segments):
-        if not isinstance(seg, Oscillatory):
-            continue
-        for w_eff, phi in zip(np.abs(seg.freq), np.angle(seg.coef)):
-            n_half = int(w_eff * seg.duration / math.pi) + 2
-            steps = np.arange(-1, n_half + 1) * math.pi / w_eff
-            for fam in (0.5 * math.pi, 0.0):
-                t = (fam - phi) / w_eff + steps
-                cands.append(t0 + t[(t >= 0.0) & (t <= seg.duration)])
+    for i, w_eff, phi in zip(program.comp_seg.tolist(), np.abs(program.freq),
+                             np.angle(program.coef)):
+        t0, duration = program.starts[i], program.durations[i]
+        n_half = int(w_eff * duration / math.pi) + 2
+        steps = np.arange(-1, n_half + 1) * math.pi / w_eff
+        for fam in (0.5 * math.pi, 0.0):
+            t = (fam - phi) / w_eff + steps
+            cands.append(t0 + t[(t >= 0.0) & (t <= duration)])
     return np.concatenate(cands)
 
 
@@ -479,14 +430,10 @@ def delta_distance(f: ForcingProgram, g: ForcingProgram) -> float:
     if abs(T - g.total_duration) > 1e-9 * max(1.0, T):
         raise ValueError("duration mismatch")
     edges = np.unique(np.concatenate([f.starts, g.starts]))
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b - a <= 0:
-            continue
-        mid = 0.5 * (a + b)
-        if f.evaluate(mid) != g.evaluate(mid):
-            total += b - a
-    return float(total)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    cmap = ChannelMap(f.support | g.support)
+    differ = (f._rep_matrix(mid, cmap, value=True) != g._rep_matrix(mid, cmap, value=True))
+    return float(np.diff(edges)[differ.any(axis=1)].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -593,15 +540,16 @@ class ExtremeSet:
 
 
 def merge_constant_runs(segments: Sequence[Segment]) -> list[Segment]:
-    """Coalesce adjacent segments holding the same value."""
+    """Coalesce adjacent Zero segments, and adjacent Constant segments
+    holding the same value."""
     merged: list[Segment] = []
     for seg in segments:
-        if merged and merged[-1].same_value(seg):
-            prev = merged.pop()
-            if isinstance(prev, Zero):
-                merged.append(Zero(prev.duration + seg.duration))
-            else:
-                merged.append(Constant(prev.duration + seg.duration, prev.values))
+        prev = merged[-1] if merged else None
+        if isinstance(prev, Zero) and isinstance(seg, Zero):
+            merged[-1] = Zero(prev.duration + seg.duration)
+        elif isinstance(prev, Constant) and isinstance(seg, Constant) \
+                and prev.values == seg.values:
+            merged[-1] = Constant(prev.duration + seg.duration, prev.values)
         else:
             merged.append(seg)
     return merged
@@ -664,31 +612,6 @@ def _mode_key(k: Mode) -> str:
     return "%d,%d" % k
 
 
-def _cos_pairs_form(seg: Oscillatory):
-    """Recover the (pairs, phase) form when the packet is a plain cosine
-    bundle on real channels; None otherwise."""
-    by_mode: dict[Mode, dict[int, complex]] = {}
-    for k, h, c in seg.components:
-        by_mode.setdefault(k, {})[h] = c
-    pairs = []
-    phase = None
-    for k, comps in by_mode.items():
-        if set(comps) != {1, -1}:
-            return None
-        c_plus, c_minus = comps[1], comps[-1]
-        if abs(c_minus - c_plus.conjugate()) > 1e-12 * max(1.0, abs(c_plus)):
-            return None
-        amp = 2.0 * abs(c_plus)
-        phi = cmath.phase(c_plus) + math.pi / 2.0
-        phi = math.remainder(phi, 2.0 * math.pi)
-        if phase is None:
-            phase = phi
-        elif abs(math.remainder(phi - phase, 2.0 * math.pi)) > 1e-12:
-            return None
-        pairs.append({"mode": list(k), "amp": amp})
-    return pairs, (phase or 0.0)
-
-
 def program_to_dict(program: ForcingProgram) -> dict:
     segs = []
     for seg in program.segments:
@@ -700,17 +623,10 @@ def program_to_dict(program: ForcingProgram) -> dict:
             segs.append({"kind": "constant", "duration": seg.duration,
                          "values": values})
         else:
-            entry = {"kind": "oscillatory", "duration": seg.duration,
-                     "omega": seg.omega}
-            plain = _cos_pairs_form(seg)
-            if plain is not None:
-                entry["phase"] = plain[1]
-                entry["pairs"] = plain[0]
-            else:
-                entry["components"] = [
-                    {"mode": list(k), "harmonic": h, "coeff": [c.real, c.imag]}
-                    for k, h, c in seg.components]
-            segs.append(entry)
+            segs.append({"kind": "oscillatory", "duration": seg.duration, "omega": seg.omega,
+                         "components": [
+                             {"mode": list(k), "harmonic": h, "coeff": [c.real, c.imag]}
+                             for k, h, c in seg.components]})
     return {"support": [list(k) for k in sorted(program.support)],
             "segments": segs}
 

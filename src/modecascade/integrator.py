@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .forcing import Constant, ForcingProgram, Oscillatory, Segment
+from .forcing import ForcingProgram
 from .spectral import (SimParams, SpectralState, _tables, energy, enstrophy,
                        sobolev_norm)
 
@@ -120,20 +120,30 @@ class Trajectory:
 # forcing evaluation in representative space
 
 
-def _segment_evaluator(seg: Segment, tab) -> Callable[[float], np.ndarray | float]:
-    """Segment-local forcing as a function of local time, folded onto the
-    stored representatives of the state's resolution."""
-    if not seg.reps:
-        return lambda tloc: 0.0
-    if isinstance(seg, Constant):
-        vec = tab.vector(seg.values)
+def _components(program: ForcingProgram, i: int) -> slice:
+    """The oscillatory components of segment i (they are sorted by segment)."""
+    return slice(*np.searchsorted(program.comp_seg, [i, i + 1]).tolist())
+
+
+def _segment_evaluator(program: ForcingProgram, i: int, tab
+                       ) -> Callable[[float], np.ndarray | float]:
+    """Forcing of segment i as a function of local time, folded onto the
+    stored representatives of the state's resolution.  Only the modes the
+    segment forces are positioned."""
+    comps = _components(program, i)
+    if comps.start == comps.stop:
+        cols = np.flatnonzero(program.const[i])
+        if not cols.size:
+            return lambda tloc: 0.0
+        vec = np.zeros(tab.n_reps, dtype=np.complex128)
+        vec[tab.positions(program.reps[j] for j in cols)] = program.const[i, cols]
         return lambda tloc: vec
-    assert isinstance(seg, Oscillatory)
-    # components are sorted by mode, so each mode's harmonics are adjacent
-    idx = tab.positions(k for k, _, _ in seg.components)
-    first = np.flatnonzero(np.diff(idx, prepend=-1))
-    idx = idx[first]
-    freq, coef = seg.freq, 1j * seg.freq * seg.coef
+    # a segment's components are sorted by column, so each mode's harmonics are adjacent
+    col = program.comp_col[comps]
+    first = np.flatnonzero(np.diff(col, prepend=-1))
+    idx = tab.positions(program.reps[j] for j in col[first])
+    freq = program.freq[comps]
+    coef = 1j * freq * program.coef[comps]
     n = tab.n_reps
 
     def ev(tloc: float) -> np.ndarray:
@@ -144,12 +154,11 @@ def _segment_evaluator(seg: Segment, tab) -> Callable[[float], np.ndarray | floa
     return ev
 
 
-def _segment_dt(seg: Segment, config: IntegratorConfig) -> float:
-    dt = config.dt_base
-    if isinstance(seg, Oscillatory):
-        period = 2.0 * math.pi / np.abs(seg.freq).max()
-        dt = min(dt, period / config.oscillation_resolution)
-    return dt
+def _segment_dt(program: ForcingProgram, i: int, config: IntegratorConfig) -> float:
+    freq = program.freq[_components(program, i)]
+    if not freq.size:
+        return config.dt_base
+    return min(config.dt_base, 2.0 * math.pi / np.abs(freq).max() / config.oscillation_resolution)
 
 
 def _integrating_factors(nu: float, tab, h: float):
@@ -191,13 +200,12 @@ def step(state: SpectralState, t: float, dt: float, params: SimParams,
     if dt <= 0:
         raise ValueError("dt must be positive")
     i, tloc = program.segment_index(t)
-    seg = program.segments[i]
-    if tloc + dt > seg.duration * (1 + 1e-12) + 1e-15:
+    if tloc + dt > program.durations[i] * (1 + 1e-12) + 1e-15:
         raise ValueError("step crosses a forcing segment boundary; split the step")
     tab = _tables(state.radius)
     decay, half = _integrating_factors(params.nu, tab, dt)
     q = _lawson_rk4(state.data, tloc, dt, decay, half, tab.nonlinear,
-                    _segment_evaluator(seg, tab))
+                    _segment_evaluator(program, i, tab))
     _check_finite(q, t + dt)
     return SpectralState(state.radius, q, _copy=False)
 
@@ -219,8 +227,9 @@ def integrate(state0: SpectralState, params: SimParams, program: ForcingProgram,
     if samples.size and (samples.min() < 0 or samples.max() > T * (1 + 1e-12)):
         raise ValueError("sample times escape the program horizon")
 
-    planned = sum(math.ceil(seg.duration / _segment_dt(seg, config) - 1e-9)
-                  for seg in program.segments)
+    durations = program.durations.tolist()
+    planned = sum(math.ceil(d / _segment_dt(program, i, config) - 1e-9)
+                  for i, d in enumerate(durations))
     if planned > config.max_steps:
         raise StepBudgetError("step budget exceeded: %d steps planned, %d allowed "
                               "(reduce the horizon or oscillation frequencies)"
@@ -238,13 +247,13 @@ def integrate(state0: SpectralState, params: SimParams, program: ForcingProgram,
                 times.append(t_now)
                 states.append(SpectralState(state0.radius, q))
 
-    for i, seg in enumerate(program.segments):
+    for i, duration in enumerate(durations):
         t0 = float(program.starts[i])
         t1 = float(program.starts[i + 1])
-        ev = _segment_evaluator(seg, tab)
-        dt_seg = _segment_dt(seg, config)
+        ev = _segment_evaluator(program, i, tab)
+        dt_seg = _segment_dt(program, i, config)
         inner = samples[(samples > t0 + 1e-15) & (samples < t1 - 1e-15)] - t0
-        brk = np.unique(np.concatenate([[0.0, seg.duration], inner]))
+        brk = np.unique(np.concatenate([[0.0, duration], inner]))
         for a, b in zip(brk[:-1], brk[1:]):
             span = float(b - a)
             if span <= 0:

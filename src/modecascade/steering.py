@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .forcing import (ChannelMap, Constant, ForcingProgram, Oscillatory, Zero,
+from .forcing import (ChannelMap, Constant, ForcingProgram, Zero,
                       cascade_packet, chattering_approximation,
                       cos_pair_segment, constant_program, merge_constant_runs,
                       zero_program)
@@ -232,20 +232,17 @@ def cascade_program(extended: ForcingProgram, k_prev: Iterable[Mode],
     """
     _check_construction(construction)
     k_prev = symmetrize(k_prev)
+    if not extended.is_piecewise_constant():
+        raise ValueError("segment not extreme-valued: chatter oscillatory "
+                         "payloads before cascading")
     cmap = ChannelMap(extended.support)
     out = []
-    for seg in extended.segments:
-        if isinstance(seg, Zero):
-            out.append(Zero(seg.duration))
-            continue
-        if isinstance(seg, Oscillatory):
-            raise ValueError("segment not extreme-valued: chatter oscillatory "
-                             "payloads before cascading")
-        vec = cmap.coeffs_to_vector(seg.values)
+    for duration, vec in zip(extended.durations.tolist(),
+                             cmap.complex_to_vector(extended.const)):
         scale = float(np.abs(vec).max())
         active = np.nonzero(np.abs(vec) > 1e-13 * max(1.0, scale))[0]
         if active.size == 0:
-            out.append(Zero(seg.duration))
+            out.append(Zero(duration))
             continue
         if active.size > 1:
             raise ValueError("segment not extreme-valued: %d active channels"
@@ -254,17 +251,16 @@ def cascade_program(extended: ForcingProgram, k_prev: Iterable[Mode],
         rep, part = cmap.channel(channel)
         value = float(vec[channel])
         if rep in k_prev:
-            out.append(Constant(seg.duration,
-                                {rep: value if part == "re" else 1j * value}))
+            out.append(Constant(duration, {rep: value if part == "re" else 1j * value}))
             continue
         m, n = find_generating_pair(rep, k_prev)
         if construction == "counter_rotating":
             target = complex(value) if part == "re" else 1j * value
-            out.append(cascade_packet(rep, m, n, target, omega, seg.duration))
+            out.append(cascade_packet(rep, m, n, target, omega, duration))
         else:
             if part != "re":
                 raise ValueError("plain construction drives real channels only")
-            out.append(cos_pair_segment(rep, m, n, value, omega, seg.duration))
+            out.append(cos_pair_segment(rep, m, n, value, omega, duration))
     return ForcingProgram(k_prev, merge_constant_runs(out))
 
 
@@ -295,9 +291,7 @@ def _synthesize_main(p: np.ndarray, chain: SaturationChain,
         slack = next((i for i in range(cmap.size)
                       if cmap.channel(i)[0] in k_prev), 0)
         windows = config.chatter_windows
-        fastest = max((np.abs(seg.freq).max()
-                       for seg in prog.segments if isinstance(seg, Oscillatory)),
-                      default=0.0)
+        fastest = np.abs(prog.freq).max(initial=0.0)
         if fastest > 0:
             # window averages must resolve oscillations already injected by
             # the previous cascade level, or they average to nothing

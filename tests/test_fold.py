@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modecascade.forcing import Constant
+from modecascade.forcing import Constant, ForcingProgram
 from modecascade.integrator import _segment_evaluator
-from modecascade.lattice import ball, fold_conjugate, neg, rep_modes, unfold_conjugate
+from modecascade.lattice import (ball, fold_conjugate, neg, rep_modes, symmetrize,
+                                unfold_conjugate)
 from modecascade.spectral import SimParams, SpectralState, _tables, vector_field
 
 RADIUS = 4
@@ -45,7 +46,8 @@ def via_vector_field(values):
 
 
 def via_constant(values):
-    return _segment_evaluator(Constant(1.0, values), _tables(RADIUS))(0.0)
+    program = ForcingProgram(symmetrize(values), [Constant(1.0, values)])
+    return _segment_evaluator(program, 0, _tables(RADIUS))(0.0)
 
 
 @given(rep_maps())

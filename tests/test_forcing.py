@@ -23,6 +23,8 @@ from modecascade.forcing import (ChannelMap, Constant, ExtremeSet,
                                  relaxation_distance, zero_program)
 from modecascade.lattice import admissible_pair, norm_sq, symmetrize, wedge
 
+import forcing_oracle as oracle
+
 PAIR_SUPPORT = symmetrize({(1, 0), (1, 1)})
 SINGLE = symmetrize({(1, 0)})
 
@@ -65,8 +67,9 @@ def test_primitive_oscillatory_closed_form_and_bound():
     seg = Oscillatory.from_cos_pairs(1.0, omega, [((1, 0), amp)])
     prog = ForcingProgram(SINGLE, [seg])
     for t in (0.0, 0.1, 0.31, 1.0):
-        assert prog.primitive(t)[(1, 0)] == pytest.approx(amp * math.sin(omega * t))
-        assert abs(prog.primitive(t)[(1, 0)]) <= amp + 1e-12
+        # an exactly-zero entry (here at t = 0) is left out
+        assert prog.primitive(t).get((1, 0), 0j) == pytest.approx(amp * math.sin(omega * t))
+        assert abs(prog.primitive(t).get((1, 0), 0j)) <= amp + 1e-12
 
 
 def test_primitive_zero_program():
@@ -342,13 +345,18 @@ def test_program_json_round_trip_all_kinds():
                   - prog.channel_primitive(ts, cmap)).max() < 1e-12
 
 
-def test_plain_oscillatory_serializes_with_pairs_schema():
-    seg = Oscillatory.from_cos_pairs(1.0, 10.0, [((1, 0), 2.0)], phase=0.1)
-    data = json.loads(program_to_json(ForcingProgram(SINGLE, [seg])))
-    entry = data["segments"][0]
-    assert entry["kind"] == "oscillatory"
-    assert "pairs" in entry and entry["phase"] == pytest.approx(0.1)
-    assert entry["pairs"][0]["amp"] == pytest.approx(2.0)
+def test_pairs_form_file_reads_as_cosine_bundle():
+    # the writer emits components only; a (pairs, phase) file is still read
+    text = json.dumps({"support": [[1, 0], [-1, 0]], "segments": [
+        {"kind": "oscillatory", "duration": 1.0, "omega": 10.0, "phase": 0.1,
+         "pairs": [{"mode": [1, 0], "amp": 2.0}]}]})
+    prog = program_from_json(text)
+    want = ForcingProgram(SINGLE, [Oscillatory.from_cos_pairs(1.0, 10.0, [((1, 0), 2.0)],
+                                                              phase=0.1)])
+    assert prog.segments[0].components == want.segments[0].components
+    assert prog.evaluate(0.0)[(1, 0)] == pytest.approx(20.0 * math.cos(0.1))
+    entry = json.loads(program_to_json(prog))["segments"][0]
+    assert "pairs" not in entry and len(entry["components"]) == 2
 
 
 def test_constant_segment_requires_conjugate_symmetry():
@@ -363,6 +371,17 @@ def test_channel_map_round_trip():
     assert coeffs[(1, 0)] == 0.5 - 0.25j
     assert coeffs[(-1, 0)] == 0.5 + 0.25j
     assert np.allclose(cmap.coeffs_to_vector(coeffs), vec)
+
+
+def test_channel_index_validates_mode_and_part():
+    cmap = ChannelMap(PAIR_SUPPORT)
+    assert [cmap.index((1, 0), "re"), cmap.index((1, 1), "im")] == [0, 3]
+    with pytest.raises(ValueError, match="'imag'"):
+        cmap.index((1, 1), "imag")
+    with pytest.raises(ValueError, match=r"mode \(2, 1\) outside the channel support"):
+        cmap.index((2, 1), "re")
+    with pytest.raises(ValueError, match="canonical"):
+        cmap.index((-1, 0), "re")
 
 
 def test_program_json_unknown_kind_rejected():
@@ -425,7 +444,7 @@ def test_channel_primitive_matches_scalar_primitive(prog, fractions):
     cmap = ChannelMap(MIXED_SUPPORT)
     times = np.concatenate([prog.starts, np.array(fractions) * prog.total_duration])
     got = prog.channel_primitive(times, cmap)
-    want = np.array([cmap.coeffs_to_vector(prog.primitive(t)) for t in times])
+    want = np.array([cmap.coeffs_to_vector(oracle.primitive(prog, t)) for t in times])
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
@@ -434,8 +453,64 @@ def test_channel_primitive_matches_scalar_primitive(prog, fractions):
 def test_channel_primitive_on_a_wider_channel_map(prog):
     wide = ChannelMap(MIXED_SUPPORT | symmetrize({(3, 1)}))
     got = prog.channel_primitive(prog.starts, wide)
-    want = np.array([wide.coeffs_to_vector(prog.primitive(t)) for t in prog.starts])
+    want = np.array([wide.coeffs_to_vector(oracle.primitive(prog, t)) for t in prog.starts])
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def assert_maps_close(got, want, atol):
+    for k in set(got) | set(want):
+        assert abs(got.get(k, 0j) - want.get(k, 0j)) <= atol, k
+
+
+@given(programs, st.lists(st.floats(0.0, 1.0), max_size=10))
+@settings(max_examples=150, deadline=None)
+def test_evaluate_and_primitive_match_the_oracle(prog, fractions):
+    # segment starts (each belongs to the segment it opens) and t = T included
+    times = np.concatenate([prog.starts, np.array(fractions) * prog.total_duration])
+    for t in times.tolist():
+        want = oracle.evaluate(prog, t)
+        scale = max([1.0] + [abs(v) for v in want.values()])
+        assert_maps_close(prog.evaluate(t), want, 1e-12 * scale)
+        assert_maps_close(prog.primitive(t), oracle.primitive(prog, t), 1e-12)
+
+
+def test_evaluate_is_left_closed_at_segment_starts():
+    prog = ForcingProgram(SINGLE, [Constant(0.5, {(1, 0): 1.0}), Zero(0.25),
+                                   Constant(0.25, {(1, 0): 2.0})])
+    assert prog.evaluate(0.5) == {} == oracle.evaluate(prog, 0.5)
+    assert prog.evaluate(0.75)[(1, 0)] == 2.0 == oracle.evaluate(prog, 0.75)[(1, 0)]
+    assert prog.evaluate(1.0)[(1, 0)] == 2.0           # t = T lands in the last segment
+
+
+LEVELS = [0j, 1.0 + 0j, -0.5j, 0.25 - 1j]
+
+
+@st.composite
+def pwc_pairs(draw):
+    """Two piecewise-constant programs over one horizon, from few levels on
+    shared breakpoints, so that they agree on some intervals."""
+    grid = sorted(draw(st.sets(st.integers(1, 15), max_size=6)))
+    starts = [0] + grid
+
+    def one():
+        cut = sorted(draw(st.sets(st.sampled_from(starts), min_size=1)) | {0})
+        segs = []
+        for a, b in zip(cut, cut[1:] + [16]):
+            v = draw(st.sampled_from(LEVELS))
+            w = draw(st.sampled_from(LEVELS))
+            values = {(1, 0): v, (1, 1): w}
+            segs.append(Constant((b - a) / 16.0, values) if v or w else Zero((b - a) / 16.0))
+        return ForcingProgram(PAIR_SUPPORT, segs)
+
+    return one(), one()
+
+
+@given(pwc_pairs())
+@settings(max_examples=150, deadline=None)
+def test_delta_distance_matches_oracle_loop(pair):
+    f, g = pair
+    assert delta_distance(f, g) == pytest.approx(oracle.delta_distance(f, g), rel=1e-12, abs=0)
+    assert delta_distance(f, f) == 0.0
 
 
 def loop_extremum_times(program):
@@ -659,16 +734,17 @@ def test_cascade_packet_primitives_close_at_segment_end(pair, re, im, omega, dur
 @given(programs, st.integers(1, 30))
 @settings(max_examples=80, deadline=None)
 def test_program_json_round_trip_property(prog, windows):
-    back = program_from_json(program_to_json(prog))
+    text = program_to_json(prog)
+    back = program_from_json(text)
+    assert program_to_json(back) == text            # a loaded program saves unchanged
     assert back.support == prog.support
     assert [(type(s), s.duration, getattr(s, "omega", None)) for s in back.segments] == \
         [(type(s), s.duration, getattr(s, "omega", None)) for s in prog.segments]
     cmap = ChannelMap(MIXED_SUPPORT)
     ts = np.linspace(0.0, prog.total_duration, 257)
-    # cosine bundles are written as (amp, phase) and rebuilt, so their
-    # coefficients come back to round-off; everything else is exact
-    np.testing.assert_allclose(back.channel_primitive(ts, cmap),
-                               prog.channel_primitive(ts, cmap), rtol=0, atol=1e-12)
+    # every packet is written as its components, so the reads are exact
+    np.testing.assert_array_equal(back.channel_primitive(ts, cmap),
+                                  prog.channel_primitive(ts, cmap))
     chattered = chattering_approximation(prog, max(prog.value_l1_bound(), 0.5), windows)
     text = program_to_json(chattered)
     again = program_from_json(text)

@@ -12,12 +12,14 @@ from modecascade.integrator import (BlowUpError, IntegratorConfig, Trajectory,
                                     convergence_order, integrate, step)
 from modecascade.integrator import BLOWUP_LIMIT, StepBudgetError, _check_finite
 from modecascade.integrator import _segment_evaluator
-from modecascade.forcing import Constant, cascade_packet
+from modecascade.forcing import Constant, Zero, cascade_packet
 from modecascade.lattice import symmetrize
 from modecascade.spectral import (SimParams, SpectralState, _tables, energy,
                                   enstrophy, random_decaying_state, sobolev_norm)
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import forcing_oracle as oracle
 
 SINGLE = symmetrize({(1, 0)})
 
@@ -280,12 +282,12 @@ def evaluator_segments(draw):
 @settings(max_examples=100, deadline=None)
 def test_segment_evaluator_matches_scalar_evaluate(seg, fractions, radius):
     tab = _tables(radius)
-    ev = _segment_evaluator(seg, tab)
     prog = ForcingProgram(EVAL_SUPPORT, [seg])
+    ev = _segment_evaluator(prog, 0, tab)
     for frac in fractions:
         tloc = frac * seg.duration
         want = np.zeros(tab.n_reps, dtype=complex)
-        for k, v in prog.evaluate(tloc).items():
+        for k, v in oracle.evaluate(prog, tloc).items():
             if k in tab.rep_index:
                 want[tab.rep_index[k]] = v
         scale = max(1.0, np.abs(want).max())
@@ -295,7 +297,24 @@ def test_segment_evaluator_matches_scalar_evaluate(seg, fractions, radius):
 def test_segment_evaluator_rejects_modes_outside_the_radius():
     seg = Oscillatory.from_cos_pairs(1.0, 10.0, [((2, 1), 1.0)])
     with pytest.raises(ValueError, match="outside resolution radius"):
-        _segment_evaluator(seg, _tables(2))
+        _segment_evaluator(ForcingProgram(symmetrize({(2, 1)}), [seg]), 0, _tables(2))
+
+
+@pytest.mark.parametrize("forced", [
+    Constant(0.1, {(1, 0): 1.0 - 0.5j}),
+    Oscillatory.from_cos_pairs(0.1, 50.0, [((1, 0), 0.2)]),
+])
+def test_unforced_support_mode_outside_the_radius_integrates(forced):
+    # (2, 1) lies outside R = 2; only the segment that forces it may fail
+    prog = ForcingProgram(symmetrize({(1, 0), (2, 1)}), [forced, Zero(0.1)])
+    traj = integrate(SpectralState.zeros(2), SimParams(nu=0.01), prog,
+                     IntegratorConfig(dt_base=1e-2))
+    assert traj.final.coeff((1, 0)) != 0
+    assert _segment_evaluator(prog, 1, _tables(2))(0.0) == 0.0
+    bad = ForcingProgram(prog.support, [forced, Constant(0.1, {(2, 1): 1.0})])
+    with pytest.raises(ValueError, match="outside resolution radius"):
+        integrate(SpectralState.zeros(2), SimParams(nu=0.01), bad,
+                  IntegratorConfig(dt_base=1e-2))
 
 
 def test_convergence_order_keeps_the_step_budget():
