@@ -224,7 +224,8 @@ class ForcingProgram:
         osc = []
         for i, seg in enumerate(self.segments):
             comps = getattr(seg, "components", ())
-            escaped = set(getattr(seg, "values", ())).union(k for k, _, _ in comps) - col.keys()
+            modes = seg.values if isinstance(seg, Constant) else [k for k, _, _ in comps]
+            escaped = set(modes) - col.keys()
             if escaped:
                 raise ValueError("segment modes %s escape the program support" % sorted(escaped))
             if isinstance(seg, Constant):

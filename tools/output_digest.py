@@ -26,6 +26,8 @@ import hashlib
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 7
 OPERATIONS = 6
@@ -39,7 +41,6 @@ def digest(*parts) -> str:
 
 
 def floats(values) -> bytes:
-    import numpy as np
     return np.ascontiguousarray(values).tobytes()
 
 
