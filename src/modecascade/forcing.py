@@ -276,7 +276,7 @@ class ForcingProgram:
         T = self.total_duration
         lo, hi = (times.min(), times.max()) if times.size else (0.0, 0.0)
         if lo < -1e-12 or hi > T + max(1e-12, 1e-12 * T):
-            raise ValueError("time out of range: t=%g not in [0, %g]"
+            raise ValueError("time out of range: t=%.17g not in [0, %.17g]"
                              % (lo if lo < -1e-12 else hi, T))
         clipped = np.minimum(np.maximum(times, 0.0), T)
         idx = np.searchsorted(self.starts[1:-1], clipped, side="right")
@@ -430,7 +430,9 @@ def delta_distance(f: ForcingProgram, g: ForcingProgram) -> float:
     T = f.total_duration
     if abs(T - g.total_duration) > 1e-9 * max(1.0, T):
         raise ValueError("duration mismatch")
-    edges = np.unique(np.concatenate([f.starts, g.starts]))
+    # clipped to the shorter horizon, so no midpoint lies past either program
+    edges = np.unique(np.minimum(np.concatenate([f.starts, g.starts]),
+                                 min(T, g.total_duration)))
     mid = 0.5 * (edges[:-1] + edges[1:])
     cmap = ChannelMap(f.support | g.support)
     differ = (f._rep_matrix(mid, cmap, value=True) != g._rep_matrix(mid, cmap, value=True))

@@ -7,6 +7,11 @@ classical RK4 in the transformed variable.  For nu = 0 this reduces to
 plain RK4.  On oscillatory segments the step is capped to a fixed
 number of steps per period of the fastest harmonic; steps never cross
 segment boundaries.
+
+``integrate`` tabulates the forcing of a run of equal steps in blocks of
+at most _BLOCK steps: one array read of the segment's evaluator gives the
+start, midpoint and end forcing of every step in the block, at the times
+the step-by-step loop would use, so the RK4 step itself only adds rows.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ __all__ = ["IntegratorConfig", "Trajectory", "BlowUpError", "StepBudgetError",
            "step", "integrate", "convergence_order"]
 
 BLOWUP_LIMIT = 1e12
+_BLOCK = 64        # steps whose stage forcing one evaluator read tabulates
 
 
 class BlowUpError(RuntimeError):
@@ -126,29 +132,34 @@ def _components(program: ForcingProgram, i: int) -> slice:
 
 
 def _segment_evaluator(program: ForcingProgram, i: int, tab
-                       ) -> Callable[[float], np.ndarray | float]:
+                       ) -> Callable[[float | np.ndarray], np.ndarray | float]:
     """Forcing of segment i as a function of local time, folded onto the
     stored representatives of the state's resolution.  Only the modes the
-    segment forces are positioned."""
+    segment forces are positioned.  A 1-D array of times gives one
+    (len(times), n_reps) row per time."""
+    n = tab.n_reps
     comps = _components(program, i)
     if comps.start == comps.stop:
         cols = np.flatnonzero(program.const[i])
-        if not cols.size:
-            return lambda tloc: 0.0
-        vec = np.zeros(tab.n_reps, dtype=np.complex128)
+        vec = np.zeros(n, dtype=np.complex128)
         vec[tab.positions(program.reps[j] for j in cols)] = program.const[i, cols]
-        return lambda tloc: vec
+        one = vec if cols.size else 0.0
+        return lambda tloc: np.broadcast_to(vec, (len(tloc), n)) if np.ndim(tloc) else one
     # a segment's components are sorted by column, so each mode's harmonics are adjacent
     col = program.comp_col[comps]
     first = np.flatnonzero(np.diff(col, prepend=-1))
     idx = tab.positions(program.reps[j] for j in col[first])
-    freq = program.freq[comps]
-    coef = 1j * freq * program.coef[comps]
-    n = tab.n_reps
+    iw = 1j * program.freq[comps]
+    coef = iw * program.coef[comps]
 
-    def ev(tloc: float) -> np.ndarray:
-        out = np.zeros(n, dtype=np.complex128)
-        out[idx] = np.add.reduceat(coef * np.exp(1j * freq * tloc), first)
+    def ev(tloc: float | np.ndarray) -> np.ndarray:
+        waves = np.exp(iw * np.expand_dims(tloc, -1))
+        # one coef row per time, contiguous like waves: numpy then runs the
+        # product through the loop a single time's read runs, so rows and
+        # scalar reads agree bit for bit (a broadcast coef need not)
+        terms = np.tile(coef, np.shape(tloc) + (1,)) * waves
+        out = np.zeros(np.shape(tloc) + (n,), dtype=np.complex128)
+        out[..., idx] = np.add.reduceat(terms, first, axis=-1)
         return out
 
     return ev
@@ -162,33 +173,37 @@ def _segment_dt(program: ForcingProgram, i: int, config: IntegratorConfig) -> fl
 
 
 def _integrating_factors(nu: float, tab, h: float):
-    """exp(-nu |k|^2 h) and exp(-nu |k|^2 h / 2) per rep; (None, None) at nu = 0."""
+    """exp(-nu |k|^2 h) and exp(-nu |k|^2 h / 2) per rep, complex so the
+    step multiplies without a cast; (None, None) at nu = 0."""
     if not nu:
         return None, None
-    return np.exp(-nu * tab.norm_sq * h), np.exp(-nu * tab.norm_sq * h / 2.0)
+    return (np.exp(-nu * tab.norm_sq * h).astype(np.complex128),
+            np.exp(-nu * tab.norm_sq * h / 2.0).astype(np.complex128))
 
 
-def _lawson_rk4(q: np.ndarray, tloc: float, h: float, decay: np.ndarray | None,
-                half_decay: np.ndarray | None, nl, ev) -> np.ndarray:
-    k1 = nl(q) + ev(tloc)
-    mid = ev(tloc + 0.5 * h)              # the forcing of stages 2 and 3
+def _lawson_rk4(q: np.ndarray, h: float, decay: np.ndarray | None,
+                half_decay: np.ndarray | None, nl, f0, fm, f1) -> np.ndarray:
+    """One step from forcing rows at its start (f0), midpoint (fm, the
+    forcing of stages 2 and 3) and end (f1)."""
+    k1 = nl(q) + f0
     if decay is None:
-        k2 = nl(q + 0.5 * h * k1) + mid
-        k3 = nl(q + 0.5 * h * k2) + mid
-        k4 = nl(q + h * k3) + ev(tloc + h)
+        k2 = nl(q + 0.5 * h * k1) + fm
+        k3 = nl(q + 0.5 * h * k2) + fm
+        k4 = nl(q + h * k3) + f1
         return q + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    dq = decay * q
     u2 = half_decay * (q + 0.5 * h * k1)
-    k2 = nl(u2) + mid
+    k2 = nl(u2) + fm
     u3 = half_decay * q + 0.5 * h * k2
-    k3 = nl(u3) + mid
-    u4 = decay * q + h * half_decay * k3
-    k4 = nl(u4) + ev(tloc + h)
-    return decay * q + (h / 6.0) * (decay * k1 + 2.0 * half_decay * (k2 + k3) + k4)
+    k3 = nl(u3) + fm
+    u4 = dq + h * half_decay * k3
+    k4 = nl(u4) + f1
+    return dq + (h / 6.0) * (decay * k1 + 2.0 * half_decay * (k2 + k3) + k4)
 
 
 def _check_finite(q: np.ndarray, t: float):
     # one reduction: NaN fails every comparison and inf exceeds the limit
-    m = np.abs(q).max()
+    m = np.maximum.reduce(np.abs(q))
     if not m <= BLOWUP_LIMIT:
         raise BlowUpError(t)
 
@@ -204,8 +219,9 @@ def step(state: SpectralState, t: float, dt: float, params: SimParams,
         raise ValueError("step crosses a forcing segment boundary; split the step")
     tab = _tables(state.radius)
     decay, half = _integrating_factors(params.nu, tab, dt)
-    q = _lawson_rk4(state.data, tloc, dt, decay, half, tab.nonlinear,
-                    _segment_evaluator(program, i, tab))
+    ev = _segment_evaluator(program, i, tab)
+    q = _lawson_rk4(state.data, dt, decay, half, tab.nonlinear,
+                    ev(tloc), ev(tloc + 0.5 * dt), ev(tloc + dt))
     _check_finite(q, t + dt)
     return SpectralState(state.radius, q, _copy=False)
 
@@ -262,8 +278,12 @@ def integrate(state0: SpectralState, params: SimParams, program: ForcingProgram,
             h = span / n
             decay, half = _integrating_factors(params.nu, tab, h)
             for j in range(n):
+                r = j % _BLOCK
+                if not r:
+                    starts = float(a) + np.arange(j, min(j + _BLOCK, n)) * h
+                    f0, fm, f1 = ev(starts), ev(starts + 0.5 * h), ev(starts + h)
                 tloc = float(a) + j * h
-                q = _lawson_rk4(q, tloc, h, decay, half, tab.nonlinear, ev)
+                q = _lawson_rk4(q, h, decay, half, tab.nonlinear, f0[r], fm[r], f1[r])
                 step_count += 1
                 at_break = j == n - 1
                 t_now = t0 + (float(b) if at_break else tloc + h)

@@ -153,7 +153,7 @@ class _Tables:
         self.tri_k = np.array(k, dtype=np.intp)
         self.tri_m = np.array(m, dtype=np.intp)
         self.tri_n = np.array(n, dtype=np.intp)
-        self.tri_c = np.array(c, dtype=np.float64)
+        self.tri_c = np.array(c, dtype=np.complex128)     # complex: no cast per call
         self.tri_start = np.flatnonzero(np.diff(self.tri_k, prepend=-1))
 
     def positions(self, reps: Iterable[Mode]) -> np.ndarray:

@@ -37,6 +37,24 @@ def single_channel_program(value, duration, support=SINGLE, mode=(1, 0)):
 # evaluate / primitive
 
 
+def test_delta_distance_within_the_duration_tolerance():
+    # durations 1 and 1 + 1e-10 agree to the 1e-9 tolerance; the sliver
+    # past the shorter horizon is not read
+    a = single_channel_program(1.0, 1.0)
+    b = single_channel_program(1.0, 1.0 + 1e-10)
+    assert delta_distance(a, b) == 0.0
+    assert delta_distance(b, a) == 0.0
+    assert relaxation_distance(a, b) == 0.0
+    with pytest.raises(ValueError, match="duration mismatch"):
+        delta_distance(a, single_channel_program(1.0, 1.0 + 1e-6))
+
+
+def test_out_of_range_message_shows_the_gap():
+    prog = single_channel_program(1.0, 1.0)
+    with pytest.raises(ValueError, match=r"t=1\.000000001\d* not in \[0, 1\]"):
+        prog.evaluate(1.0 + 1e-9)
+
+
 def test_evaluate_constant_segment():
     prog = single_channel_program(1 + 0j, 2.0)
     assert prog.evaluate(0.7)[(1, 0)] == 1 + 0j

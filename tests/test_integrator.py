@@ -11,7 +11,8 @@ from modecascade.forcing import (ForcingProgram, Oscillatory, constant_program,
 from modecascade.integrator import (BlowUpError, IntegratorConfig, Trajectory,
                                     convergence_order, integrate, step)
 from modecascade.integrator import BLOWUP_LIMIT, StepBudgetError, _check_finite
-from modecascade.integrator import _segment_evaluator
+from modecascade.integrator import (_integrating_factors, _lawson_rk4,
+                                    _segment_evaluator)
 from modecascade.forcing import Constant, Zero, cascade_packet
 from modecascade.lattice import symmetrize
 from modecascade.spectral import (SimParams, SpectralState, _tables, energy,
@@ -292,6 +293,48 @@ def test_segment_evaluator_matches_scalar_evaluate(seg, fractions, radius):
                 want[tab.rep_index[k]] = v
         scale = max(1.0, np.abs(want).max())
         np.testing.assert_allclose(ev(tloc), want, rtol=0, atol=1e-12 * scale)
+
+
+@given(evaluator_segments(), st.lists(st.floats(0.0, 1.0), max_size=8),
+       st.sampled_from([3, 5]))
+@settings(max_examples=100, deadline=None)
+def test_segment_evaluator_rows_match_scalar_calls_bitwise(seg, fractions, radius):
+    tab = _tables(radius)
+    ev = _segment_evaluator(ForcingProgram(EVAL_SUPPORT, [seg]), 0, tab)
+    times = np.array(fractions) * seg.duration
+    want = np.array([np.broadcast_to(ev(float(t)), (tab.n_reps,)) for t in times],
+                    dtype=complex).reshape(len(times), tab.n_reps)
+    got = ev(times)
+    assert got.shape == (len(times), tab.n_reps)
+    assert got.tobytes() == want.tobytes()
+    assert ev(np.array([])).shape == (0, tab.n_reps)
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.01])
+def test_blocked_integrate_matches_scalar_step_loop(nu):
+    # 150 steps: two full forcing blocks and a partial one
+    n = 150
+    seg = Oscillatory(0.15, 10.0, [((1, 0), 1, 0.3 - 0.1j), ((1, 0), 2, 0.2j),
+                                   ((1, 1), -1, -0.25), ((2, 1), 3, 0.1 + 0.05j)])
+    prog = ForcingProgram(EVAL_SUPPORT, [seg])
+    params = SimParams(nu=nu)
+    state0 = random_decaying_state(4, rng=np.random.default_rng(5))
+    traj = integrate(state0, params, prog, IntegratorConfig(dt_base=1e-3))
+    assert len(traj) == n + 1
+    tab = _tables(4)
+    ev = _segment_evaluator(prog, 0, tab)
+    h = 0.15 / n
+    decay, half = _integrating_factors(nu, tab, h)
+    q = state0.data
+    for j in range(n):
+        tloc = 0.0 + j * h
+        q = _lawson_rk4(q, h, decay, half, tab.nonlinear,
+                        ev(tloc), ev(tloc + 0.5 * h), ev(tloc + h))
+    assert traj.final.data.tobytes() == q.tobytes()
+    state = state0
+    for j in range(n):
+        state = step(state, j * h, h, params, prog)
+    np.testing.assert_allclose(state.data, q, rtol=1e-13, atol=0)
 
 
 def test_segment_evaluator_rejects_modes_outside_the_radius():

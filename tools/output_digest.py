@@ -14,6 +14,8 @@ line:
 - each of the six seed-7 ``control_algebra`` rounds: the chattering
   outputs (segment kinds, durations and value bits, signed zeros
   included) and the relaxation distances (chattering and packets);
+- the state after each of six seed-7 ``euler_r24`` operations (nu = 0,
+  zero program, FFT kernel);
 
 then one digest over all of them.  Stdlib plus the package under test
 (and the numpy it needs).
@@ -81,6 +83,14 @@ def control_algebra_lines(mc, workloads):
             [rx.hex() for _, rx in res.chatter], [rx.hex() for rx in res.packets])
 
 
+def euler_lines(mc, workloads):
+    wl = workloads.EulerR24(SEED)
+    ctx = wl.setup()
+    for i in range(OPERATIONS):
+        state = wl.op(ctx, wl.inputs(ctx, i))
+        yield "euler_r24 op %d state" % i, digest(floats(state.data))
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, required=True,
@@ -94,7 +104,8 @@ def main() -> int:
     import modecascade as mc
     import workloads
     total = hashlib.sha256()
-    for lines in (cover_lines(mc, workloads), control_algebra_lines(mc, workloads)):
+    for lines in (cover_lines(mc, workloads), control_algebra_lines(mc, workloads),
+                  euler_lines(mc, workloads)):
         for name, value in lines:
             print("%s %s" % (value, name), flush=True)
             total.update(value.encode())

@@ -16,6 +16,12 @@ benchmark process at a time.
 A workload run alone reads its own ``peak_rss_mb``; under ``all`` that
 metric is the process high-water mark, which the workloads before it may
 already have set.
+
+``--trace-seconds S`` adds, after the pairs, one traced run per side
+(``--trace 1 --seconds S``, seed ``--first-seed``) under ``trace``: its
+per-layer span counts and self times show where the time went.  A short S
+makes both sides trace the same number of operations (the traced half
+repeats what the untraced half managed), so their counts compare.
 """
 
 from __future__ import annotations
@@ -28,9 +34,9 @@ import sys
 from pathlib import Path
 
 
-def bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds)]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     env = [ln[len("env: "):] for ln in lines if ln.startswith("env: ")]
@@ -68,9 +74,20 @@ def main() -> int:
     parser.add_argument("--first-seed", type=int, default=81)
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--workload", default="all", help="perfbench workload name, or all")
+    parser.add_argument("--trace-seconds", type=float,
+                        help="seconds of one traced run per side after the pairs")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
-    runs = []
+    runs, trace = [], {}
+
+    def write():
+        # after every run, so an interrupted recording keeps what it has
+        args.out.write_text(json.dumps({
+            "command": "perfbench/run.py --workload %s --seconds %g" % (args.workload,
+                                                                      args.seconds),
+            "pairs": runs, "summary": summary(runs),
+            **({"trace": trace} if trace else {})}, indent=1) + "\n")
+
     for i in range(args.pairs):
         seed = args.first_seed + i
         order = ("before", "after") if i % 2 == 0 else ("after", "before")
@@ -81,11 +98,12 @@ def main() -> int:
                 {k: round(v["value"], 4) for k, v in pair[side]["result"]["metrics"].items()
                  if k.endswith("ops_per_s")})), flush=True)
         runs.append(pair)
-        # written after every pair, so an interrupted recording keeps what it has
-        args.out.write_text(json.dumps({
-            "command": "perfbench/run.py --workload %s --seconds %g" % (args.workload,
-                                                                      args.seconds),
-            "pairs": runs, "summary": summary(runs)}, indent=1) + "\n")
+        write()
+    if args.trace_seconds:
+        trace = {"seconds": args.trace_seconds, "seed": args.first_seed,
+                 **{side: bench(getattr(args, side), args.workload, args.first_seed,
+                                args.trace_seconds, trace=1) for side in ("before", "after")}}
+        write()
     return 0
 
 
