@@ -310,9 +310,9 @@ def _run_chatter(cfg: dict, em: _Emitter) -> int:
     em.write("chattered.json", program_to_json(out, indent=2) + "\n")
     em.write_json("chatter_report.json", {
         "rx_distance": rx, "bound": float(bound), "windows": windows,
-        "amplitude": amplitude, "segments": len(out.segments)})
+        "amplitude": amplitude, "segments": len(out.durations)})
     em.manifest()
-    print("chatter: rx=%.4g bound=%.4g segments=%d" % (rx, bound, len(out.segments)))
+    print("chatter: rx=%.4g bound=%.4g segments=%d" % (rx, bound, len(out.durations)))
     return 0
 
 

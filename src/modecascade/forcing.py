@@ -25,10 +25,12 @@ drive at all.  See :func:`cascade_packet`.
 
 Array form: a program's state is arrays over its sorted support reps
 (durations, constant values, primitive offsets at segment starts, flat
-oscillatory components; see :class:`ForcingProgram`).  One compiled read
-gives the forcing or its primitive at many times; ``evaluate``,
-``primitive``, ``channel_primitive``, the metrics, chattering, the
-integrator and the cascade all read these arrays.  The segment classes are
+oscillatory components; see :class:`ForcingProgram`).  One compiled read,
+``ForcingProgram._read_at`` (segment index and local time per row), is
+the only code that computes the forcing or its primitive: ``evaluate``,
+``primitive``, ``channel_primitive``, the metrics and chattering go
+through it, the integrator's per-segment evaluator is a view of it, and
+the cascade reads the arrays.  The segment classes are
 builders and a view for JSON, the CLI and the demos; chattering output is
 built from arrays, its ``segments`` made only when read.  The scalar
 ``cmath`` closed forms, one segment and mode at a time, live in the tests
@@ -282,28 +284,39 @@ class ForcingProgram:
         idx = np.searchsorted(self.starts[1:-1], clipped, side="right")
         return idx, clipped - self.starts[idx]
 
-    def segment_index(self, t: float) -> tuple[int, float]:
-        """Segment containing t (left-closed; t == total hits the last)."""
-        idx, tloc = self._locate(np.array([t]))
-        return int(idx[0]), float(tloc[0])
-
     def _read(self, times: np.ndarray, value: bool) -> np.ndarray:
         """Forcing (``value``) or its primitive at each time, complex
         (len(times), n_rep)."""
-        idx, tloc = self._locate(times)
-        out = self.const[idx] if value else self.offsets[idx] + self.const[idx] * tloc[:, None]
+        return self._read_at(*self._locate(times), value)
+
+    def _read_at(self, idx: np.ndarray, tloc: np.ndarray, value: bool) -> np.ndarray:
+        """Forcing (``value``) or its primitive at segment idx[r] and local
+        time tloc[r] of each row r, complex (len(idx), n_rep): the closed
+        form of the program, read by every caller."""
         seg, col, freq, coef = self.comp_seg, self.comp_col, self.freq, self.coef
-        if seg.size:
-            first = np.searchsorted(seg, idx)
-            count = np.searchsorted(seg, idx, side="right") - first
-            # step k adds the k-th component of each row's segment: one term
-            # per row, so a plain fancy += is exact
-            for k in range(count.max(initial=0)):
-                rows = np.flatnonzero(count > k)
-                j = first[rows] + k
-                phase = np.exp(1j * freq[j] * tloc[rows])
-                out.reshape(-1)[rows * len(self.reps) + col[j]] += coef[j] * (
-                    1j * freq[j] * phase if value else phase - 1.0)
+        first = np.searchsorted(seg, idx)
+        count = np.searchsorted(seg, idx, side="right") - first
+        if value:
+            out = self.const[idx]
+            # every (row, component) pair at once, in row then component
+            # order, so a mode's harmonics are adjacent and one reduceat sums
+            # them; a segment is constant or oscillatory, so sums land on zeros
+            row = np.repeat(np.arange(len(idx)), count)
+            if row.size:
+                j = np.arange(row.size) + np.repeat(first - np.cumsum(count) + count, count)
+                flat = row * len(self.reps) + col[j]
+                mode = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))
+                out.reshape(-1)[flat[mode]] = np.add.reduceat(
+                    1j * freq[j] * coef[j] * np.exp(1j * freq[j] * tloc[row]), mode)
+            return out
+        out = self.offsets[idx] + self.const[idx] * tloc[:, None]
+        # step k adds the k-th component of each row's segment: one term per
+        # row, so a plain fancy += is exact
+        for k in range(count.max(initial=0)):
+            rows = np.flatnonzero(count > k)
+            j = first[rows] + k
+            phase = np.exp(1j * freq[j] * tloc[rows])
+            out.reshape(-1)[rows * len(self.reps) + col[j]] += coef[j] * (phase - 1.0)
         return out
 
     def _unfolded_row(self, t: float, value: bool) -> dict[Mode, complex]:
@@ -540,22 +553,6 @@ class ExtremeSet:
     def contains(self, v: np.ndarray) -> bool:
         """Convex hull membership: l1 norm at most A."""
         return float(np.abs(np.asarray(v)).sum()) <= self.amplitude * (1 + 1e-12)
-
-
-def merge_constant_runs(segments: Sequence[Segment]) -> list[Segment]:
-    """Coalesce adjacent Zero segments, and adjacent Constant segments
-    holding the same value."""
-    merged: list[Segment] = []
-    for seg in segments:
-        prev = merged[-1] if merged else None
-        if isinstance(prev, Zero) and isinstance(seg, Zero):
-            merged[-1] = Zero(prev.duration + seg.duration)
-        elif isinstance(prev, Constant) and isinstance(seg, Constant) \
-                and prev.values == seg.values:
-            merged[-1] = Constant(prev.duration + seg.duration, prev.values)
-        else:
-            merged.append(seg)
-    return merged
 
 
 def chattering_approximation(program: ForcingProgram, amplitude: float,

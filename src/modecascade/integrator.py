@@ -8,6 +8,9 @@ plain RK4.  On oscillatory segments the step is capped to a fixed
 number of steps per period of the fastest harmonic; steps never cross
 segment boundaries.
 
+The forcing is read, never recomputed, here: a segment's evaluator is a
+view of the program's compiled read (``ForcingProgram._read_at``) that
+positions the modes the segment forces in the state's layout.
 ``integrate`` tabulates the forcing of a run of equal steps in blocks of
 at most _BLOCK steps: one array read of the segment's evaluator gives the
 start, midpoint and end forcing of every step in the block, at the times
@@ -126,50 +129,35 @@ class Trajectory:
 # forcing evaluation in representative space
 
 
-def _components(program: ForcingProgram, i: int) -> slice:
-    """The oscillatory components of segment i (they are sorted by segment)."""
-    return slice(*np.searchsorted(program.comp_seg, [i, i + 1]).tolist())
-
-
 def _segment_evaluator(program: ForcingProgram, i: int, tab
-                       ) -> Callable[[float | np.ndarray], np.ndarray | float]:
+                       ) -> Callable[[float | np.ndarray], np.ndarray]:
     """Forcing of segment i as a function of local time, folded onto the
-    stored representatives of the state's resolution.  Only the modes the
-    segment forces are positioned.  A 1-D array of times gives one
-    (len(times), n_reps) row per time."""
-    n = tab.n_reps
-    comps = _components(program, i)
-    if comps.start == comps.stop:
-        cols = np.flatnonzero(program.const[i])
-        vec = np.zeros(n, dtype=np.complex128)
-        vec[tab.positions(program.reps[j] for j in cols)] = program.const[i, cols]
-        one = vec if cols.size else 0.0
-        return lambda tloc: np.broadcast_to(vec, (len(tloc), n)) if np.ndim(tloc) else one
-    # a segment's components are sorted by column, so each mode's harmonics are adjacent
-    col = program.comp_col[comps]
-    first = np.flatnonzero(np.diff(col, prepend=-1))
-    idx = tab.positions(program.reps[j] for j in col[first])
-    iw = 1j * program.freq[comps]
-    coef = iw * program.coef[comps]
+    stored representatives of the state's resolution: a view of the
+    program's compiled read.  Only the modes the segment forces are
+    positioned.  A 1-D array of times gives one (len(times), n_reps) row
+    per time."""
+    lo, hi = np.searchsorted(program.comp_seg, [i, i + 1])
+    cols = np.union1d(np.flatnonzero(program.const[i]), program.comp_col[lo:hi])
+    pos = tab.positions(program.reps[j] for j in cols)
 
     def ev(tloc: float | np.ndarray) -> np.ndarray:
-        waves = np.exp(iw * np.expand_dims(tloc, -1))
-        # one coef row per time, contiguous like waves: numpy then runs the
-        # product through the loop a single time's read runs, so rows and
-        # scalar reads agree bit for bit (a broadcast coef need not)
-        terms = np.tile(coef, np.shape(tloc) + (1,)) * waves
-        out = np.zeros(np.shape(tloc) + (n,), dtype=np.complex128)
-        out[..., idx] = np.add.reduceat(terms, first, axis=-1)
-        return out
+        times = np.asarray(tloc, dtype=float)
+        rows = program._read_at(np.full(times.size, i), times.reshape(-1), value=True)
+        out = np.zeros((times.size, tab.n_reps), dtype=np.complex128)
+        out[:, pos] = rows[:, cols]
+        return out.reshape(times.shape + (tab.n_reps,))
 
     return ev
 
 
-def _segment_dt(program: ForcingProgram, i: int, config: IntegratorConfig) -> float:
-    freq = program.freq[_components(program, i)]
-    if not freq.size:
-        return config.dt_base
-    return min(config.dt_base, 2.0 * math.pi / np.abs(freq).max() / config.oscillation_resolution)
+def _segment_dts(program: ForcingProgram, config: IntegratorConfig) -> np.ndarray:
+    """Step size of each segment: dt_base, capped to oscillation_resolution
+    steps per period of the segment's fastest harmonic."""
+    fastest = np.zeros(len(program.durations))
+    np.maximum.at(fastest, program.comp_seg, np.abs(program.freq))
+    with np.errstate(divide="ignore"):
+        return np.minimum(config.dt_base,
+                          2.0 * math.pi / fastest / config.oscillation_resolution)
 
 
 def _integrating_factors(nu: float, tab, h: float):
@@ -214,7 +202,7 @@ def step(state: SpectralState, t: float, dt: float, params: SimParams,
     forcing segment (callers split at boundaries)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    i, tloc = program.segment_index(t)
+    (i,), (tloc,) = program._locate([t])
     if tloc + dt > program.durations[i] * (1 + 1e-12) + 1e-15:
         raise ValueError("step crosses a forcing segment boundary; split the step")
     tab = _tables(state.radius)
@@ -244,8 +232,8 @@ def integrate(state0: SpectralState, params: SimParams, program: ForcingProgram,
         raise ValueError("sample times escape the program horizon")
 
     durations = program.durations.tolist()
-    planned = sum(math.ceil(d / _segment_dt(program, i, config) - 1e-9)
-                  for i, d in enumerate(durations))
+    dts = _segment_dts(program, config)
+    planned = int(np.ceil(program.durations / dts - 1e-9).sum())
     if planned > config.max_steps:
         raise StepBudgetError("step budget exceeded: %d steps planned, %d allowed "
                               "(reduce the horizon or oscillation frequencies)"
@@ -267,7 +255,7 @@ def integrate(state0: SpectralState, params: SimParams, program: ForcingProgram,
         t0 = float(program.starts[i])
         t1 = float(program.starts[i + 1])
         ev = _segment_evaluator(program, i, tab)
-        dt_seg = _segment_dt(program, i, config)
+        dt_seg = float(dts[i])
         inner = samples[(samples > t0 + 1e-15) & (samples < t1 - 1e-15)] - t0
         brk = np.unique(np.concatenate([[0.0, duration], inner]))
         for a, b in zip(brk[:-1], brk[1:]):

@@ -22,8 +22,7 @@ import numpy as np
 
 from .forcing import (ChannelMap, Constant, ForcingProgram, Zero,
                       cascade_packet, chattering_approximation,
-                      cos_pair_segment, constant_program, merge_constant_runs,
-                      zero_program)
+                      cos_pair_segment, constant_program, zero_program)
 from .integrator import (BlowUpError, IntegratorConfig, StepBudgetError,
                          Trajectory, integrate)
 from .lattice import (Mode, SaturationChain, check_mode, find_generating_pair,
@@ -81,6 +80,16 @@ class SteeringConfig:
             raise ValueError("gamma must exceed 1")
         if self.fp_tol <= 0:
             raise ValueError("fp_tol must be positive")
+        if self.omega <= 0:
+            raise ValueError("omega must be positive")
+        if self.level_omega_ratio <= 0:
+            raise ValueError("level_omega_ratio must be positive")
+        if self.correction_tau is not None and self.correction_tau <= 0:
+            raise ValueError("correction_tau must be positive")
+        if self.max_fp_iters < 1:
+            raise ValueError("max_fp_iters must be >= 1")
+        if self.chatter_windows < 1:
+            raise ValueError("chatter_windows must be >= 1")
         _check_construction(self.construction)
 
     @property
@@ -261,7 +270,7 @@ def cascade_program(extended: ForcingProgram, k_prev: Iterable[Mode],
             if part != "re":
                 raise ValueError("plain construction drives real channels only")
             out.append(cos_pair_segment(rep, m, n, value, omega, duration))
-    return ForcingProgram(k_prev, merge_constant_runs(out))
+    return ForcingProgram(k_prev, out)
 
 
 # ---------------------------------------------------------------------------

@@ -330,3 +330,12 @@ def test_unknown_construction_exits_1(tmp_path, mode_file, capsys):
         "construction": "counter-rotating", "output_dir": str(tmp_path / "o")})
     assert main(["steer", "--config", cfg]) == 1
     assert "unknown construction 'counter-rotating'" in capsys.readouterr().err
+
+
+def test_steer_zero_fixed_point_iterations_exits_1(tmp_path, mode_file, capsys):
+    cfg = write_config(tmp_path, "cfg.json", {
+        "mode_set": mode_file, "radius": 4, "target": [0.0] * 4,
+        "output_dir": str(tmp_path / "o")})
+    assert main(["steer", "--config", cfg, "--max-fp-iters", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "max_fp_iters" in err

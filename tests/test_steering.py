@@ -3,10 +3,12 @@ projections, coverage, averaging."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modecascade.forcing import (ChannelMap, Constant, ForcingProgram,
-                                 Oscillatory, Zero, constant_program,
-                                 zero_program)
+                                 Oscillatory, Zero, chattering_approximation,
+                                 constant_program, zero_program)
 from modecascade.integrator import IntegratorConfig, integrate
 from modecascade.lattice import saturation_chain, symmetrize
 from modecascade.spectral import (SimParams, SpectralState, enstrophy, inner0,
@@ -136,6 +138,40 @@ def test_cascade_rejects_unreachable_modes():
         cascade_program(prog, symmetrize({(1, 0)}), omega=100.0)
 
 
+@st.composite
+def k2_programs(draw, real_new_modes):
+    """Piecewise-constant programs on K2; the plain construction drives
+    only the real channels of the modes K1 lacks."""
+    cmap = ChannelMap(K2)
+    segs = []
+    for _ in range(draw(st.integers(1, 4))):
+        values = {}
+        for rep in draw(st.lists(st.sampled_from(cmap.reps), max_size=4, unique=True)):
+            re, im = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
+            values[rep] = complex(re, 0.0 if real_new_modes and rep not in K1 else im)
+        values = {r: v for r, v in values.items() if v}
+        duration = draw(st.floats(0.05, 0.5))
+        segs.append(Constant(duration, values) if values else Zero(duration))
+    return ForcingProgram(K2, segs)
+
+
+@pytest.mark.parametrize("construction", ["counter_rotating", "plain"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_cascade_of_chattering_needs_no_run_merge(construction, data):
+    prog = data.draw(k2_programs(real_new_modes=construction == "plain"))
+    cmap = ChannelMap(K2)
+    slack = next(i for i in range(cmap.size) if cmap.channel(i)[0] in K1)
+    amplitude = 1.1 * max(prog.value_l1_bound(), 1e-9)
+    chattered = chattering_approximation(prog, amplitude, data.draw(st.integers(1, 6)), slack)
+    out = cascade_program(chattered, K1, omega=100.0, construction=construction)
+    assert len(out.durations) == len(chattered.durations)
+    np.testing.assert_array_equal(out.durations, chattered.durations)
+    plain = np.bincount(out.comp_seg, minlength=len(out.durations)) == 0
+    for i in np.flatnonzero(plain[:-1] & plain[1:]):
+        assert (out.const[i] != out.const[i + 1]).any()
+
+
 def test_synthesize_m1_is_single_ramp():
     cfg = quick_config(tau=0.02)
     prog = synthesize(np.array([0.5, 0, 0, 0]), CHAIN, K1,
@@ -212,6 +248,15 @@ def test_steering_config_validation():
         SteeringConfig(gamma=0.5)
     with pytest.raises(ValueError):
         SteeringConfig(fp_tol=0.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_fp_iters", 0), ("chatter_windows", 0), ("omega", 0.0), ("omega", -400.0),
+    ("level_omega_ratio", 0.0), ("correction_tau", 0.0), ("correction_tau", -0.01),
+])
+def test_steering_config_names_the_bad_field(field, value):
+    with pytest.raises(ValueError, match=field):
+        SteeringConfig(**{field: value})
 
 
 def test_steer_rejects_observed_beyond_resolution():

@@ -16,6 +16,10 @@ line:
   included) and the relaxation distances (chattering and packets);
 - the state after each of six seed-7 ``euler_r24`` operations (nu = 0,
   zero program, FFT kernel);
+- ``integrate`` with sample times (record times and states) and a chained
+  ``step()`` over one program mixing the four segment kinds (constant,
+  zero, cosine bundle, multi-harmonic packet), at R = 5 (triad kernel) and
+  R = 12 (FFT kernel), each at nu = 0 and nu = 0.01;
 
 then one digest over all of them.  Stdlib plus the package under test
 (and the numpy it needs).
@@ -91,6 +95,38 @@ def euler_lines(mc, workloads):
         yield "euler_r24 op %d state" % i, digest(floats(state.data))
 
 
+def mixed_program(mc):
+    """Constant, zero, cosine-bundle and multi-harmonic-packet segments."""
+    return mc.ForcingProgram({(1, 0), (1, 1), (2, 1), (0, 2)}, [
+        mc.Constant(0.05, {(1, 0): 0.8 - 0.3j, (1, 1): 0.5j}),
+        mc.Zero(0.03),
+        mc.Oscillatory.from_cos_pairs(0.06, 150.0, [((1, 0), 0.4), ((1, 1), -0.3)],
+                                      phase=0.3),
+        mc.Oscillatory(0.04, 120.0, [((1, 0), 1, 0.2 - 0.1j), ((1, 0), 2, 0.1j),
+                                     ((1, 0), -3, 0.05), ((0, 2), -1, 0.15 + 0.05j),
+                                     ((2, 1), 2, -0.1 + 0.2j)]),
+    ])
+
+
+def integrator_lines(mc):
+    program = mixed_program(mc)
+    samples = [0.01, 0.05, 0.0625, 0.1, 0.1234, 0.17]
+    config = mc.IntegratorConfig(dt_base=2e-3, record_stride=7)
+    for radius in (5, 12):
+        state0 = mc.random_decaying_state(radius, rng=np.random.default_rng(SEED))
+        for nu in (0.0, 0.01):
+            params = mc.SimParams(nu=nu)
+            traj = mc.integrate(state0, params, program, config, sample_times=samples)
+            yield "integrate R=%d nu=%g" % (radius, nu), digest(
+                floats(traj.times), [floats(s.data) for s in traj.states])
+            state = state0
+            for t0, duration in zip(program.starts.tolist(), program.durations.tolist()):
+                h = duration / 10
+                for j in range(10):
+                    state = mc.step(state, t0 + j * h, h, params, program)
+            yield "step chain R=%d nu=%g" % (radius, nu), digest(floats(state.data))
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, required=True,
@@ -105,7 +141,7 @@ def main() -> int:
     import workloads
     total = hashlib.sha256()
     for lines in (cover_lines(mc, workloads), control_algebra_lines(mc, workloads),
-                  euler_lines(mc, workloads)):
+                  euler_lines(mc, workloads), integrator_lines(mc)):
         for name, value in lines:
             print("%s %s" % (value, name), flush=True)
             total.update(value.encode())
