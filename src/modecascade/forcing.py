@@ -298,12 +298,10 @@ class ForcingProgram:
         count = np.searchsorted(seg, idx, side="right") - first
         if value:
             out = self.const[idx]
-            # every (row, component) pair at once, in row then component
-            # order, so a mode's harmonics are adjacent and one reduceat sums
-            # them; a segment is constant or oscillatory, so sums land on
-            # zeros.  Each pair has its own contiguous coefficient: numpy's
-            # complex multiply can round a broadcast operand differently in
-            # the last bit, and a row must read the same alone or in a block
+            # all (row, component) pairs, row-major, so one reduceat sums a
+            # mode's adjacent harmonics onto its zero const entry.  Each pair
+            # has its own contiguous coefficient: numpy's complex multiply may
+            # round a broadcast operand differently in the last bit
             row = np.repeat(np.arange(len(idx)), count)
             if row.size:
                 j = np.arange(row.size) + np.repeat(first - np.cumsum(count) + count, count)
