@@ -212,7 +212,8 @@ class ForcingProgram:
     (n_seg, n_rep), the primitive at each segment start ``offsets``
     (n_seg + 1, n_rep), and the oscillatory components sorted by segment:
     ``comp_seg``, ``comp_col`` (rep column), ``freq`` (h w) and ``coef`` (c).
-    ``segments`` is a view of the segments, for JSON, the CLI and the demos.
+    JSON is written from them, ``kinds`` and ``omega`` (base frequency per
+    segment); ``segments`` is a view of the segments, for the CLI and demos.
     """
 
     def __init__(self, support: Iterable[Mode], segments: Sequence[Segment]):
@@ -239,6 +240,8 @@ class ForcingProgram:
                                    ("freq", float), ("coef", np.complex128)])
         self._set_arrays(support, reps, np.array([s.duration for s in self.segments]), const,
                          *(np.ascontiguousarray(osc[f]) for f in osc.dtype.names))
+        self.kinds = np.array([type(s).__name__.lower() for s in self.segments])
+        self.omega = np.array([getattr(s, "omega", 0.0) for s in self.segments])
 
     @classmethod
     def _of_arrays(cls, support: frozenset[Mode], durations: np.ndarray,
@@ -248,6 +251,8 @@ class ForcingProgram:
         no_osc = np.zeros(0, dtype=np.intp)
         prog._set_arrays(support, rep_modes(support), durations, const, no_osc, no_osc,
                          np.zeros(0), np.zeros(0, np.complex128))
+        prog.kinds = np.where(const.any(axis=1), "constant", "zero")
+        prog.omega = np.zeros(len(durations))
         return prog
 
     def _set_arrays(self, support, reps, durations, const, comp_seg, comp_col, freq, coef):
@@ -296,28 +301,15 @@ class ForcingProgram:
         seg, col, freq, coef = self.comp_seg, self.comp_col, self.freq, self.coef
         first = np.searchsorted(seg, idx)
         count = np.searchsorted(seg, idx, side="right") - first
-        if value:
-            out = self.const[idx]
-            # all (row, component) pairs, row-major, so one reduceat sums a
-            # mode's adjacent harmonics onto its zero const entry.  Each pair
-            # has its own contiguous coefficient: numpy's complex multiply may
-            # round a broadcast operand differently in the last bit
-            row = np.repeat(np.arange(len(idx)), count)
-            if row.size:
-                j = np.arange(row.size) + np.repeat(first - np.cumsum(count) + count, count)
-                flat = row * len(self.reps) + col[j]
-                mode = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))
-                out.reshape(-1)[flat[mode]] = np.add.reduceat(
-                    1j * freq[j] * coef[j] * np.exp(1j * freq[j] * tloc[row]), mode)
-            return out
-        out = self.offsets[idx] + self.const[idx] * tloc[:, None]
+        out = self.const[idx] if value else self.offsets[idx] + self.const[idx] * tloc[:, None]
         # step k adds the k-th component of each row's segment: one term per
         # row, so a plain fancy += is exact
         for k in range(count.max(initial=0)):
             rows = np.flatnonzero(count > k)
             j = first[rows] + k
             phase = np.exp(1j * freq[j] * tloc[rows])
-            out.reshape(-1)[rows * len(self.reps) + col[j]] += coef[j] * (phase - 1.0)
+            out.reshape(-1)[rows * len(self.reps) + col[j]] += (
+                1j * freq[j] * coef[j] * phase if value else coef[j] * (phase - 1.0))
         return out
 
     def _unfolded_row(self, t: float, value: bool) -> dict[Mode, complex]:
@@ -615,19 +607,19 @@ def _mode_key(k: Mode) -> str:
 
 def program_to_dict(program: ForcingProgram) -> dict:
     segs = []
-    for seg in program.segments:
-        if isinstance(seg, Zero):
-            segs.append({"kind": "zero", "duration": seg.duration})
-        elif isinstance(seg, Constant):
-            values = {_mode_key(k): [v.real, v.imag]
-                      for k, v in unfold_conjugate(seg.values).items()}
-            segs.append({"kind": "constant", "duration": seg.duration,
-                         "values": values})
-        else:
-            segs.append({"kind": "oscillatory", "duration": seg.duration, "omega": seg.omega,
-                         "components": [
-                             {"mode": list(k), "harmonic": h, "coeff": [c.real, c.imag]}
-                             for k, h, c in seg.components]})
+    bounds = np.searchsorted(program.comp_seg, np.arange(len(program.durations) + 1)).tolist()
+    comps = list(zip(program.comp_col.tolist(), program.freq.tolist(), program.coef.tolist()))
+    for i, (kind, duration, omega, row) in enumerate(zip(
+            program.kinds.tolist(), program.durations.tolist(), program.omega.tolist(),
+            program.const.tolist())):
+        segs.append({"kind": kind, "duration": duration})
+        if kind == "constant":
+            segs[-1]["values"] = {_mode_key(k): [v.real, v.imag] for k, v in unfold_conjugate(
+                {r: v for r, v in zip(program.reps, row) if v}).items()}
+        elif kind == "oscillatory":
+            segs[-1].update(omega=omega, components=[
+                {"mode": list(program.reps[j]), "harmonic": round(f / omega), "coeff": [c.real, c.imag]}
+                for j, f, c in comps[bounds[i]:bounds[i + 1]]])
     return {"support": [list(k) for k in sorted(program.support)],
             "segments": segs}
 

@@ -164,6 +164,7 @@ class EndpointReport:
     q_tail_growth: float
     final_state: SpectralState
     converged: bool = True
+    tail_samples: int = 0        # recorded states q_tail_growth was read from
 
 
 class ConvergenceError(RuntimeError):
@@ -182,6 +183,7 @@ def report_to_dict(report: EndpointReport, program_ref: str | None = None) -> di
         "error": float(report.error_norm),
         "iterations": int(report.iterations),
         "tail_growth": float(report.q_tail_growth),
+        "tail_samples": int(report.tail_samples),
         "converged": bool(report.converged),
         "program_ref": program_ref,
     }
@@ -315,8 +317,9 @@ def _synthesize_main(p: np.ndarray, chain: SaturationChain,
 def _synthesize_pieces(p: np.ndarray, chain: SaturationChain,
                        obs: frozenset[Mode], state0: SpectralState,
                        params: SimParams, config: SteeringConfig,
-                       target: np.ndarray):
-    """Full program with terminal correction, plus its trajectories."""
+                       aim: np.ndarray):
+    """Full program with terminal correction, plus its trajectories; the
+    correction ramp ends the K1 channels at ``aim``."""
     main, level = _synthesize_main(p, chain, obs, config)
     traj_main = integrate(state0, params, main, config.integrator)
     k1_obs = symmetrize(chain.levels[0]) & obs
@@ -324,7 +327,7 @@ def _synthesize_pieces(p: np.ndarray, chain: SaturationChain,
         return main, [traj_main]
     proj1 = CoordinateProjection(k1_obs)
     cmap_obs = ChannelMap(obs)
-    want = np.array([target[cmap_obs.index(r, prt)]
+    want = np.array([aim[cmap_obs.index(r, prt)]
                      for r in proj1.cmap.reps for prt in ("re", "im")])
     start = proj1.observe(traj_main.final)
     corr = correction_program(k1_obs, start, want, config.corr_tau)
@@ -350,20 +353,23 @@ def synthesize(target: np.ndarray, chain: SaturationChain, k_obs,
 
 
 def _tail_growth(trajs: Sequence[Trajectory], obs: frozenset[Mode],
-                 state0: SpectralState) -> float:
+                 state0: SpectralState) -> tuple[float, int]:
+    """Unobserved H0 norm growth over the recorded states, and their count."""
     base = sobolev_norm(project_complement(state0, obs), 0)
     worst = base
     for traj in trajs:
         for s in traj.states:
             worst = max(worst, sobolev_norm(project_complement(s, obs), 0))
-    return worst - base
+    return worst - base, sum(len(traj) for traj in trajs)
 
 
 def steer_to_target(target: np.ndarray, chain: SaturationChain, k_obs,
                     state0: SpectralState, params: SimParams,
                     config: SteeringConfig) -> EndpointReport:
     """Reach a target vector of observed channels by fixed-point refinement
-    p <- p + (target - achieved(p)) around the cascade synthesis.
+    p <- p + (target - achieved(p)) around the cascade synthesis.  The
+    terminal correction aims at the target plus the same summed residual,
+    so the correction ramp's own defect is fed back too.
 
     Raises :class:`ConvergenceError` (with the best report attached) when
     the refinement does not reach fp_tol within max_fp_iters.
@@ -377,23 +383,25 @@ def steer_to_target(target: np.ndarray, chain: SaturationChain, k_obs,
         raise ValueError("target must have one entry per observed channel (%d)"
                          % proj.dimension)
     p = target - proj.observe(state0)
+    aim = target
     best: EndpointReport | None = None
     for it in range(1, config.max_fp_iters + 1):
         program, trajs = _synthesize_pieces(p, chain, obs, state0, params,
-                                            config, target)
+                                            config, aim)
         final = trajs[-1].final
         achieved = proj.observe(final)
         err = float(np.linalg.norm(target - achieved))
+        growth, samples = _tail_growth(trajs, obs, state0)
         report = EndpointReport(
             target=target.copy(), achieved=achieved, error_norm=err,
-            iterations=it, program=program,
-            q_tail_growth=_tail_growth(trajs, obs, state0),
-            final_state=final)
+            iterations=it, program=program, q_tail_growth=growth,
+            final_state=final, tail_samples=samples)
         if best is None or err < best.error_norm:
             best = report
         if err <= config.fp_tol:
             return report
         p = p + (target - achieved)
+        aim = aim + (target - achieved)
     best.converged = False
     raise ConvergenceError(best)
 
@@ -557,7 +565,7 @@ def steer_in_projection(subspace, target: np.ndarray, chain: SaturationChain,
         program=inner.program,
         q_tail_growth=inner.q_tail_growth,
         final_state=inner.final_state,
-        converged=not failed)
+        converged=not failed, tail_samples=inner.tail_samples)
     if failed:
         raise ConvergenceError(report)
     return report

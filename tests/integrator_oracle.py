@@ -1,0 +1,69 @@
+"""The integrating-factor RK4 that steps q itself, with the forcing as a
+stage term: the reference the interaction-picture integrator is tested
+against, as ``forcing_oracle`` keeps the scalar closed forms.
+
+A step of size h from q solves dq/dt = N(q) - nu |k|^2 q + f(t) by Lawson
+RK4 on q, reading the forcing f at the step's start, midpoint and end
+through the program's compiled value read.  ``integrate`` splits the
+horizon as the package's integrator does (steps never cross segment
+boundaries; dt_base capped to ``resolution`` steps per period of a
+segment's fastest harmonic) and returns only the final state.
+"""
+
+import math
+
+import numpy as np
+
+from modecascade.spectral import SpectralState, _tables
+
+
+def segment_forcing(program, i, tab):
+    """Forcing of segment i at local times, in the state's layout."""
+    cols = np.flatnonzero(program.const[i]).tolist()
+    cols += program.comp_col[program.comp_seg == i].tolist()
+    cols = sorted(set(cols))
+    pos = tab.positions(program.reps[j] for j in cols)
+
+    def ev(times):
+        times = np.asarray(times, dtype=float).reshape(-1)
+        rows = program._read_at(np.full(times.size, i), times, value=True)
+        out = np.zeros((times.size, tab.n_reps), dtype=np.complex128)
+        out[:, pos] = rows[:, cols]
+        return out
+
+    return ev
+
+
+def lawson_rk4(q, h, nu, tab, f0, fm, f1):
+    nl = tab.nonlinear
+    k1 = nl(q) + f0
+    if not nu:
+        k2 = nl(q + 0.5 * h * k1) + fm
+        k3 = nl(q + 0.5 * h * k2) + fm
+        k4 = nl(q + h * k3) + f1
+        return q + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    decay = np.exp(-nu * tab.norm_sq * h).astype(np.complex128)
+    half = np.exp(-nu * tab.norm_sq * h / 2.0).astype(np.complex128)
+    dq = decay * q
+    k2 = nl(half * (q + 0.5 * h * k1)) + fm
+    k3 = nl(half * q + 0.5 * h * k2) + fm
+    k4 = nl(dq + h * half * k3) + f1
+    return dq + (h / 6.0) * (decay * k1 + 2.0 * half * (k2 + k3) + k4)
+
+
+def integrate(state0, params, program, dt_base, resolution):
+    """Final state of the run over the whole program."""
+    tab = _tables(state0.radius)
+    q = state0.data
+    for i, duration in enumerate(program.durations.tolist()):
+        freq = np.abs(program.freq[program.comp_seg == i])
+        dt = dt_base if not freq.size else min(
+            dt_base, 2.0 * math.pi / freq.max() / resolution)
+        n = max(1, math.ceil(duration / dt - 1e-9))
+        h = duration / n
+        ev = segment_forcing(program, i, tab)
+        starts = np.arange(n) * h
+        f0, fm, f1 = ev(starts), ev(starts + 0.5 * h), ev(starts + h)
+        for j in range(n):
+            q = lawson_rk4(q, h, params.nu, tab, f0[j], fm[j], f1[j])
+    return SpectralState(state0.radius, q)

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import forcing_oracle as oracle
+import integrator_oracle
 
 SINGLE = symmetrize({(1, 0)})
 
@@ -109,6 +110,30 @@ def test_convergence_order_oscillatory():
     assert 3.5 <= order <= 4.5
 
 
+@pytest.mark.parametrize("nu", [0.0, 0.01])
+def test_convergence_order_of_a_forced_packet_from_a_random_state(nu):
+    # the ladder sets the step (one step per period caps nothing here)
+    s0 = random_decaying_state(4, amplitude=0.3, rng=np.random.default_rng(8))
+    prog = ForcingProgram(symmetrize({(1, 0), (1, 1)}),
+                          [cascade_packet((2, 1), (1, 0), (1, 1), 0.5, 200.0, 0.3)])
+    order, errs = convergence_order(s0, SimParams(nu=nu), prog, [4e-3, 2e-3, 1e-3],
+                                    IntegratorConfig(oscillation_resolution=1))
+    assert 3.5 <= order <= 4.5
+    assert errs[-1] < 1e-7
+
+
+@pytest.mark.parametrize("radius", [5, 12])
+@pytest.mark.parametrize("nu", [0.0, 0.01])
+def test_zero_program_steps_as_the_stage_forcing_scheme_bitwise(radius, nu):
+    # a segment that forces nothing has V = 0: the step is the plain
+    # integrating-factor RK4 of the stage-forcing scheme, bit for bit
+    s0 = random_decaying_state(radius, rng=np.random.default_rng(7))
+    prog = ForcingProgram(SINGLE, [Zero(0.03), Zero(0.02)])
+    got = integrate(s0, SimParams(nu=nu), prog, IntegratorConfig(dt_base=2e-3)).final
+    want = integrator_oracle.integrate(s0, SimParams(nu=nu), prog, 2e-3, 8)
+    assert got.data.tobytes() == want.data.tobytes()
+
+
 def test_convergence_order_needs_ladder():
     s0 = SpectralState.zeros(3)
     with pytest.raises(ValueError, match="insufficient dt ladder"):
@@ -139,9 +164,19 @@ def test_oscillation_resolution_caps_dt():
     seg = Oscillatory.from_cos_pairs(0.1, 500.0, [((1, 0), 0.5)])
     prog = ForcingProgram(SINGLE, [seg])
     traj = integrate(SpectralState.zeros(3), SimParams(), prog,
-                     IntegratorConfig(dt_base=1e-2, record_stride=1))
+                     IntegratorConfig(dt_base=1e-2, oscillation_resolution=40,
+                                      record_stride=1))
     expected_dt = (2 * math.pi / 500.0) / 40.0
     assert np.diff(traj.times).max() <= expected_dt * (1 + 1e-9)
+
+
+def test_default_resolution_is_eight_steps_per_period():
+    # the fastest harmonic is 2 * 500: 8 steps per 2 pi / 1000
+    seg = Oscillatory(0.1, 500.0, [((1, 0), 1, 0.2), ((1, 0), 2, -0.2)])
+    traj = integrate(SpectralState.zeros(3), SimParams(), ForcingProgram(SINGLE, [seg]),
+                     IntegratorConfig(dt_base=1e-2))
+    assert IntegratorConfig().oscillation_resolution == 8
+    assert len(traj) - 1 == math.ceil(0.1 / (2 * math.pi / 1000.0 / 8))
 
 
 def test_sample_times_recorded_exactly():
@@ -252,7 +287,7 @@ def test_blowup_guard_accepts_the_limit():
 
 
 # ---------------------------------------------------------------------------
-# per-stage forcing evaluator against the scalar closed form
+# per-stage primitive evaluator against the scalar closed form
 
 EVAL_SUPPORT = symmetrize({(1, 0), (1, 1), (2, 1), (0, 2)})
 unit = st.floats(-1.0, 1.0)
@@ -278,6 +313,12 @@ def evaluator_segments(draw):
                           omega, duration)
 
 
+def evaluator_rows(ev, times, n_reps):
+    """The evaluator's rows, zero rows where the segment forces nothing."""
+    rows = ev(times)
+    return np.zeros(np.shape(times) + (n_reps,), dtype=complex) if rows is None else rows
+
+
 @given(evaluator_segments(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
        st.sampled_from([3, 5]))
 @settings(max_examples=100, deadline=None)
@@ -288,11 +329,11 @@ def test_segment_evaluator_matches_scalar_evaluate(seg, fractions, radius):
     for frac in fractions:
         tloc = frac * seg.duration
         want = np.zeros(tab.n_reps, dtype=complex)
-        for k, v in oracle.evaluate(prog, tloc).items():
-            if k in tab.rep_index:
-                want[tab.rep_index[k]] = v
+        for k in oracle.segment_reps(seg):
+            want[tab.rep_index[k]] = oracle.segment_primitive(seg, k, tloc)
         scale = max(1.0, np.abs(want).max())
-        np.testing.assert_allclose(ev(tloc), want, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(evaluator_rows(ev, tloc, tab.n_reps), want,
+                                   rtol=0, atol=1e-12 * scale)
 
 
 @given(evaluator_segments(), st.lists(st.floats(0.0, 1.0), max_size=8),
@@ -302,6 +343,9 @@ def test_segment_evaluator_rows_match_scalar_calls_bitwise(seg, fractions, radiu
     tab = _tables(radius)
     ev = _segment_evaluator(ForcingProgram(EVAL_SUPPORT, [seg]), 0, tab)
     times = np.array(fractions) * seg.duration
+    if ev(0.0) is None:      # a constant segment of zero values forces nothing
+        assert ev(times) is None
+        return
     want = np.array([np.broadcast_to(ev(float(t)), (tab.n_reps,)) for t in times],
                     dtype=complex).reshape(len(times), tab.n_reps)
     got = ev(times)
@@ -324,11 +368,11 @@ def test_blocked_integrate_matches_scalar_step_loop(nu):
     tab = _tables(4)
     ev = _segment_evaluator(prog, 0, tab)
     h = 0.15 / n
-    decay, half = _integrating_factors(nu, tab, h)
+    factors = _integrating_factors(nu, tab, h)
     q = state0.data
     for j in range(n):
         tloc = 0.0 + j * h
-        q = _lawson_rk4(q, h, decay, half, tab.nonlinear,
+        q = _lawson_rk4(q, h, *factors, tab.nonlinear,
                         ev(tloc), ev(tloc + 0.5 * h), ev(tloc + h))
     assert traj.final.data.tobytes() == q.tobytes()
     state = state0
@@ -353,7 +397,7 @@ def test_unforced_support_mode_outside_the_radius_integrates(forced):
     traj = integrate(SpectralState.zeros(2), SimParams(nu=0.01), prog,
                      IntegratorConfig(dt_base=1e-2))
     assert traj.final.coeff((1, 0)) != 0
-    assert not _segment_evaluator(prog, 1, _tables(2))(0.0).any()
+    assert _segment_evaluator(prog, 1, _tables(2))(0.0) is None
     bad = ForcingProgram(prog.support, [forced, Constant(0.1, {(2, 1): 1.0})])
     with pytest.raises(ValueError, match="outside resolution radius"):
         integrate(SpectralState.zeros(2), SimParams(nu=0.01), bad,

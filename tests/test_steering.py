@@ -23,6 +23,7 @@ from modecascade.steering import (ConvergenceError, CoordinateProjection,
                                   steer_in_projection, steer_to_target,
                                   subspace_setup, synthesize)
 import modecascade.steering as steering_module
+import integrator_oracle
 from modecascade.integrator import BlowUpError, StepBudgetError
 
 K1 = symmetrize({(1, 0), (1, 1)})
@@ -367,6 +368,65 @@ def test_steer_m2_from_random_initial_states():
             rep = steer_to_target(target, CHAIN, K2, s0, SimParams(nu=nu), cfg)
             assert rep.error_norm <= cfg.fp_tol
             assert rep.iterations <= 3
+
+
+def ball_target(rng):
+    """A target on the l1 sphere of radius 0.25 of the K2 channels, half
+    its mass on the directly forced K1 channels and half on the ones the
+    cascade reaches (the targets of the cover_r6 benchmark workload)."""
+    cmap = ChannelMap(K2)
+    direct = np.array([cmap.channel(c)[0] in K1 for c in range(cmap.size)])
+    x = rng.exponential(size=direct.size) * rng.choice([-1.0, 1.0], size=direct.size)
+    return 0.125 * np.where(direct, x / np.abs(x[direct]).sum(), x / np.abs(x[~direct]).sum())
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.01])
+def test_steer_closes_the_fixed_point_through_the_correction(nu):
+    # the correction ramp aims at the target plus the summed residual, so
+    # its own O(corr_tau) defect is fed back and the error keeps shrinking
+    # instead of stalling near 2e-4
+    cfg = quick_config(fp_tol=1e-6, max_fp_iters=5)
+    for i in range(2):
+        target = ball_target(np.random.default_rng([7, i]))
+        rep = steer_to_target(target, CHAIN, K2, SpectralState.zeros(6), SimParams(nu=nu), cfg)
+        assert rep.error_norm <= 1e-6
+        assert rep.iterations <= 5
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), nu=st.sampled_from([0.0, 0.01]))
+@settings(max_examples=6, deadline=None)
+def test_steer_reaches_tight_tolerance_over_the_ball(seed, nu):
+    cfg = quick_config(fp_tol=1e-6, max_fp_iters=5)
+    target = ball_target(np.random.default_rng(seed))
+    rep = steer_to_target(target, CHAIN, K2, SpectralState.zeros(6), SimParams(nu=nu), cfg)
+    assert rep.error_norm <= 1e-6
+
+
+def test_tail_samples_count_the_recorded_states():
+    cfg = quick_config()
+    target = ball_target(np.random.default_rng([7, 0]))
+    rep = steer_to_target(target, CHAIN, K2, SpectralState.zeros(6), SimParams(nu=0.01), cfg)
+    program, trajs = steering_module._synthesize_pieces(
+        target, CHAIN, K2, SpectralState.zeros(6), SimParams(nu=0.01), cfg, target)
+    assert rep.iterations == 1
+    assert rep.tail_samples == sum(len(t) for t in trajs) > 2
+    assert steering_module.report_to_dict(rep)["tail_samples"] == rep.tail_samples
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.01])
+def test_main_intervals_agree_with_a_finely_stepped_stage_forcing_run(nu):
+    # the default of 8 steps per period of the fastest harmonic against the
+    # stage-forcing scheme at 320, on the cover_r6 main-interval programs
+    cfg = quick_config()
+    proj = CoordinateProjection(K2)
+    for i in range(3):
+        target = ball_target(np.random.default_rng([7, i]))
+        main, _ = steering_module._synthesize_main(target, CHAIN, K2, cfg)
+        assert main.freq.size
+        got = integrate(SpectralState.zeros(6), SimParams(nu=nu), main, FAST).final
+        want = integrator_oracle.integrate(SpectralState.zeros(6), SimParams(nu=nu), main,
+                                           FAST.dt_base, 320)
+        assert np.abs(proj.observe(got) - proj.observe(want)).max() <= 1e-7
 
 
 def test_correction_ramp_tail_disturbance_is_linear_in_tau():
