@@ -116,6 +116,7 @@ def test_steer_m1_run(tmp_path, mode_file):
     assert report["converged"] is True
     assert (out / "program.json").exists()
     assert report["program_ref"] == "program.json"
+    assert report["tail_samples"] == 21      # t = 0 and the 20 steps over tau = 0.02
 
 
 def test_steer_nonconvergence_exit_2_with_partial_report(tmp_path, mode_file):
