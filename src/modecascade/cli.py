@@ -11,8 +11,9 @@ names the offending field), 2 numerical failure: blow-up or
 non-convergence with partial results still written, or a forcing
 program that needs more integration steps than the budget allows.
 ``main`` turns the last two, raised by any subcommand, into
-``failure.json`` plus the manifest.  The manifest of a run that integrates also names the quadratic-term
-kernel ("triad" or "fft") its resolution radius selects.
+``failure.json`` plus the manifest.  The manifest of a run that
+integrates also names the quadratic-term kernel ("triad" or "fft") its
+resolution radius selects.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from .integrator import (BlowUpError, IntegratorConfig, StepBudgetError,
 from .lattice import (chain_to_json, norm_sq, parse_mode_set, saturation_chain,
                       symmetrize)
 from .spectral import (SimParams, SpectralState, quadratic_kernel,
-                       random_decaying_state, sobolev_norm, state_from_csv,
-                       state_from_json, state_to_csv)
+                       random_decaying_state, resize, sobolev_norm,
+                       state_from_csv, state_from_json, state_to_csv)
 from .steering import (ConvergenceError, SteeringConfig, averaging_experiment,
                        coverage_check, coverage_grid, near_identity_gap,
                        report_to_dict, steer_in_projection, steer_to_target,
@@ -121,13 +122,10 @@ def _load_state(cfg: dict, radius: int) -> SpectralState:
     if source == "random":
         return random_decaying_state(radius, float(cfg.get("amplitude", 0.3)),
                                      float(cfg.get("decay", 3.0)), _rng(cfg))
-    p = Path(str(source))
-    if not p.exists():
-        raise ConfigError("field 'state': file not found: %s" % p)
+    p = _existing_path(cfg, "state")
     text = p.read_text()
     state = state_from_json(text) if p.suffix == ".json" else state_from_csv(text)
     if state.radius < radius:
-        from .spectral import resize
         state = resize(state, radius)
     return state
 
@@ -248,13 +246,8 @@ def _run_simulate(cfg: dict, em: _Emitter) -> int:
 
 
 def _observed_set(cfg: dict) -> frozenset:
-    observed = cfg.get("observed")
-    if observed is None:
-        return symmetrize(parse_mode_set(_existing_path(cfg, "mode_set").read_text()))
-    p = Path(str(observed))
-    if not p.exists():
-        raise ConfigError("field 'observed': file not found: %s" % p)
-    return symmetrize(parse_mode_set(p.read_text()))
+    field = "mode_set" if cfg.get("observed") is None else "observed"
+    return symmetrize(parse_mode_set(_existing_path(cfg, field).read_text()))
 
 
 def _run_steer(cfg: dict, em: _Emitter) -> int:

@@ -30,8 +30,8 @@ oscillatory components; see :class:`ForcingProgram`).  One compiled read,
 the only code that computes the forcing or its primitive: ``evaluate``,
 ``primitive``, ``channel_primitive``, the metrics and chattering go
 through it, the integrator's per-segment evaluator is a view of it, and
-the cascade reads the arrays.  The segment classes are
-builders and a view for JSON, the CLI and the demos; chattering output is
+the cascade reads the arrays.  The segment classes are builders and a
+view: JSON, the CLI and the demos read ``segments``; chattering output is
 built from arrays, its ``segments`` made only when read.  The scalar
 ``cmath`` closed forms, one segment and mode at a time, live in the tests
 (``tests/forcing_oracle.py``) as the oracle of the compiled read.
@@ -42,7 +42,6 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -53,7 +52,7 @@ from .lattice import (Mode, canonical_rep, check_mode, fold_conjugate, norm_sq,
 
 __all__ = [
     "ChannelMap", "Constant", "Oscillatory", "Zero", "ForcingProgram",
-    "ExtremeSet", "zero_program", "constant_program",
+    "zero_program", "constant_program",
     "relaxation_distance", "delta_distance",
     "oscillatory_amplitudes", "cascade_packet", "cos_pair_segment",
     "chattering_approximation",
@@ -95,9 +94,6 @@ class ChannelMap:
         return {r: complex(vec[2 * i], vec[2 * i + 1])
                 for i, r in enumerate(self.reps)
                 if vec[2 * i] != 0 or vec[2 * i + 1] != 0}
-
-    def vector_to_coeffs(self, vec: np.ndarray) -> dict[Mode, complex]:
-        return unfold_conjugate(self.vector_to_rep_coeffs(vec))
 
     def coeffs_to_vector(self, values: Mapping[Mode, complex]) -> np.ndarray:
         vec = np.zeros(self.size)
@@ -212,8 +208,7 @@ class ForcingProgram:
     (n_seg, n_rep), the primitive at each segment start ``offsets``
     (n_seg + 1, n_rep), and the oscillatory components sorted by segment:
     ``comp_seg``, ``comp_col`` (rep column), ``freq`` (h w) and ``coef`` (c).
-    JSON is written from them, ``kinds`` and ``omega`` (base frequency per
-    segment); ``segments`` is a view of the segments, for the CLI and demos.
+    ``segments`` is a view of the segments, for JSON, the CLI and the demos.
     """
 
     def __init__(self, support: Iterable[Mode], segments: Sequence[Segment]):
@@ -240,8 +235,6 @@ class ForcingProgram:
                                    ("freq", float), ("coef", np.complex128)])
         self._set_arrays(support, reps, np.array([s.duration for s in self.segments]), const,
                          *(np.ascontiguousarray(osc[f]) for f in osc.dtype.names))
-        self.kinds = np.array([type(s).__name__.lower() for s in self.segments])
-        self.omega = np.array([getattr(s, "omega", 0.0) for s in self.segments])
 
     @classmethod
     def _of_arrays(cls, support: frozenset[Mode], durations: np.ndarray,
@@ -251,8 +244,6 @@ class ForcingProgram:
         no_osc = np.zeros(0, dtype=np.intp)
         prog._set_arrays(support, rep_modes(support), durations, const, no_osc, no_osc,
                          np.zeros(0), np.zeros(0, np.complex128))
-        prog.kinds = np.where(const.any(axis=1), "constant", "zero")
-        prog.omega = np.zeros(len(durations))
         return prog
 
     def _set_arrays(self, support, reps, durations, const, comp_seg, comp_col, freq, coef):
@@ -380,16 +371,15 @@ def _boundary_and_extremum_times(program: ForcingProgram) -> np.ndarray:
     return np.concatenate(cands)
 
 
-def relaxation_distance(f: ForcingProgram, g: ForcingProgram,
-                        grid: int = 4096) -> float:
+def relaxation_distance(f: ForcingProgram, g: ForcingProgram) -> float:
     """Relaxation pseudometric: max over time of the Euclidean channel
     norm of the difference of control primitives.
 
-    Primitives are exact; the time search uses a uniform grid enriched
-    with segment boundaries and per-channel oscillation extrema.  The
-    brackets (neighbours) of the 8 best candidates are then zoomed at once:
-    33 samples each per batched read, narrowed to the best sample's
-    neighbours until below 1e-13 max(1, T), to machine accuracy.
+    Primitives are exact; the time search uses a uniform 4096-interval
+    grid enriched with segment boundaries and per-channel oscillation
+    extrema.  The brackets (neighbours) of the 8 best candidates are then
+    zoomed at once: 33 samples each per batched read, narrowed to the best
+    sample's neighbours until below 1e-13 max(1, T), to machine accuracy.
     """
     T = f.total_duration
     if abs(T - g.total_duration) > 1e-9 * max(1.0, T):
@@ -408,7 +398,7 @@ def relaxation_distance(f: ForcingProgram, g: ForcingProgram,
         cands = np.unique(np.clip(np.concatenate([f.starts, g.starts]), 0, T))
         return float(dist_many(cands).max())
 
-    cands = np.linspace(0.0, T, grid + 1)
+    cands = np.linspace(0.0, T, 4096 + 1)
     cands = np.concatenate([cands,
                             np.clip(_boundary_and_extremum_times(f), 0, T),
                             np.clip(_boundary_and_extremum_times(g), 0, T)])
@@ -475,11 +465,10 @@ def oscillatory_amplitudes(k: Mode, m: Mode, n: Mode, amplitude: float
     return mag, math.copysign(mag, product)
 
 
-def snap_omega(omega: float, duration: float, period_fraction: float = 2.0 * math.pi,
-               min_cycles: int = 1) -> float:
+def snap_omega(omega: float, duration: float, period_fraction: float = 2.0 * math.pi) -> float:
     """Smallest frequency >= omega whose phase advance over the segment is
-    an exact multiple of period_fraction (so primitives close up)."""
-    cycles = max(min_cycles, math.ceil(omega * duration / period_fraction - 1e-9))
+    a positive multiple of period_fraction (so primitives close up)."""
+    cycles = max(1, math.ceil(omega * duration / period_fraction - 1e-9))
     return period_fraction * cycles / duration
 
 
@@ -527,27 +516,6 @@ def cos_pair_segment(k: Mode, m: Mode, n: Mode, amplitude: float, omega: float,
 # chattering
 
 
-@dataclass(frozen=True)
-class ExtremeSet:
-    """The 2*kappa signed axis vectors {+-A e_j} of the control polytope."""
-    amplitude: float
-    dimension: int
-
-    def __post_init__(self):
-        if self.amplitude <= 0:
-            raise ValueError("extreme amplitude must be positive")
-        if self.dimension < 1:
-            raise ValueError("dimension must be a positive integer")
-
-    def vectors(self) -> np.ndarray:
-        eye = self.amplitude * np.eye(self.dimension)
-        return np.concatenate([eye, -eye])
-
-    def contains(self, v: np.ndarray) -> bool:
-        """Convex hull membership: l1 norm at most A."""
-        return float(np.abs(np.asarray(v)).sum()) <= self.amplitude * (1 + 1e-12)
-
-
 def chattering_approximation(program: ForcingProgram, amplitude: float,
                              windows: int, slack_channel: int = 0
                              ) -> ForcingProgram:
@@ -567,7 +535,8 @@ def chattering_approximation(program: ForcingProgram, amplitude: float,
     cmap = ChannelMap(program.support)
     if cmap.size == 0:
         raise ValueError("cannot chatter a program with empty support")
-    extreme = ExtremeSet(amplitude, cmap.size)
+    if amplitude <= 0:
+        raise ValueError("extreme amplitude must be positive")
     if not (0 <= slack_channel < cmap.size):
         raise ValueError("slack channel out of range")
     bound = program.value_l1_bound()
@@ -607,19 +576,15 @@ def _mode_key(k: Mode) -> str:
 
 def program_to_dict(program: ForcingProgram) -> dict:
     segs = []
-    bounds = np.searchsorted(program.comp_seg, np.arange(len(program.durations) + 1)).tolist()
-    comps = list(zip(program.comp_col.tolist(), program.freq.tolist(), program.coef.tolist()))
-    for i, (kind, duration, omega, row) in enumerate(zip(
-            program.kinds.tolist(), program.durations.tolist(), program.omega.tolist(),
-            program.const.tolist())):
-        segs.append({"kind": kind, "duration": duration})
-        if kind == "constant":
-            segs[-1]["values"] = {_mode_key(k): [v.real, v.imag] for k, v in unfold_conjugate(
-                {r: v for r, v in zip(program.reps, row) if v}).items()}
-        elif kind == "oscillatory":
-            segs[-1].update(omega=omega, components=[
-                {"mode": list(program.reps[j]), "harmonic": round(f / omega), "coeff": [c.real, c.imag]}
-                for j, f, c in comps[bounds[i]:bounds[i + 1]]])
+    for seg in program.segments:
+        segs.append({"kind": type(seg).__name__.lower(), "duration": seg.duration})
+        if isinstance(seg, Constant):
+            segs[-1]["values"] = {_mode_key(k): [v.real, v.imag] for k, v in
+                                  unfold_conjugate(dict(sorted(seg.values.items()))).items()}
+        elif isinstance(seg, Oscillatory):
+            segs[-1].update(omega=seg.omega, components=[
+                {"mode": list(k), "harmonic": h, "coeff": [c.real, c.imag]}
+                for k, h, c in seg.components])
     return {"support": [list(k) for k in sorted(program.support)],
             "segments": segs}
 

@@ -79,11 +79,9 @@ class IntegratorConfig:
 class Trajectory:
     """Recorded (t, state) samples of one integration run."""
 
-    def __init__(self, times: Sequence[float], states: Sequence[SpectralState],
-                 program: ForcingProgram | None = None):
+    def __init__(self, times: Sequence[float], states: Sequence[SpectralState]):
         self.times = np.asarray(times, dtype=float)
         self.states = list(states)
-        self.program = program
         if len(self.times) != len(self.states):
             raise ValueError("times and states must align")
         if len(self.times) == 0 or self.times[0] != 0.0:
@@ -98,9 +96,10 @@ class Trajectory:
     def final(self) -> SpectralState:
         return self.states[-1]
 
-    def at(self, t: float, tol: float = 1e-9) -> SpectralState:
+    def at(self, t: float) -> SpectralState:
+        """The state recorded at t, to a relative 1e-9."""
         i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > tol * max(1.0, abs(t)):
+        if abs(self.times[i] - t) > 1e-9 * max(1.0, abs(t)):
             raise KeyError("no state recorded at t=%g" % t)
         return self.states[i]
 
@@ -301,7 +300,7 @@ def integrate(state0: SpectralState, params: SimParams, program: ForcingProgram,
                     record(t_now, force=True)
                     raise
                 record(t_now, force=at_break)
-    return Trajectory(times, states, program)
+    return Trajectory(times, states)
 
 
 def convergence_order(state0: SpectralState, params: SimParams,

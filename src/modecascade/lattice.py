@@ -233,26 +233,23 @@ def _covered_radius(modes: frozenset[Mode], radius: int) -> int:
     return best
 
 
-def saturation_chain(k1: Iterable[Mode], radius: int, max_levels: int = 32,
-                     work_radius: int | None = None) -> SaturationChain:
+def saturation_chain(k1: Iterable[Mode], radius: int, max_levels: int = 32) -> SaturationChain:
     """Iterate next_level until the radius ball is covered, the chain is
     stationary, or the level budget runs out.
 
-    The iteration is restricted to a working ball (twice the larger of
-    the requested radius and the seed extent unless given explicitly):
-    new sums outside it are discarded, which keeps runtimes bounded.  A
-    "covered" verdict is always sound; "stationary" means no further
-    progress is possible using modes inside the working ball.
+    The iteration is restricted to a working ball of radius
+    2 * max(radius, floor(max |k| over the seed) + 1): new sums outside
+    it are discarded, which keeps runtimes bounded.  A "covered" verdict
+    is always sound; "stationary" means no further progress is possible
+    using modes inside the working ball.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
     if max_levels < 1:
         raise ValueError("max_levels must be >= 1")
     seed = frozenset(check_mode(k) for k in k1)
-    if work_radius is None:
-        extent = max((norm_sq(k) for k in seed), default=1)
-        work_radius = 2 * max(radius, int(extent ** 0.5) + 1)
-    clip = ball(work_radius) | seed
+    extent = max((norm_sq(k) for k in seed), default=1)
+    clip = ball(2 * max(radius, int(extent ** 0.5) + 1)) | seed
     target = ball(radius)
     levels = [seed]
     status = _STATUS_BUDGET

@@ -98,6 +98,24 @@ def test_missing_file_names_the_field(tmp_path, capsys):
     assert "mode_set" in err
 
 
+def test_missing_state_file_exits_1(tmp_path, capsys):
+    missing = tmp_path / "nope.json"
+    cfg = write_config(tmp_path, "cfg.json", {
+        "radius": 3, "duration": 0.01, "state": str(missing),
+        "output_dir": str(tmp_path / "o")})
+    assert main(["simulate", "--config", cfg]) == 1
+    assert "field 'state': file not found: %s" % missing in capsys.readouterr().err
+
+
+def test_missing_observed_file_exits_1(tmp_path, mode_file, capsys):
+    missing = tmp_path / "nope.txt"
+    cfg = write_config(tmp_path, "cfg.json", {
+        "mode_set": mode_file, "observed": str(missing), "radius": 4,
+        "target": [0.3, 0.0, 0.0, 0.0], "output_dir": str(tmp_path / "o")})
+    assert main(["steer", "--config", cfg]) == 1
+    assert "field 'observed': file not found: %s" % missing in capsys.readouterr().err
+
+
 def test_missing_required_field(tmp_path, capsys):
     cfg = write_config(tmp_path, "cfg.json", {"output_dir": str(tmp_path / "o")})
     assert main(["simulate", "--config", cfg]) == 1

@@ -13,15 +13,16 @@ from hypothesis import strategies as st
 from scipy import optimize
 from scipy.integrate import quad
 
-from modecascade.forcing import (ChannelMap, Constant, ExtremeSet,
-                                 ForcingProgram, Oscillatory, Zero,
+from modecascade.forcing import (ChannelMap, Constant, ForcingProgram,
+                                 Oscillatory, Zero,
                                  _boundary_and_extremum_times,
                                  cascade_packet, chattering_approximation,
                                  constant_program, cos_pair_segment,
                                  delta_distance, oscillatory_amplitudes,
                                  program_from_json, program_to_json,
                                  relaxation_distance, zero_program)
-from modecascade.lattice import admissible_pair, norm_sq, symmetrize, wedge
+from modecascade.lattice import (admissible_pair, norm_sq, symmetrize,
+                                 unfold_conjugate, wedge)
 
 import forcing_oracle as oracle
 
@@ -277,13 +278,6 @@ def test_cascade_packet_zero_target_is_zero_segment():
 # chattering
 
 
-def test_extreme_set_geometry():
-    es = ExtremeSet(2.0, 3)
-    assert es.vectors().shape == (6, 3)
-    assert es.contains(np.array([1.0, -0.5, 0.5]))
-    assert not es.contains(np.array([1.5, -1.0, 0.0]))
-
-
 def test_chattering_extreme_input_unchanged():
     cmap = ChannelMap(PAIR_SUPPORT)
     prog = constant_program(PAIR_SUPPORT, {(1, 0): 1.0}, 1.0)
@@ -385,7 +379,7 @@ def test_constant_segment_requires_conjugate_symmetry():
 def test_channel_map_round_trip():
     cmap = ChannelMap(PAIR_SUPPORT)
     vec = np.array([0.5, -0.25, 1.5, 2.0])
-    coeffs = cmap.vector_to_coeffs(vec)
+    coeffs = unfold_conjugate(cmap.vector_to_rep_coeffs(vec))
     assert coeffs[(1, 0)] == 0.5 - 0.25j
     assert coeffs[(-1, 0)] == 0.5 + 0.25j
     assert np.allclose(cmap.coeffs_to_vector(coeffs), vec)
@@ -410,10 +404,33 @@ def test_program_json_unknown_kind_rejected():
 
 
 def test_extreme_set_validation():
-    with pytest.raises(ValueError):
-        ExtremeSet(-1.0, 4)
-    with pytest.raises(ValueError):
-        ExtremeSet(1.0, 0)
+    prog = constant_program(PAIR_SUPPORT, {(1, 0): 0.5}, 1.0)
+    with pytest.raises(ValueError, match="extreme amplitude must be positive"):
+        chattering_approximation(prog, -1.0, 4)
+
+
+def test_program_json_literal():
+    """Constant values in sorted rep order whatever the input order; an
+    empty Constant stays a constant and a cancelled packet a packet."""
+    prog = ForcingProgram({(1, 0), (1, 1), (2, 1)}, [
+        Constant(0.25, {(1, 1): 0.5j, (1, 0): 1.0 - 2.0j}),
+        Constant(0.5, {}),
+        Zero(0.125),
+        Oscillatory(0.5, 8.0, [((1, 0), 1, 0.25), ((1, 0), 1, -0.25)]),
+        cascade_packet((2, 1), (1, 0), (1, 1), 0.25, 40.0, 0.5),
+    ])
+    assert program_to_json(prog) == (
+        '{"support": [[-2, -1], [-1, -1], [-1, 0], [1, 0], [1, 1], [2, 1]], "segments": ['
+        '{"kind": "constant", "duration": 0.25, "values": {"1,0": [1.0, -2.0], '
+        '"-1,0": [1.0, 2.0], "1,1": [0.0, 0.5], "-1,-1": [0.0, -0.5]}}, '
+        '{"kind": "constant", "duration": 0.5, "values": {}}, '
+        '{"kind": "zero", "duration": 0.125}, '
+        '{"kind": "oscillatory", "duration": 0.5, "omega": 8.0, "components": []}, '
+        '{"kind": "oscillatory", "duration": 0.5, "omega": 50.26548245743669, "components": ['
+        '{"mode": [1, 0], "harmonic": 1, "coeff": [0.5, 0.0]}, '
+        '{"mode": [1, 0], "harmonic": 2, "coeff": [-0.5, 0.0]}, '
+        '{"mode": [1, 1], "harmonic": -2, "coeff": [-0.5, 0.0]}, '
+        '{"mode": [1, 1], "harmonic": -1, "coeff": [0.5, 0.0]}]}]}')
 
 
 # ---------------------------------------------------------------------------

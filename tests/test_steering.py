@@ -126,6 +126,12 @@ def test_cascade_mixed_program_preserves_durations():
     assert isinstance(out.segments[2], Zero)
 
 
+def test_cascade_empty_support_program_is_zero():
+    out = cascade_program(zero_program(1.0), K1, omega=100.0)
+    assert out.support == K1
+    assert [(type(s), s.duration) for s in out.segments] == [(Zero, 1.0)]
+
+
 def test_cascade_rejects_non_extreme_segments():
     prog = constant_program(K2, {(2, 1): 1.0, (0, 1): 1.0}, 0.5)
     with pytest.raises(ValueError, match="not extreme-valued"):

@@ -13,13 +13,15 @@ line:
   vector, final state, program JSON and fixed-point iteration count;
 - each of the six seed-7 ``control_algebra`` rounds: the chattering
   outputs (segment kinds, durations and value bits, signed zeros
-  included) and the relaxation distances (chattering and packets);
+  included), their program JSON, and the relaxation distances
+  (chattering and packets);
 - the state after each of six seed-7 ``euler_r24`` operations (nu = 0,
   zero program, FFT kernel);
 - ``integrate`` with sample times (record times and states) and a chained
   ``step()`` over one program mixing the four segment kinds (constant,
   zero, cosine bundle, multi-harmonic packet), at R = 5 (triad kernel) and
-  R = 12 (FFT kernel), each at nu = 0 and nu = 0.01;
+  R = 12 (FFT kernel), each at nu = 0 and nu = 0.01, and that program's
+  JSON;
 
 then one digest over all of them.  Stdlib plus the package under test
 (and the numpy it needs).
@@ -75,14 +77,17 @@ def control_algebra_lines(mc, workloads):
     ctx = wl.setup()
     for i in range(OPERATIONS):
         inp = wl.inputs(ctx, i)
-        outputs = []
+        outputs, texts = [], []
         for segs in inp.programs:
             prog = mc.ForcingProgram(ctx.support, [
                 mc.Constant(frac, ctx.cmap.vector_to_rep_coeffs(v)) for frac, v in segs])
             for windows in workloads.CHATTER_WINDOWS:
-                outputs.append(segment_bits(mc.chattering_approximation(prog, 1.0, windows)))
+                out = mc.chattering_approximation(prog, 1.0, windows)
+                outputs.append(segment_bits(out))
+                texts.append(mc.program_to_json(out))
         res = wl.op(ctx, inp)
         yield "control_algebra round %d chattering" % i, digest(outputs)
+        yield "control_algebra round %d program_json" % i, digest(texts)
         yield "control_algebra round %d distances" % i, digest(
             [rx.hex() for _, rx in res.chatter], [rx.hex() for rx in res.packets])
 
@@ -110,6 +115,7 @@ def mixed_program(mc):
 
 def integrator_lines(mc):
     program = mixed_program(mc)
+    yield "mixed_program program_json", digest(mc.program_to_json(program))
     samples = [0.01, 0.05, 0.0625, 0.1, 0.1234, 0.17]
     config = mc.IntegratorConfig(dt_base=2e-3, record_stride=7)
     for radius in (5, 12):
