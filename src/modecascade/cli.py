@@ -161,7 +161,7 @@ def _steering_config(cfg: dict) -> SteeringConfig:
 
 
 def _chain_for(cfg: dict, observed: frozenset):
-    k1 = parse_mode_set(_existing_path(cfg, "mode_set").read_text())
+    k1 = symmetrize(parse_mode_set(_existing_path(cfg, "mode_set").read_text()))
     need = max(1, int(np.ceil(np.sqrt(max(norm_sq(k) for k in observed)))))
     return saturation_chain(k1, radius=need, max_levels=int(cfg.get("max_levels", 16)))
 

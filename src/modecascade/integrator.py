@@ -8,18 +8,18 @@ only its bounded primitive is left inside the quadratic term (Agrachev
 and Sarychev's change of variables by the control's primitive).  p is
 advanced by integrating-factor (Lawson) RK4: exp(-nu |k|^2 t) propagates
 -nu |k|^2 p exactly and -nu |k|^2 V is a known stage term; for nu = 0
-this is plain RK4.  A segment that forces nothing has V = 0 and steps q.
-On oscillatory segments the step is capped to a fixed number of steps
-per period of the fastest harmonic; steps never cross segment
-boundaries.  Recorded states and the blow-up guard see q.
+the factors are 1 and this is plain RK4, and a segment that forces
+nothing reads V = 0.  On oscillatory segments the step is capped to a
+fixed number of steps per period of the fastest harmonic; steps never
+cross segment boundaries.  Recorded states and the blow-up guard see q.
 
 V is read, never recomputed, here: a segment's evaluator is a view of
 the program's compiled read (``ForcingProgram._read_at``) that positions
-the modes the segment forces in the state's layout.  ``integrate``
-tabulates V for a run of equal steps in blocks of at most _BLOCK steps:
-one array read of the segment's evaluator gives V at the start, midpoint
-and end of every step in the block, at the times the step-by-step loop
-would use, so the RK4 step itself only adds rows.
+the modes the segment forces in the state's layout.  ``step`` and
+``integrate`` advance through one stepper that tabulates V for a run of
+equal steps in blocks of at most _BLOCK steps: one array read of the
+segment's evaluator gives V at the start, midpoint and end of every step
+in the block, so the RK4 step itself only adds rows.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class IntegratorConfig:
     max_steps: int = 2_000_000           # guards runaway oscillation frequencies
 
     def __post_init__(self):
-        if self.dt_base <= 0:
+        if not 0 < self.dt_base < math.inf:
             raise ValueError("dt_base must be positive")
         if self.oscillation_resolution < 1:
             raise ValueError("oscillation_resolution must be >= 1")
@@ -136,25 +136,24 @@ class Trajectory:
 
 
 def _segment_evaluator(program: ForcingProgram, i: int, tab
-                       ) -> Callable[[float | np.ndarray], np.ndarray | None]:
+                       ) -> Callable[[np.ndarray], np.ndarray]:
     """Primitive of segment i, zero at its start, as a function of local
     time, folded onto the stored representatives of the state's
     resolution: a view of the program's compiled read.  Only the modes the
-    segment forces are positioned, and a segment forcing none reads None.
-    A 1-D array of times gives one (len(times), n_reps) row per time."""
+    segment forces are positioned.  A 1-D array of times gives one
+    (len(times), n_reps) row per time; a segment forcing none reads zero
+    rows."""
     lo, hi = np.searchsorted(program.comp_seg, [i, i + 1])
     cols = np.union1d(np.flatnonzero(program.const[i]), program.comp_col[lo:hi])
     pos = tab.positions(program.reps[j] for j in cols)
     start = program.offsets[i, cols]
 
-    def ev(tloc: float | np.ndarray) -> np.ndarray | None:
-        if not cols.size:
-            return None
-        times = np.asarray(tloc, dtype=float)
-        rows = program._read_at(np.full(times.size, i), times.reshape(-1), value=False)
+    def ev(times: np.ndarray) -> np.ndarray:
         out = np.zeros((times.size, tab.n_reps), dtype=np.complex128)
-        out[:, pos] = rows[:, cols] - start
-        return out.reshape(times.shape + (tab.n_reps,))
+        if cols.size:
+            rows = program._read_at(np.full(times.size, i), times, value=False)
+            out[:, pos] = rows[:, cols] - start
+        return out
 
     return ev
 
@@ -171,40 +170,37 @@ def _segment_dts(program: ForcingProgram, config: IntegratorConfig) -> np.ndarra
 
 def _integrating_factors(nu: float, tab, h: float):
     """exp(-nu |k|^2 h), exp(-nu |k|^2 h / 2) and -nu |k|^2 per rep, complex
-    so the step multiplies without a cast; (None, None, None) at nu = 0."""
-    if not nu:
-        return None, None, None
-    return (np.exp(-nu * tab.norm_sq * h).astype(np.complex128),
-            np.exp(-nu * tab.norm_sq * h / 2.0).astype(np.complex128),
-            (-nu * tab.norm_sq).astype(np.complex128))
+    so the step multiplies without a cast; ones, ones and zeros at nu = 0."""
+    lap = -nu * tab.norm_sq
+    return (np.exp(lap * h).astype(np.complex128),
+            np.exp(lap * h / 2.0).astype(np.complex128), lap.astype(np.complex128))
 
 
-def _lawson_rk4(q: np.ndarray, h: float, decay: np.ndarray | None,
-                half_decay: np.ndarray | None, lap: np.ndarray | None, nl,
-                v0=None, vm=None, v1=None) -> np.ndarray:
+def _lawson_rk4(q: np.ndarray, h: float, decay: np.ndarray, half_decay: np.ndarray,
+                lap: np.ndarray, nl, v0: np.ndarray, vm: np.ndarray,
+                v1: np.ndarray) -> np.ndarray:
     """One step of q = p + V from the primitive rows at its start (v0),
-    midpoint (vm, the V of stages 2 and 3) and end (v1); without rows (a
-    segment that forces nothing) V = 0 and p = q."""
+    midpoint (vm, the V of stages 2 and 3) and end (v1)."""
     def rhs(u, v):        # dp/dt less -nu |k|^2 p: N(u + V) - nu |k|^2 V
-        if v is None:
-            return nl(u)
-        k = nl(u + v)
-        return k if lap is None else k + lap * v
+        return nl(u + v) + lap * v
 
-    p = q if v0 is None else q - v0
+    p = q - v0
+    dp = decay * p
     k1 = rhs(p, v0)
-    if decay is None:
-        k2 = rhs(p + 0.5 * h * k1, vm)
-        k3 = rhs(p + 0.5 * h * k2, vm)
-        k4 = rhs(p + h * k3, v1)
-        p = p + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-    else:
-        dp = decay * p
-        k2 = rhs(half_decay * (p + 0.5 * h * k1), vm)
-        k3 = rhs(half_decay * p + 0.5 * h * k2, vm)
-        k4 = rhs(dp + h * half_decay * k3, v1)
-        p = dp + (h / 6.0) * (decay * k1 + 2.0 * half_decay * (k2 + k3) + k4)
-    return p if v1 is None else p + v1
+    k2 = rhs(half_decay * (p + 0.5 * h * k1), vm)
+    k3 = rhs(half_decay * p + 0.5 * h * k2, vm)
+    k4 = rhs(dp + h * half_decay * k3, v1)
+    return dp + (h / 6.0) * (decay * k1 + 2.0 * half_decay * (k2 + k3) + k4) + v1
+
+
+def _steps(q: np.ndarray, ev, factors, nl, a: float, h: float, n: int):
+    """n Lawson steps of size h from local time a, yielding each new state;
+    V is read for up to _BLOCK steps per evaluator call."""
+    for j in range(0, n, _BLOCK):
+        starts = a + np.arange(j, min(j + _BLOCK, n)) * h
+        for v in zip(ev(starts), ev(starts + 0.5 * h), ev(starts + h)):
+            q = _lawson_rk4(q, h, *factors, nl, *v)
+            yield q
 
 
 def _check_finite(q: np.ndarray, t: float):
@@ -224,9 +220,8 @@ def step(state: SpectralState, t: float, dt: float, params: SimParams,
     if tloc + dt > program.durations[i] * (1 + 1e-12) + 1e-15:
         raise ValueError("step crosses a forcing segment boundary; split the step")
     tab = _tables(state.radius)
-    v = _segment_evaluator(program, i, tab)(np.array([tloc, tloc + 0.5 * dt, tloc + dt]))
-    q = _lawson_rk4(state.data, dt, *_integrating_factors(params.nu, tab, dt),
-                    tab.nonlinear, *(() if v is None else v))
+    (q,) = _steps(state.data, _segment_evaluator(program, i, tab),
+                  _integrating_factors(params.nu, tab, dt), tab.nonlinear, tloc, dt, 1)
     _check_finite(q, t + dt)
     return SpectralState(state.radius, q, _copy=False)
 
@@ -260,14 +255,6 @@ def integrate(state0: SpectralState, params: SimParams, program: ForcingProgram,
     states = [state0]
     q = state0.data
     step_count = 0
-
-    def record(t_now: float, force: bool):
-        nonlocal step_count
-        if force or (step_count % config.record_stride == 0):
-            if t_now > times[-1]:
-                times.append(t_now)
-                states.append(SpectralState(state0.radius, q))
-
     for i, duration in enumerate(durations):
         t0 = float(program.starts[i])
         t1 = float(program.starts[i + 1])
@@ -275,31 +262,21 @@ def integrate(state0: SpectralState, params: SimParams, program: ForcingProgram,
         dt_seg = float(dts[i])
         inner = samples[(samples > t0 + 1e-15) & (samples < t1 - 1e-15)] - t0
         brk = np.unique(np.concatenate([[0.0, duration], inner]))
-        for a, b in zip(brk[:-1], brk[1:]):
-            span = float(b - a)
+        for a, b in zip(brk[:-1].tolist(), brk[1:].tolist()):
+            span = b - a
             if span <= 0:
                 continue
             n = max(1, math.ceil(span / dt_seg - 1e-9))
             h = span / n
             factors = _integrating_factors(params.nu, tab, h)
-            for j in range(n):
-                r = j % _BLOCK
-                if not r:
-                    starts = float(a) + np.arange(j, min(j + _BLOCK, n)) * h
-                    v0 = ev(starts)
-                    rows = ([()] * starts.size if v0 is None
-                            else list(zip(v0, ev(starts + 0.5 * h), ev(starts + h))))
-                tloc = float(a) + j * h
-                q = _lawson_rk4(q, h, *factors, tab.nonlinear, *rows[r])
+            for j, q in enumerate(_steps(q, ev, factors, tab.nonlinear, a, h, n)):
+                t_now = t0 + (b if j == n - 1 else a + j * h + h)
+                _check_finite(q, t_now)
                 step_count += 1
-                at_break = j == n - 1
-                t_now = t0 + (float(b) if at_break else tloc + h)
-                try:
-                    _check_finite(q, t_now)
-                except BlowUpError:
-                    record(t_now, force=True)
-                    raise
-                record(t_now, force=at_break)
+                if ((j == n - 1 or step_count % config.record_stride == 0)
+                        and t_now > times[-1]):
+                    times.append(t_now)
+                    states.append(SpectralState(state0.radius, q))
     return Trajectory(times, states)
 
 

@@ -73,7 +73,7 @@ class SimParams:
     nu: float = 0.0
 
     def __post_init__(self):
-        if self.nu < 0:
+        if not 0 <= self.nu < np.inf:
             raise ValueError("viscosity must be nonnegative")
 
 

@@ -74,17 +74,17 @@ class SteeringConfig:
     integrator: IntegratorConfig = IntegratorConfig()
 
     def __post_init__(self):
-        if self.tau <= 0:
+        if not 0 < self.tau < math.inf:
             raise ValueError("tau must be positive")
-        if self.gamma <= 1:
+        if not 1 < self.gamma < math.inf:
             raise ValueError("gamma must exceed 1")
-        if self.fp_tol <= 0:
+        if not 0 < self.fp_tol < math.inf:
             raise ValueError("fp_tol must be positive")
-        if self.omega <= 0:
+        if not 0 < self.omega < math.inf:
             raise ValueError("omega must be positive")
-        if self.level_omega_ratio <= 0:
+        if not 0 < self.level_omega_ratio < math.inf:
             raise ValueError("level_omega_ratio must be positive")
-        if self.correction_tau is not None and self.correction_tau <= 0:
+        if self.correction_tau is not None and not 0 < self.correction_tau < math.inf:
             raise ValueError("correction_tau must be positive")
         if self.max_fp_iters < 1:
             raise ValueError("max_fp_iters must be >= 1")
@@ -113,9 +113,6 @@ class CoordinateProjection:
     def observe(self, state: SpectralState) -> np.ndarray:
         arr = np.array([state.coeff(r) for r in self.cmap.reps], dtype=np.complex128)
         return self.cmap.complex_to_vector(arr)
-
-    def apply(self, state: SpectralState) -> SpectralState:
-        return project(state, self.modes)
 
 
 class SubspaceProjection:
@@ -279,12 +276,6 @@ def cascade_program(extended: ForcingProgram, k_prev: Iterable[Mode],
 # synthesis
 
 
-def _obs_modes(k_obs) -> frozenset[Mode]:
-    if isinstance(k_obs, CoordinateProjection):
-        return k_obs.modes
-    return symmetrize(k_obs)
-
-
 def _synthesize_main(p: np.ndarray, chain: SaturationChain,
                      obs: frozenset[Mode], config: SteeringConfig
                      ) -> tuple[ForcingProgram, int]:
@@ -345,7 +336,7 @@ def synthesize(target: np.ndarray, chain: SaturationChain, k_obs,
     The terminal correction needs the simulated end state of the main
     interval, so this runs one integration internally.
     """
-    obs = _obs_modes(k_obs)
+    obs = symmetrize(k_obs)
     target = np.asarray(target, dtype=float)
     program, _ = _synthesize_pieces(target, chain, obs, state0, params,
                                     config, target)
@@ -374,7 +365,7 @@ def steer_to_target(target: np.ndarray, chain: SaturationChain, k_obs,
     Raises :class:`ConvergenceError` (with the best report attached) when
     the refinement does not reach fp_tol within max_fp_iters.
     """
-    obs = _obs_modes(k_obs)
+    obs = symmetrize(k_obs)
     proj = CoordinateProjection(obs)
     if max(k[0] ** 2 + k[1] ** 2 for k in obs) > state0.radius ** 2:
         raise ValueError("observed modes exceed the state resolution radius")
@@ -623,7 +614,7 @@ def coverage_check(chain: SaturationChain, k_obs, radius: float,
     """Run steer_to_target over a grid filling the target ball and report
     the fraction reaching fp_tol.  A target whose run blows up or exceeds
     the step budget counts as missed; any other error propagates."""
-    obs = _obs_modes(k_obs)
+    obs = symmetrize(k_obs)
     dim = ChannelMap(obs).size
     targets = coverage_grid(dim, radius, grid_density)
     reports: list[EndpointReport | None] = []

@@ -351,6 +351,31 @@ def test_unknown_construction_exits_1(tmp_path, mode_file, capsys):
     assert "unknown construction 'counter-rotating'" in capsys.readouterr().err
 
 
+def test_steer_and_cover_take_one_mode_of_each_pair(tmp_path):
+    # the mode set lists (1, 0) and (1, 1) without their negatives
+    half = tmp_path / "half.txt"
+    half.write_text("1 0\n1 1\n")
+    cfg = write_config(tmp_path, "cfg.json", {
+        "mode_set": str(half), "radius": 4, "nu": 0.01,
+        "target": [0.3, 0.0, 0.0, 0.0], "tau": 0.02, "fp_tol": 1e-3,
+        "dt_base": 1e-3, "state": "rest", "target_radius": 0.2,
+        "grid_density": 2, "output_dir": str(tmp_path / "o")})
+    assert main(["steer", "--config", cfg]) == 0
+    assert json.loads((tmp_path / "o" / "report.json").read_text())["converged"] is True
+    assert main(["cover", "--config", cfg]) == 0
+
+
+@pytest.mark.parametrize("flag", ["--nu", "--dt-base", "--tau", "--fp-tol"])
+def test_non_finite_value_exits_1_naming_the_field(tmp_path, mode_file, capsys, flag):
+    cfg = write_config(tmp_path, "cfg.json", {
+        "mode_set": mode_file, "radius": 4, "target": [0.0] * 4,
+        "output_dir": str(tmp_path / "o")})
+    assert main(["steer", "--config", cfg, flag, "NaN"]) == 1
+    err = capsys.readouterr().err
+    field = "viscosity" if flag == "--nu" else flag[2:].replace("-", "_")
+    assert err.startswith("error: ") and field in err
+
+
 def test_steer_zero_fixed_point_iterations_exits_1(tmp_path, mode_file, capsys):
     cfg = write_config(tmp_path, "cfg.json", {
         "mode_set": mode_file, "radius": 4, "target": [0.0] * 4,

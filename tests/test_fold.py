@@ -48,7 +48,7 @@ def via_vector_field(values):
 def via_constant(values):
     # the primitive of a unit-duration constant segment at its end is its value
     program = ForcingProgram(symmetrize(values), [Constant(1.0, values)])
-    return _segment_evaluator(program, 0, _tables(RADIUS))(1.0)
+    return _segment_evaluator(program, 0, _tables(RADIUS))(np.array([1.0]))[0]
 
 
 @given(rep_maps())

@@ -26,6 +26,12 @@ import integrator_oracle
 SINGLE = symmetrize({(1, 0)})
 
 
+@pytest.mark.parametrize("dt_base", [0.0, -1e-3, float("nan"), float("inf")])
+def test_integrator_config_rejects_a_bad_dt_base(dt_base):
+    with pytest.raises(ValueError, match="dt_base"):
+        IntegratorConfig(dt_base=dt_base)
+
+
 def test_single_step_linear_decay_exact():
     s = SpectralState.from_coeffs({(1, 0): 1.0}, 3)
     out = step(s, 0.0, 0.1, SimParams(nu=1.0), zero_program(1.0))
@@ -313,12 +319,6 @@ def evaluator_segments(draw):
                           omega, duration)
 
 
-def evaluator_rows(ev, times, n_reps):
-    """The evaluator's rows, zero rows where the segment forces nothing."""
-    rows = ev(times)
-    return np.zeros(np.shape(times) + (n_reps,), dtype=complex) if rows is None else rows
-
-
 @given(evaluator_segments(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
        st.sampled_from([3, 5]))
 @settings(max_examples=100, deadline=None)
@@ -332,7 +332,7 @@ def test_segment_evaluator_matches_scalar_evaluate(seg, fractions, radius):
         for k in oracle.segment_reps(seg):
             want[tab.rep_index[k]] = oracle.segment_primitive(seg, k, tloc)
         scale = max(1.0, np.abs(want).max())
-        np.testing.assert_allclose(evaluator_rows(ev, tloc, tab.n_reps), want,
+        np.testing.assert_allclose(ev(np.array([tloc]))[0], want,
                                    rtol=0, atol=1e-12 * scale)
 
 
@@ -343,10 +343,7 @@ def test_segment_evaluator_rows_match_scalar_calls_bitwise(seg, fractions, radiu
     tab = _tables(radius)
     ev = _segment_evaluator(ForcingProgram(EVAL_SUPPORT, [seg]), 0, tab)
     times = np.array(fractions) * seg.duration
-    if ev(0.0) is None:      # a constant segment of zero values forces nothing
-        assert ev(times) is None
-        return
-    want = np.array([np.broadcast_to(ev(float(t)), (tab.n_reps,)) for t in times],
+    want = np.array([ev(np.array([t]))[0] for t in times],
                     dtype=complex).reshape(len(times), tab.n_reps)
     got = ev(times)
     assert got.shape == (len(times), tab.n_reps)
@@ -373,12 +370,12 @@ def test_blocked_integrate_matches_scalar_step_loop(nu):
     for j in range(n):
         tloc = 0.0 + j * h
         q = _lawson_rk4(q, h, *factors, tab.nonlinear,
-                        ev(tloc), ev(tloc + 0.5 * h), ev(tloc + h))
+                        *ev(np.array([tloc, tloc + 0.5 * h, tloc + h])))
     assert traj.final.data.tobytes() == q.tobytes()
     state = state0
     for j in range(n):
         state = step(state, j * h, h, params, prog)
-    np.testing.assert_allclose(state.data, q, rtol=1e-13, atol=0)
+    assert state.data.tobytes() == q.tobytes()
 
 
 def test_segment_evaluator_rejects_modes_outside_the_radius():
@@ -397,7 +394,7 @@ def test_unforced_support_mode_outside_the_radius_integrates(forced):
     traj = integrate(SpectralState.zeros(2), SimParams(nu=0.01), prog,
                      IntegratorConfig(dt_base=1e-2))
     assert traj.final.coeff((1, 0)) != 0
-    assert _segment_evaluator(prog, 1, _tables(2))(0.0) is None
+    assert not _segment_evaluator(prog, 1, _tables(2))(np.array([0.0, 0.05])).any()
     bad = ForcingProgram(prog.support, [forced, Constant(0.1, {(2, 1): 1.0})])
     with pytest.raises(ValueError, match="outside resolution radius"):
         integrate(SpectralState.zeros(2), SimParams(nu=0.01), bad,

@@ -340,3 +340,9 @@ def test_state_csv_and_json_round_trip_property(s):
     for back in (state_from_csv(state_to_csv(s)), state_from_json(state_to_json(s))):
         assert back.radius == s.radius
         np.testing.assert_array_equal(back.data, s.data)
+
+
+@pytest.mark.parametrize("nu", [-0.01, float("nan"), float("inf"), -float("inf")])
+def test_sim_params_reject_negative_and_non_finite_viscosity(nu):
+    with pytest.raises(ValueError, match="viscosity"):
+        SimParams(nu=nu)

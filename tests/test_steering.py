@@ -260,6 +260,10 @@ def test_steering_config_validation():
 @pytest.mark.parametrize("field, value", [
     ("max_fp_iters", 0), ("chatter_windows", 0), ("omega", 0.0), ("omega", -400.0),
     ("level_omega_ratio", 0.0), ("correction_tau", 0.0), ("correction_tau", -0.01),
+    ("tau", float("inf")), ("tau", float("nan")), ("omega", float("nan")),
+    ("omega", float("inf")), ("fp_tol", float("nan")), ("gamma", float("nan")),
+    ("gamma", float("inf")), ("level_omega_ratio", float("nan")),
+    ("correction_tau", float("nan")), ("correction_tau", float("inf")),
 ])
 def test_steering_config_names_the_bad_field(field, value):
     with pytest.raises(ValueError, match=field):

@@ -22,6 +22,9 @@ line:
   zero, cosine bundle, multi-harmonic packet), at R = 5 (triad kernel) and
   R = 12 (FFT kernel), each at nu = 0 and nu = 0.01, and that program's
   JSON;
+- the ``BlowUpError.time`` of that ``integrate`` run at R = 5 from a
+  state large enough to blow up inside the forced first segment, at
+  nu = 0 and nu = 0.01;
 
 then one digest over all of them.  Stdlib plus the package under test
 (and the numpy it needs).
@@ -39,6 +42,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 7
 OPERATIONS = 6
+BLOWUP_AMPLITUDE = 160.0     # blows the R = 5 mixed-program run up at t = 0.026
 
 
 def digest(*parts) -> str:
@@ -131,6 +135,15 @@ def integrator_lines(mc):
                 for j in range(10):
                     state = mc.step(state, t0 + j * h, h, params, program)
             yield "step chain R=%d nu=%g" % (radius, nu), digest(floats(state.data))
+    state0 = mc.random_decaying_state(5, BLOWUP_AMPLITUDE, rng=np.random.default_rng(SEED))
+    blowups = []
+    for nu in (0.0, 0.01):
+        try:
+            mc.integrate(state0, mc.SimParams(nu=nu), program, config, sample_times=samples)
+            blowups.append("no blow-up")
+        except mc.BlowUpError as exc:
+            blowups.append(exc.time.hex())
+    yield "integrate blow-up R=5 time", digest(blowups)
 
 
 def main() -> int:
