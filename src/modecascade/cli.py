@@ -1,16 +1,19 @@
 """Batch experiment runner.
 
-One JSON config document drives each run; long-form flags override
-top-level scalar fields (flag name equals field name).  Every run emits
-its artifacts plus a ``manifest.json`` echoing the fully resolved
+One JSON config document drives each run.  A subcommand's long-form
+flags are exactly the top-level scalar fields it reads, plus ``--seed``
+and ``--output-dir`` (flag name equals field name); a flag overrides the
+field.  Every run emits its artifacts plus a ``manifest.json``, written
+by ``main`` once the subcommand returns, echoing the fully resolved
 configuration and the tool version; re-running from a manifest
 reproduces the outputs bit for bit.
 
-Exit codes: 0 success, 1 configuration/validation error (the message
-names the offending field), 2 numerical failure: blow-up or
-non-convergence with partial results still written, or a forcing
-program that needs more integration steps than the budget allows.
-``main`` turns the last two, raised by any subcommand, into
+Exit codes: 0 success, 1 usage error (unknown flag, missing
+``--config``) or configuration/validation error (a missing or
+unconvertible field is named in the message), 2 numerical failure:
+blow-up or non-convergence with partial results still written, or a
+forcing program that needs more integration steps than the budget
+allows.  ``main`` turns the last two, raised by any subcommand, into
 ``failure.json`` plus the manifest.  The manifest of a run that
 integrates also names the quadratic-term kernel ("triad" or "fft") its
 resolution radius selects.
@@ -48,38 +51,39 @@ class ConfigError(Exception):
     pass
 
 
-_OVERRIDABLE = {
-    "saturate": ["mode_set", "radius", "max_levels", "seed", "output_dir"],
-    "simulate": ["radius", "nu", "duration", "dt_base", "oscillation_resolution",
-                 "record_stride", "state", "program", "amplitude", "decay",
-                 "seed", "output_dir"],
-    "steer": ["mode_set", "observed", "radius", "nu", "tau", "gamma", "omega",
-              "correction_tau", "max_fp_iters", "fp_tol", "chatter_windows",
-              "construction", "dt_base", "oscillation_resolution", "state",
-              "amplitude", "decay", "seed", "output_dir"],
-    "average": ["amplitude", "duration", "nu", "radius", "dt_base",
-                "oscillation_resolution", "construction", "state", "seed",
-                "output_dir"],
-    "chatter": ["program", "amplitude", "windows", "slack_channel", "seed",
-                "output_dir"],
-    "cover": ["mode_set", "observed", "radius", "nu", "tau", "gamma", "omega",
-              "correction_tau", "max_fp_iters", "fp_tol", "chatter_windows",
-              "construction", "dt_base", "oscillation_resolution",
-              "target_radius", "grid_density", "state", "amplitude", "decay",
-              "seed", "output_dir"],
-    "rxprobe": ["mode", "duration", "nu", "radius", "dt_base",
-                "oscillation_resolution", "state", "amplitude", "decay",
-                "seed", "output_dir"],
-    "project": ["mode_set", "basis", "epsilon", "radius", "nu", "tau", "gamma",
-                "omega", "correction_tau", "max_fp_iters", "fp_tol",
-                "chatter_windows", "construction", "dt_base",
-                "oscillation_resolution", "state", "amplitude", "decay",
-                "seed", "output_dir"],
-}
-
-
 # ---------------------------------------------------------------------------
 # config plumbing
+
+REQUIRED = object()
+
+
+def _get(cfg: dict, field: str, convert, default=REQUIRED):
+    """``convert(cfg[field])``; a missing or null field reads ``default``
+    as given, or fails when the field is required.  Every failure names
+    the field."""
+    value = cfg.get(field)
+    if value is None:
+        if default is REQUIRED:
+            raise ConfigError("missing required field '%s'" % field)
+        return default
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError("field '%s': %s" % (field, exc)) from None
+
+
+def _floats(values) -> list[float]:
+    return [float(x) for x in values]
+
+
+def _mode(value) -> tuple[int, int]:
+    kx, ky = value
+    return int(kx), int(ky)
+
+
+def _pair(value) -> tuple[tuple[int, int], tuple[int, int]]:
+    m, n = value
+    return _mode(m), _mode(n)
 
 
 def _load_config(path: str, command: str) -> dict:
@@ -98,30 +102,24 @@ def _load_config(path: str, command: str) -> dict:
     return data
 
 
-def _require(cfg: dict, field: str):
-    if field not in cfg or cfg[field] is None:
-        raise ConfigError("missing required field '%s'" % field)
-    return cfg[field]
-
-
 def _existing_path(cfg: dict, field: str) -> Path:
-    p = Path(str(_require(cfg, field)))
+    p = Path(_get(cfg, field, str))
     if not p.exists():
         raise ConfigError("field '%s': file not found: %s" % (field, p))
     return p
 
 
 def _rng(cfg: dict) -> np.random.Generator:
-    return np.random.default_rng(int(cfg.get("seed", 0)))
+    return np.random.default_rng(cfg["seed"])
 
 
 def _load_state(cfg: dict, radius: int) -> SpectralState:
-    source = cfg.get("state", "rest")
+    source = _get(cfg, "state", str, "rest")
     if source == "rest":
         return SpectralState.zeros(radius)
     if source == "random":
-        return random_decaying_state(radius, float(cfg.get("amplitude", 0.3)),
-                                     float(cfg.get("decay", 3.0)), _rng(cfg))
+        return random_decaying_state(radius, _get(cfg, "amplitude", float, 0.3),
+                                     _get(cfg, "decay", float, 3.0), _rng(cfg))
     p = _existing_path(cfg, "state")
     text = p.read_text()
     state = state_from_json(text) if p.suffix == ".json" else state_from_csv(text)
@@ -135,7 +133,7 @@ def _initial(cfg: dict, em: _Emitter, radius: int) -> tuple[SpectralState, SimPa
     records the state's resolution for the manifest."""
     state0 = _load_state(cfg, radius)
     em.radius = state0.radius
-    return state0, SimParams(nu=float(cfg.get("nu", 0.0)))
+    return state0, SimParams(nu=_get(cfg, "nu", float, 0.0))
 
 
 _INTEGRATOR_FIELDS = {"dt_base": float, "oscillation_resolution": int,
@@ -147,7 +145,7 @@ _STEERING_FIELDS = {"tau": float, "gamma": float, "omega": float,
 
 def _given(cfg: dict, fields: dict) -> dict:
     """The fields set in cfg, converted; the dataclass defaults fill the rest."""
-    return {name: conv(cfg[name]) for name, conv in fields.items()
+    return {name: _get(cfg, name, convert) for name, convert in fields.items()
             if cfg.get(name) is not None}
 
 
@@ -163,7 +161,7 @@ def _steering_config(cfg: dict) -> SteeringConfig:
 def _chain_for(cfg: dict, observed: frozenset):
     k1 = symmetrize(parse_mode_set(_existing_path(cfg, "mode_set").read_text()))
     need = max(1, int(np.ceil(np.sqrt(max(norm_sq(k) for k in observed)))))
-    return saturation_chain(k1, radius=need, max_levels=int(cfg.get("max_levels", 16)))
+    return saturation_chain(k1, radius=need, max_levels=_get(cfg, "max_levels", int, 16))
 
 
 class _Emitter:
@@ -175,7 +173,7 @@ class _Emitter:
         self.cfg = cfg
         self.command = command
         self.radius: int | None = None
-        self.out_dir = Path(str(cfg.get("output_dir", "out")))
+        self.out_dir = Path(_get(cfg, "output_dir", str, "out"))
         self.written: list[str] = []
 
     def write(self, name: str, text: str):
@@ -188,11 +186,11 @@ class _Emitter:
 
     def write_json(self, name: str, payload: dict):
         payload = dict(payload)
-        payload.setdefault("seed", int(self.cfg.get("seed", 0)))
+        payload.setdefault("seed", self.cfg["seed"])
         self.write(name, json.dumps(payload, indent=2) + "\n")
 
     def write_csv(self, name: str, text: str):
-        self.write(name, "# seed=%d\n" % int(self.cfg.get("seed", 0)) + text)
+        self.write(name, "# seed=%d\n" % self.cfg["seed"] + text)
 
     def failure(self, exc: BlowUpError | StepBudgetError) -> int:
         """failure.json, manifest and stderr line of a failed run; exit 2."""
@@ -220,26 +218,24 @@ class _Emitter:
 
 def _run_saturate(cfg: dict, em: _Emitter) -> int:
     modes = parse_mode_set(_existing_path(cfg, "mode_set").read_text())
-    chain = saturation_chain(modes, radius=int(_require(cfg, "radius")),
-                             max_levels=int(cfg.get("max_levels", 32)))
+    chain = saturation_chain(modes, radius=_get(cfg, "radius", int),
+                             max_levels=_get(cfg, "max_levels", int, 32))
     em.write("chain.json", chain_to_json(chain, indent=2) + "\n")
-    em.manifest()
     print("saturate: status=%s covered_radius=%d levels=%d"
           % (chain.status, chain.covered_radius, len(chain.levels)))
     return 0
 
 
 def _run_simulate(cfg: dict, em: _Emitter) -> int:
-    state0, params = _initial(cfg, em, int(_require(cfg, "radius")))
+    state0, params = _initial(cfg, em, _get(cfg, "radius", int))
     if cfg.get("program"):
         program = program_from_json(_existing_path(cfg, "program").read_text())
     else:
-        program = zero_program(float(_require(cfg, "duration")))
+        program = zero_program(_get(cfg, "duration", float))
     traj = integrate(state0, params, program, _integrator_config(cfg))
     em.write_csv("trajectory.csv", traj.to_csv())
     em.write_csv("summary.csv", traj.summary_to_csv())
     em.write_csv("final_state.csv", state_to_csv(traj.final))
-    em.manifest()
     summary = traj.summary()
     print("simulate: %d records, final enstrophy %.6g" % (len(traj), summary[-1, 2]))
     return 0
@@ -250,41 +246,43 @@ def _observed_set(cfg: dict) -> frozenset:
     return symmetrize(parse_mode_set(_existing_path(cfg, field).read_text()))
 
 
+def _steer_and_report(em: _Emitter, run):
+    """``run()``'s steering report (the best one on non-convergence, exit
+    2) written as ``program.json`` plus ``report.json``."""
+    try:
+        report, code = run(), 0
+    except ConvergenceError as exc:
+        report, code = exc.report, 2
+    em.write("program.json", program_to_json(report.program, indent=2) + "\n")
+    em.write_json("report.json", report_to_dict(report, program_ref="program.json"))
+    return report, code
+
+
 def _run_steer(cfg: dict, em: _Emitter) -> int:
     observed = _observed_set(cfg)
     chain = _chain_for(cfg, observed)
-    state0, params = _initial(cfg, em, int(_require(cfg, "radius")))
-    target = np.asarray(_require(cfg, "target"), dtype=float)
+    state0, params = _initial(cfg, em, _get(cfg, "radius", int))
+    target = _get(cfg, "target", _floats)
     scfg = _steering_config(cfg)
-    code = 0
-    try:
-        report = steer_to_target(target, chain, observed, state0, params, scfg)
-    except ConvergenceError as exc:
-        report = exc.report
-        code = 2
-    em.write("program.json", program_to_json(report.program, indent=2) + "\n")
-    em.write_json("report.json", report_to_dict(report, program_ref="program.json"))
-    em.manifest()
+    report, code = _steer_and_report(em, lambda: steer_to_target(
+        target, chain, observed, state0, params, scfg))
     print("steer: error=%.3g iterations=%d converged=%s"
           % (report.error_norm, report.iterations, report.converged))
     return code
 
 
 def _run_average(cfg: dict, em: _Emitter) -> int:
-    k = tuple(int(x) for x in _require(cfg, "k"))
-    pair_raw = _require(cfg, "pair")
-    pair = (tuple(int(x) for x in pair_raw[0]), tuple(int(x) for x in pair_raw[1]))
-    omegas = [float(w) for w in _require(cfg, "omegas")]
-    state0, params = _initial(cfg, em, int(_require(cfg, "radius")))
+    k = _get(cfg, "k", _mode)
+    pair = _get(cfg, "pair", _pair)
+    omegas = _get(cfg, "omegas", _floats)
+    state0, params = _initial(cfg, em, _get(cfg, "radius", int))
     devs = averaging_experiment(
-        k, pair, float(cfg.get("amplitude", 1.0)), omegas,
-        float(_require(cfg, "duration")), state0, params,
-        _integrator_config(cfg),
-        **_given(cfg, {"construction": str}))
+        k, pair, _get(cfg, "amplitude", float, 1.0), omegas,
+        _get(cfg, "duration", float), state0, params,
+        _integrator_config(cfg), **_given(cfg, {"construction": str}))
     lines = ["omega,deviation"]
     lines += ["%r,%r" % (w, d) for w, d in zip(omegas, devs)]
     em.write_csv("deviations.csv", "\n".join(lines) + "\n")
-    em.manifest()
     print("average: " + ", ".join("D(%g)=%.4g" % (w, d)
                                   for w, d in zip(omegas, devs)))
     return 0
@@ -292,10 +290,10 @@ def _run_average(cfg: dict, em: _Emitter) -> int:
 
 def _run_chatter(cfg: dict, em: _Emitter) -> int:
     program = program_from_json(_existing_path(cfg, "program").read_text())
-    amplitude = float(_require(cfg, "amplitude"))
-    windows = int(_require(cfg, "windows"))
+    amplitude = _get(cfg, "amplitude", float)
+    windows = _get(cfg, "windows", int)
     out = chattering_approximation(program, amplitude, windows,
-                                   int(cfg.get("slack_channel", 0)))
+                                   _get(cfg, "slack_channel", int, 0))
     rx = relaxation_distance(out, program)
     # kappa real channels = number of support modes
     bound = 2.0 * amplitude * np.sqrt(len(program.support)) \
@@ -304,7 +302,6 @@ def _run_chatter(cfg: dict, em: _Emitter) -> int:
     em.write_json("chatter_report.json", {
         "rx_distance": rx, "bound": float(bound), "windows": windows,
         "amplitude": amplitude, "segments": len(out.durations)})
-    em.manifest()
     print("chatter: rx=%.4g bound=%.4g segments=%d" % (rx, bound, len(out.durations)))
     return 0
 
@@ -312,25 +309,25 @@ def _run_chatter(cfg: dict, em: _Emitter) -> int:
 def _run_cover(cfg: dict, em: _Emitter) -> int:
     observed = _observed_set(cfg)
     chain = _chain_for(cfg, observed)
-    state0, params = _initial(cfg, em, int(_require(cfg, "radius")))
+    state0, params = _initial(cfg, em, _get(cfg, "radius", int))
     scfg = _steering_config(cfg)
-    target_radius = float(_require(cfg, "target_radius"))
-    grid_density = int(cfg.get("grid_density", 2))
+    target_radius = _get(cfg, "target_radius", float)
+    grid_density = _get(cfg, "grid_density", int, 2)
     result = coverage_check(chain, observed, target_radius, grid_density,
                             state0, params, scfg)
     em.write_csv("coverage.csv", result.to_csv())
     em.write_json("coverage.json", {"fraction": result.fraction,
                                     "targets": int(len(result.targets))})
-    if cfg.get("tau_ladder"):
+    ladder = _get(cfg, "tau_ladder", _floats, [])
+    if ladder:
         targets = coverage_grid(result.targets.shape[1], target_radius,
                                 grid_density)
         lines = ["tau,near_identity_gap"]
-        for tau in cfg["tau_ladder"]:
-            gap = near_identity_gap(observed, targets, float(tau), state0,
+        for tau in ladder:
+            gap = near_identity_gap(observed, targets, tau, state0,
                                     params, scfg.integrator)
-            lines.append("%r,%r" % (float(tau), gap))
+            lines.append("%r,%r" % (tau, gap))
         em.write_csv("near_identity.csv", "\n".join(lines) + "\n")
-    em.manifest()
     print("cover: fraction=%.3f over %d targets" % (result.fraction,
                                                     len(result.targets)))
     return 0
@@ -345,32 +342,29 @@ def _run_rxprobe(cfg: dict, em: _Emitter) -> int:
     reporting the sup-in-time H0 deviation of the driven trajectory from
     the unforced one.
     """
-    mode = str(cfg.get("mode", "trajectory"))
-    duration = float(cfg.get("duration", 1.0))
+    mode = _get(cfg, "mode", str, "trajectory")
+    duration = _get(cfg, "duration", float, 1.0)
     single = symmetrize({(1, 0)})
     if mode == "law":
         lines = ["omega,rx,expected"]
-        for omega in cfg.get("omegas", [1e2, 1e3, 1e4]):
-            omega = float(omega)
+        for omega in _get(cfg, "omegas", _floats, [1e2, 1e3, 1e4]):
             seg = Oscillatory.from_cos_pairs(duration, omega,
                                              [((1, 0), omega ** -0.5)])
             rx = relaxation_distance(ForcingProgram(single, [seg]),
                                      zero_program(duration, single))
             lines.append("%r,%r,%r" % (omega, rx, omega ** -0.5))
         em.write_csv("rxprobe.csv", "\n".join(lines) + "\n")
-        em.manifest()
         print("rxprobe law: " + lines[-1])
         return 0
     if mode != "trajectory":
         raise ConfigError("field 'mode': expected 'law' or 'trajectory', got %r"
                           % mode)
-    state0, params = _initial(cfg, em, int(_require(cfg, "radius")))
+    state0, params = _initial(cfg, em, _get(cfg, "radius", int))
     icfg = _integrator_config(cfg)
     sample = np.linspace(0.0, duration, 41)
     base = integrate(state0, params, zero_program(duration, single), icfg, sample)
     lines = ["delta,rx,sup_deviation"]
-    for delta in cfg.get("deltas", [0.1, 0.05, 0.025]):
-        delta = float(delta)
+    for delta in _get(cfg, "deltas", _floats, [0.1, 0.05, 0.025]):
         omega = 1.0 / delta ** 2
         seg = Oscillatory.from_cos_pairs(duration, omega, [((1, 0), delta)])
         prog = ForcingProgram(single, [seg])
@@ -379,46 +373,41 @@ def _run_rxprobe(cfg: dict, em: _Emitter) -> int:
         dev = max(sobolev_norm(traj.at(t) - base.at(t), 0) for t in sample)
         lines.append("%r,%r,%r" % (delta, rx, dev))
     em.write_csv("rxprobe.csv", "\n".join(lines) + "\n")
-    em.manifest()
     print("rxprobe trajectory: %d deltas" % (len(lines) - 1))
     return 0
 
 
 def _run_project(cfg: dict, em: _Emitter) -> int:
-    basis_path = _existing_path(cfg, "basis")
-    entries = json.loads(basis_path.read_text())
+    entries = json.loads(_existing_path(cfg, "basis").read_text())
     basis = [state_from_json(json.dumps(e)) for e in entries]
     observed_radius = max(s.radius for s in basis)
-    state0, params = _initial(cfg, em, int(cfg.get("radius", max(observed_radius, 4))))
-    epsilon = float(_require(cfg, "epsilon"))
+    state0, params = _initial(cfg, em, _get(cfg, "radius", int, max(observed_radius, 4)))
+    epsilon = _get(cfg, "epsilon", float)
     proj, S = subspace_setup(basis, epsilon)
     chain = _chain_for(cfg, S)
-    target = np.asarray(_require(cfg, "target"), dtype=float)
+    target = _get(cfg, "target", _floats)
     scfg = _steering_config(cfg)
-    code = 0
-    try:
-        report = steer_in_projection(proj, target, chain, state0, params,
-                                     scfg, epsilon)
-    except ConvergenceError as exc:
-        report = exc.report
-        code = 2
-    em.write("program.json", program_to_json(report.program, indent=2) + "\n")
-    em.write_json("report.json", report_to_dict(report, program_ref="program.json"))
-    em.manifest()
+    report, code = _steer_and_report(em, lambda: steer_in_projection(
+        proj, target, chain, state0, params, scfg, epsilon))
     print("project: error=%.3g tail_growth=%.3g converged=%s"
           % (report.error_norm, report.q_tail_growth, report.converged))
     return code
 
 
-_RUNNERS = {
-    "saturate": _run_saturate,
-    "simulate": _run_simulate,
-    "steer": _run_steer,
-    "average": _run_average,
-    "chatter": _run_chatter,
-    "cover": _run_cover,
-    "project": _run_project,
-    "rxprobe": _run_rxprobe,
+# A subcommand's flags are exactly the scalar fields it reads, plus
+# seed and output_dir.
+_STATE = ("radius", "nu", "state", "amplitude", "decay", *_INTEGRATOR_FIELDS)
+_STEERING = ("mode_set", "max_levels", *_STEERING_FIELDS)
+_COMMANDS = {
+    "saturate": (_run_saturate, ("mode_set", "radius", "max_levels")),
+    "simulate": (_run_simulate, _STATE + ("duration", "program")),
+    "steer": (_run_steer, _STATE + _STEERING + ("observed",)),
+    "average": (_run_average, _STATE + ("duration", "construction")),
+    "chatter": (_run_chatter, ("program", "amplitude", "windows", "slack_channel")),
+    "cover": (_run_cover, _STATE + _STEERING + ("observed", "target_radius",
+                                               "grid_density")),
+    "project": (_run_project, _STATE + _STEERING + ("basis", "epsilon")),
+    "rxprobe": (_run_rxprobe, _STATE + ("mode", "duration")),
 }
 
 
@@ -435,34 +424,34 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spectral vorticity simulation and low-mode steering experiments")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, fields in _OVERRIDABLE.items():
+    for name, (_, fields) in _COMMANDS.items():
         sp = subs.add_parser(name)
         sp.add_argument("--config", required=True, help="JSON config (or manifest)")
-        for fieldname in fields:
+        for fieldname in fields + ("seed", "output_dir"):
             sp.add_argument("--" + fieldname.replace("_", "-"), dest=fieldname,
                             default=None, metavar="V")
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args.config, args.command)
-        for fieldname in _OVERRIDABLE[args.command]:
-            value = getattr(args, fieldname, None)
-            if value is not None:
-                cfg[fieldname] = _coerce(value)
-        cfg.setdefault("seed", 0)
-        em = _Emitter(cfg, args.command)
-        return _RUNNERS[args.command](cfg, em)
-    except ConfigError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
+        flags = vars(build_parser().parse_args(argv))
+    except SystemExit as exc:         # usage errors are config errors
+        return 1 if exc.code else 0
+    command, path = flags.pop("command"), flags.pop("config")
+    try:
+        cfg = _load_config(path, command)
+        cfg.update((f, _coerce(v)) for f, v in flags.items() if v is not None)
+        cfg["seed"] = _get(cfg, "seed", int, 0)
+        em = _Emitter(cfg, command)
+        code = _COMMANDS[command][0](cfg, em)
     except (BlowUpError, StepBudgetError) as exc:
         return em.failure(exc)
-    except (ValueError, KeyError) as exc:
+    except (ConfigError, ValueError, KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    em.manifest()
+    return code
 
 
 if __name__ == "__main__":

@@ -120,7 +120,7 @@ class Constant:
     __slots__ = ("duration", "values")
 
     def __init__(self, duration: float, values: Mapping[Mode, complex]):
-        if duration <= 0:
+        if not 0 < duration < math.inf:
             raise ValueError("segment duration must be positive")
         self.duration = float(duration)
         self.values = fold_conjugate(values, 1e-9, "forcing")
@@ -141,9 +141,9 @@ class Oscillatory:
 
     def __init__(self, duration: float, omega: float,
                  components: Iterable[tuple[Mode, int, complex]]):
-        if duration <= 0:
+        if not 0 < duration < math.inf:
             raise ValueError("segment duration must be positive")
-        if omega <= 0:
+        if not 0 < omega < math.inf:
             raise ValueError("oscillation frequency must be positive")
         self.duration = float(duration)
         self.omega = float(omega)
@@ -185,7 +185,7 @@ class Zero:
     __slots__ = ("duration",)
 
     def __init__(self, duration: float):
-        if duration <= 0:
+        if not 0 < duration < math.inf:
             raise ValueError("segment duration must be positive")
         self.duration = float(duration)
 
@@ -535,7 +535,7 @@ def chattering_approximation(program: ForcingProgram, amplitude: float,
     cmap = ChannelMap(program.support)
     if cmap.size == 0:
         raise ValueError("cannot chatter a program with empty support")
-    if amplitude <= 0:
+    if not 0 < amplitude < math.inf:
         raise ValueError("extreme amplitude must be positive")
     if not (0 <= slack_channel < cmap.size):
         raise ValueError("slack channel out of range")

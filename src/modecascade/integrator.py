@@ -214,7 +214,7 @@ def step(state: SpectralState, t: float, dt: float, params: SimParams,
          program: ForcingProgram) -> SpectralState:
     """One interaction-picture Lawson RK4 step; [t, t+dt] must sit inside a
     single forcing segment (callers split at boundaries)."""
-    if dt <= 0:
+    if not 0 < dt < math.inf:
         raise ValueError("dt must be positive")
     (i,), (tloc,) = program._locate([t])
     if tloc + dt > program.durations[i] * (1 + 1e-12) + 1e-15:

@@ -210,7 +210,7 @@ def base_step_program(support: Iterable[Mode], p: np.ndarray, tau: float
                       ) -> ForcingProgram:
     """Constant ramp v = p / tau on the support channels; its primitive at
     tau equals p, so from rest the observed endpoint is p up to O(tau)."""
-    if tau <= 0:
+    if not 0 < tau < math.inf:
         raise ValueError("tau must be positive")
     support = symmetrize(support)
     cmap = ChannelMap(support)

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from modecascade.cli import _integrator_config, _steering_config, main
+from modecascade.cli import (_integrator_config, _steering_config, build_parser,
+                             main)
 from modecascade.forcing import constant_program, program_to_json
 from modecascade.lattice import format_mode_set, symmetrize
 from modecascade.spectral import SpectralState, state_to_json
@@ -383,3 +384,62 @@ def test_steer_zero_fixed_point_iterations_exits_1(tmp_path, mode_file, capsys):
     assert main(["steer", "--config", cfg, "--max-fp-iters", "0"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "max_fp_iters" in err
+
+
+@pytest.mark.parametrize("command,flag,value,field", [
+    ("saturate", "--radius", "Infinity", "radius"),
+    ("saturate", "--seed", "Infinity", "seed"),
+    ("simulate", "--record-stride", "NaN", "record_stride"),
+    ("simulate", "--oscillation-resolution", "Infinity", "oscillation_resolution"),
+    ("chatter", "--windows", "NaN", "windows"),
+    ("simulate", "--duration", "NaN", "duration"),
+])
+def test_bad_value_exits_1_naming_the_field(tmp_path, mode_file, capsys,
+                                            command, flag, value, field):
+    program = tmp_path / "prog.json"
+    program.write_text(program_to_json(constant_program(FOUR_MODES, {(1, 0): 0.5}, 1.0)))
+    payload = {"saturate": {"mode_set": mode_file, "radius": 3},
+               "simulate": {"radius": 3, "duration": 0.02},
+               "chatter": {"program": str(program), "amplitude": 1.0, "windows": 4}}
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, "cfg.json", dict(payload[command], output_dir=str(out)))
+    assert main([command, "--config", cfg, flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--config", "cfg.json", "--bogus", "1"],
+    ["saturate", "--config", "cfg.json", "--nu", "0.1"],
+    ["simulate"],
+    ["teleport", "--config", "cfg.json"],
+])
+def test_usage_errors_exit_1(capsys, argv):
+    assert main(argv) == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["steer", "--help"]])
+def test_help_and_version_exit_0(capsys, argv):
+    assert main(argv) == 0
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("average", "--decay"), ("steer", "--max-levels"), ("cover", "--max-levels"),
+    ("project", "--max-levels"), ("steer", "--record-stride"),
+    ("average", "--record-stride"), ("cover", "--record-stride"),
+    ("rxprobe", "--record-stride"), ("project", "--record-stride")])
+def test_every_scalar_field_read_has_a_flag(command, flag):
+    args = build_parser().parse_args([command, "--config", "cfg.json", flag, "3"])
+    assert getattr(args, flag[2:].replace("-", "_")) == "3"
+
+
+@pytest.mark.parametrize("field,value", [("pair", [[1, 0]]), ("k", [2, 1, 0]),
+                                         ("omegas", 40)])
+def test_malformed_list_field_exits_1_naming_it(tmp_path, capsys, field, value):
+    cfg = write_config(tmp_path, "cfg.json", {
+        "k": [2, 1], "pair": [[1, 0], [1, 1]], "omegas": [40], "duration": 0.02,
+        "radius": 4, field: value, "output_dir": str(tmp_path / "o")})
+    assert main(["average", "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith("error: field '%s': " % field)

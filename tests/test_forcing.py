@@ -409,6 +409,21 @@ def test_extreme_set_validation():
         chattering_approximation(prog, -1.0, 4)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_non_finite_segment_inputs_rejected(bad):
+    with pytest.raises(ValueError, match="segment duration must be positive"):
+        zero_program(bad)
+    with pytest.raises(ValueError, match="segment duration must be positive"):
+        Constant(bad, {(1, 0): 1.0})
+    with pytest.raises(ValueError, match="segment duration must be positive"):
+        Oscillatory(bad, 1.0, [((1, 0), 1, 0.5)])
+    with pytest.raises(ValueError, match="oscillation frequency must be positive"):
+        Oscillatory(1.0, bad, [((1, 0), 1, 0.5)])
+    prog = constant_program(PAIR_SUPPORT, {(1, 0): 0.5}, 1.0)
+    with pytest.raises(ValueError, match="extreme amplitude must be positive"):
+        chattering_approximation(prog, bad, 4)
+
+
 def test_program_json_literal():
     """Constant values in sorted rep order whatever the input order; an
     empty Constant stays a constant and a cancelled packet a packet."""

@@ -61,6 +61,12 @@ def test_step_crossing_segment_boundary_rejected():
         step(s, 0.4, 0.2, SimParams(), prog)
 
 
+@pytest.mark.parametrize("dt", [0.0, math.nan, math.inf])
+def test_step_rejects_a_non_finite_dt(dt):
+    with pytest.raises(ValueError, match="dt must be positive"):
+        step(SpectralState.zeros(3), 0.0, dt, SimParams(), zero_program(1.0, SINGLE))
+
+
 def test_euler_conservation_drift():
     rng = np.random.default_rng(10)
     s0 = random_decaying_state(4, amplitude=0.4, rng=rng)

@@ -1,6 +1,8 @@
 """Steering: program builders, cascade structure, fixed-point refinement,
 projections, coverage, averaging."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,6 +85,12 @@ def test_base_step_primitive_reaches_p():
 def test_base_step_zero_vector():
     prog = base_step_program(K1, np.zeros(4), 0.5)
     assert isinstance(prog.segments[0], Zero)
+
+
+@pytest.mark.parametrize("tau", [0.0, math.nan, math.inf])
+def test_base_step_rejects_a_non_finite_tau(tau):
+    with pytest.raises(ValueError, match="tau must be positive"):
+        base_step_program(K1, np.zeros(4), tau)
 
 
 def test_correction_program_structure():

@@ -26,15 +26,25 @@ line:
   state large enough to blow up inside the forced first segment, at
   nu = 0 and nu = 0.01;
 
-then one digest over all of them.  Stdlib plus the package under test
-(and the numpy it needs).
+then one digest over all of them.  Last come the command-line runs,
+made through ``modecascade.cli.main`` in a temporary directory with
+relative paths so that two checkouts write the same manifests: a fixed
+``saturate``, ``simulate`` (random state, the mixed program), ``chatter``
+and ``steer`` run, one line for each exit code and one for each file the
+run wrote (``manifest.json`` included).  Stdlib plus the package under
+test (and the numpy it needs).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
+import json
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -146,6 +156,43 @@ def integrator_lines(mc):
     yield "integrate blow-up R=5 time", digest(blowups)
 
 
+CLI_RUNS = {
+    "saturate": {"mode_set": "k1.txt", "radius": 5, "max_levels": 16, "seed": SEED},
+    "simulate": {"radius": 4, "nu": 0.01, "program": "mixed.json", "dt_base": 2e-3,
+                 "record_stride": 10, "state": "random", "seed": SEED},
+    "chatter": {"program": "constant.json", "amplitude": 1.0, "windows": 6,
+                "slack_channel": 1, "seed": SEED},
+    "steer": {"mode_set": "k1.txt", "radius": 4, "nu": 0.01,
+              "target": [0.3, 0.0, -0.1, 0.05], "tau": 0.02, "fp_tol": 1e-3,
+              "dt_base": 1e-3, "state": "rest", "seed": SEED},
+}
+
+
+def cli_lines(mc):
+    inputs = {
+        "k1.txt": "1 0\n-1 0\n1 1\n-1 -1\n",
+        "mixed.json": mc.program_to_json(mixed_program(mc)),
+        "constant.json": mc.program_to_json(mc.constant_program(
+            {(1, 0), (1, 1)}, {(1, 0): 0.3 - 0.2j, (1, 1): 0.25j}, 1.0)),
+    }
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, text in inputs.items():
+                Path(name).write_text(text)
+            for command, cfg in CLI_RUNS.items():
+                Path(command + ".json").write_text(json.dumps(dict(cfg, output_dir=command)))
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    code = mc.cli.main([command, "--config", command + ".json"])
+                yield "cli %s exit" % command, digest(code)
+                for path in sorted(Path(command).iterdir()):
+                    yield "cli %s %s" % (command, path.name), digest(path.read_bytes())
+        finally:
+            os.chdir(home)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, required=True,
@@ -157,6 +204,7 @@ def main() -> int:
         return 2
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
     import modecascade as mc
+    import modecascade.cli
     import workloads
     total = hashlib.sha256()
     for lines in (cover_lines(mc, workloads), control_algebra_lines(mc, workloads),
@@ -165,6 +213,8 @@ def main() -> int:
             print("%s %s" % (value, name), flush=True)
             total.update(value.encode())
     print("%s all" % total.hexdigest())
+    for name, value in cli_lines(mc):
+        print("%s %s" % (value, name), flush=True)
     return 0
 
 
