@@ -37,7 +37,7 @@ s0 = mc.SpectralState.zeros(6)
 
 print("steering subspace coordinates to grid targets of radius 0.3:")
 for target in mc.coverage_grid(2, 0.3, 2):
-    rep = mc.steer_in_projection(proj, target, CHAIN, s0, params, cfg, epsilon)
+    rep = mc.steer_in_projection(proj, S, target, CHAIN, s0, params, cfg)
     print("  target %s -> achieved %s  error %.2e  tail growth %.4f"
           % (np.round(target, 3), np.round(rep.achieved, 3), rep.error_norm,
              rep.q_tail_growth))

@@ -29,7 +29,6 @@ from .integrator import (BlowUpError, IntegratorConfig, StepBudgetError,
 from .steering import (ConvergenceError, CoordinateProjection, CoverageResult,
                        EndpointReport, SteeringConfig, SubspaceProjection,
                        averaging_experiment, base_step_program,
-                       cascade_program, correction_program, coverage_check,
-                       coverage_grid, endpoint_map, near_identity_gap,
-                       observed_endpoint, steer_in_projection, steer_to_target,
+                       cascade_program, coverage_check, coverage_grid,
+                       near_identity_gap, steer_in_projection, steer_to_target,
                        subspace_setup, synthesize)

@@ -382,13 +382,12 @@ def _run_project(cfg: dict, em: _Emitter) -> int:
     basis = [state_from_json(json.dumps(e)) for e in entries]
     observed_radius = max(s.radius for s in basis)
     state0, params = _initial(cfg, em, _get(cfg, "radius", int, max(observed_radius, 4)))
-    epsilon = _get(cfg, "epsilon", float)
-    proj, S = subspace_setup(basis, epsilon)
+    proj, S = subspace_setup(basis, _get(cfg, "epsilon", float))
     chain = _chain_for(cfg, S)
     target = _get(cfg, "target", _floats)
     scfg = _steering_config(cfg)
     report, code = _steer_and_report(em, lambda: steer_in_projection(
-        proj, target, chain, state0, params, scfg, epsilon))
+        proj, S, target, chain, state0, params, scfg))
     print("project: error=%.3g tail_growth=%.3g converged=%s"
           % (report.error_norm, report.q_tail_growth, report.converged))
     return code

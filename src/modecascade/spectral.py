@@ -390,6 +390,8 @@ def random_decaying_state(radius: int, amplitude: float = 0.3, decay: float = 3.
                           rng: np.random.Generator | None = None) -> SpectralState:
     """Random smooth state with |q_k| = amplitude * |k|^-decay and uniform
     random phases; the seed is the caller's responsibility to record."""
+    if not np.isfinite([amplitude, decay]).all():
+        raise ValueError("amplitude and decay must be finite")
     if rng is None:
         rng = np.random.default_rng(0)
     tab = _tables(radius)

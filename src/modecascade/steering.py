@@ -15,7 +15,7 @@ the whole construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -33,8 +33,7 @@ from .spectral import (SimParams, SpectralState, inner0, project,
 __all__ = [
     "SteeringConfig", "CoordinateProjection", "SubspaceProjection",
     "EndpointReport", "ConvergenceError",
-    "endpoint_map", "observed_endpoint",
-    "base_step_program", "correction_program", "cascade_program",
+    "base_step_program", "cascade_program",
     "synthesize", "steer_to_target", "near_identity_gap",
     "averaging_experiment", "subspace_setup", "steer_in_projection",
     "coverage_grid", "coverage_check", "CoverageResult",
@@ -187,22 +186,6 @@ def report_to_dict(report: EndpointReport, program_ref: str | None = None) -> di
 
 
 # ---------------------------------------------------------------------------
-# endpoint maps
-
-
-def endpoint_map(state0: SpectralState, params: SimParams, program: ForcingProgram,
-                 config: IntegratorConfig = IntegratorConfig()) -> SpectralState:
-    """Final state of the trajectory driven by the program."""
-    return integrate(state0, params, program, config).final
-
-
-def observed_endpoint(state0: SpectralState, params: SimParams,
-                      program: ForcingProgram, proj, config: IntegratorConfig
-                      = IntegratorConfig()) -> np.ndarray:
-    return proj.observe(endpoint_map(state0, params, program, config))
-
-
-# ---------------------------------------------------------------------------
 # program builders
 
 
@@ -218,13 +201,6 @@ def base_step_program(support: Iterable[Mode], p: np.ndarray, tau: float
     if not values:
         return zero_program(tau, support)
     return ForcingProgram(support, [Constant(tau, values)])
-
-
-def correction_program(support: Iterable[Mode], start: np.ndarray,
-                       end: np.ndarray, tau: float) -> ForcingProgram:
-    """Terminal settling ramp v = (end - start) / tau on the support channels."""
-    delta = np.asarray(end, dtype=float) - np.asarray(start, dtype=float)
-    return base_step_program(support, delta, tau)
 
 
 def cascade_program(extended: ForcingProgram, k_prev: Iterable[Mode],
@@ -305,13 +281,14 @@ def _synthesize_main(p: np.ndarray, chain: SaturationChain,
     return prog, level
 
 
-def _synthesize_pieces(p: np.ndarray, chain: SaturationChain,
-                       obs: frozenset[Mode], state0: SpectralState,
-                       params: SimParams, config: SteeringConfig,
-                       aim: np.ndarray):
-    """Full program with terminal correction, plus its trajectories; the
-    correction ramp ends the K1 channels at ``aim``."""
-    main, level = _synthesize_main(p, chain, obs, config)
+def _synthesize_pieces(aim: np.ndarray, origin: np.ndarray,
+                       chain: SaturationChain, obs: frozenset[Mode],
+                       state0: SpectralState, params: SimParams,
+                       config: SteeringConfig):
+    """Full program with terminal correction, plus its trajectories: the
+    main interval displaces the observed channels by ``aim - origin`` and
+    the correction ramp ends the K1 channels at ``aim``."""
+    main, level = _synthesize_main(aim - origin, chain, obs, config)
     traj_main = integrate(state0, params, main, config.integrator)
     k1_obs = symmetrize(chain.levels[0]) & obs
     if level == 0 or not k1_obs:
@@ -320,8 +297,8 @@ def _synthesize_pieces(p: np.ndarray, chain: SaturationChain,
     cmap_obs = ChannelMap(obs)
     want = np.array([aim[cmap_obs.index(r, prt)]
                      for r in proj1.cmap.reps for prt in ("re", "im")])
-    start = proj1.observe(traj_main.final)
-    corr = correction_program(k1_obs, start, want, config.corr_tau)
+    corr = base_step_program(k1_obs, want - proj1.observe(traj_main.final),
+                             config.corr_tau)
     traj_corr = integrate(traj_main.final, params, corr, config.integrator)
     full = ForcingProgram(main.support | k1_obs,
                           main.segments + corr.segments)
@@ -333,13 +310,14 @@ def synthesize(target: np.ndarray, chain: SaturationChain, k_obs,
                config: SteeringConfig) -> ForcingProgram:
     """Build the full cascade program for one observed target vector.
 
-    The terminal correction needs the simulated end state of the main
-    interval, so this runs one integration internally.
+    This is the first pass of :func:`steer_to_target`.  The terminal
+    correction needs the simulated end state of the main interval, so
+    this runs one integration internally.
     """
     obs = symmetrize(k_obs)
-    target = np.asarray(target, dtype=float)
-    program, _ = _synthesize_pieces(target, chain, obs, state0, params,
-                                    config, target)
+    origin = CoordinateProjection(obs).observe(state0)
+    program, _ = _synthesize_pieces(np.asarray(target, dtype=float), origin,
+                                    chain, obs, state0, params, config)
     return program
 
 
@@ -358,9 +336,10 @@ def steer_to_target(target: np.ndarray, chain: SaturationChain, k_obs,
                     state0: SpectralState, params: SimParams,
                     config: SteeringConfig) -> EndpointReport:
     """Reach a target vector of observed channels by fixed-point refinement
-    p <- p + (target - achieved(p)) around the cascade synthesis.  The
-    terminal correction aims at the target plus the same summed residual,
-    so the correction ramp's own defect is fed back too.
+    aim <- aim + (target - achieved(aim)) around the cascade synthesis,
+    starting from aim = target.  The main interval displaces the observed
+    channels by aim minus their start and the terminal correction aims at
+    aim, so the correction ramp's own defect is fed back too.
 
     Raises :class:`ConvergenceError` (with the best report attached) when
     the refinement does not reach fp_tol within max_fp_iters.
@@ -373,12 +352,12 @@ def steer_to_target(target: np.ndarray, chain: SaturationChain, k_obs,
     if target.shape != (proj.dimension,):
         raise ValueError("target must have one entry per observed channel (%d)"
                          % proj.dimension)
-    p = target - proj.observe(state0)
+    origin = proj.observe(state0)
     aim = target
     best: EndpointReport | None = None
     for it in range(1, config.max_fp_iters + 1):
-        program, trajs = _synthesize_pieces(p, chain, obs, state0, params,
-                                            config, aim)
+        program, trajs = _synthesize_pieces(aim, origin, chain, obs, state0,
+                                            params, config)
         final = trajs[-1].final
         achieved = proj.observe(final)
         err = float(np.linalg.norm(target - achieved))
@@ -391,7 +370,6 @@ def steer_to_target(target: np.ndarray, chain: SaturationChain, k_obs,
             best = report
         if err <= config.fp_tol:
             return report
-        p = p + (target - achieved)
         aim = aim + (target - achieved)
     best.converged = False
     raise ConvergenceError(best)
@@ -407,7 +385,7 @@ def near_identity_gap(support: Iterable[Mode], targets: Sequence[np.ndarray],
     worst = 0.0
     for p in targets:
         prog = base_step_program(proj.modes, p, tau)
-        achieved = observed_endpoint(state0, params, prog, proj, config)
+        achieved = proj.observe(integrate(state0, params, prog, config).final)
         worst = max(worst, float(np.linalg.norm(achieved - origin - p)))
     return worst
 
@@ -477,7 +455,7 @@ def subspace_setup(basis_raw: Sequence[SpectralState], epsilon: float
     basis) and the coordinate set S; the truncated vectors stay within
     (len(basis)+1) * epsilon of their projection onto the subspace.
     """
-    if epsilon <= 0:
+    if not 0 < epsilon < math.inf:
         raise ValueError("epsilon must be positive")
     if not basis_raw:
         raise ValueError("empty basis")
@@ -518,45 +496,32 @@ def subspace_setup(basis_raw: Sequence[SpectralState], epsilon: float
     return proj, S_sym
 
 
-def steer_in_projection(subspace, target: np.ndarray, chain: SaturationChain,
+def steer_in_projection(proj: SubspaceProjection, S: frozenset[Mode],
+                        target: np.ndarray, chain: SaturationChain,
                         state0: SpectralState, params: SimParams,
-                        config: SteeringConfig, epsilon: float
-                        ) -> EndpointReport:
-    """Steer the projection of the state onto a finite-dimensional subspace.
+                        config: SteeringConfig) -> EndpointReport:
+    """Steer the projection of the state onto a finite-dimensional subspace,
+    given the projection and coordinate set S of :func:`subspace_setup`.
 
     The target (subspace coordinates) is lifted through the truncated
     basis into coordinate channels over S, steered there, and the
     achieved subspace coordinates are read back from the end state.
     """
-    basis_raw = subspace.basis if isinstance(subspace, SubspaceProjection) else subspace
-    proj, S = subspace_setup(basis_raw, epsilon)
     target = np.asarray(target, dtype=float)
     if target.shape != (proj.dimension,):
         raise ValueError("target must have one coordinate per basis vector")
-    ebars = [resize(project(e, S), state0.radius) for e in proj.basis]
     w_star = SpectralState.zeros(state0.radius)
-    for t_i, ebar in zip(target, ebars):
-        w_star = w_star + float(t_i) * ebar
-    coord = CoordinateProjection(S)
-    target_chan = coord.observe(w_star)
+    for t_i, e in zip(target, proj.basis):
+        w_star = w_star + float(t_i) * resize(project(e, S), state0.radius)
     try:
-        inner = steer_to_target(target_chan, chain, S, state0, params, config)
-        failed = False
+        inner = steer_to_target(CoordinateProjection(S).observe(w_star), chain,
+                                S, state0, params, config)
     except ConvergenceError as exc:
         inner = exc.report
-        failed = True
-    achieved = proj.observe(resize(inner.final_state, max(state0.radius,
-                                                          proj.basis[0].radius)))
-    report = EndpointReport(
-        target=target.copy(),
-        achieved=achieved,
-        error_norm=float(np.linalg.norm(target - achieved)),
-        iterations=inner.iterations,
-        program=inner.program,
-        q_tail_growth=inner.q_tail_growth,
-        final_state=inner.final_state,
-        converged=not failed, tail_samples=inner.tail_samples)
-    if failed:
+    achieved = proj.observe(inner.final_state)
+    report = replace(inner, target=target.copy(), achieved=achieved,
+                     error_norm=float(np.linalg.norm(target - achieved)))
+    if not report.converged:
         raise ConvergenceError(report)
     return report
 
@@ -597,6 +562,8 @@ def coverage_grid(dimension: int, radius: float, density: int) -> np.ndarray:
     """
     if density < 2:
         raise ValueError("grid density must be at least 2 per dimension")
+    if not 0 <= radius < math.inf:
+        raise ValueError("grid radius must be finite and non-negative")
     points = [np.zeros(dimension)]
     if radius > 0:
         for mag in np.linspace(radius / (density - 1), radius, density - 1):

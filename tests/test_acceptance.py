@@ -205,7 +205,7 @@ def test_criterion_10_projection_steering():
     proj, S = subspace_setup(raw, epsilon)
     worst_err = worst_tail = 0.0
     for target in coverage_grid(2, 0.3, 2):
-        rep = steer_in_projection(proj, target, CHAIN, s0, params, cfg, epsilon)
+        rep = steer_in_projection(proj, S, target, CHAIN, s0, params, cfg)
         worst_err = max(worst_err, rep.error_norm)
         worst_tail = max(worst_tail, rep.q_tail_growth)
     assert worst_err <= 5e-2

@@ -443,3 +443,23 @@ def test_malformed_list_field_exits_1_naming_it(tmp_path, capsys, field, value):
         "radius": 4, field: value, "output_dir": str(tmp_path / "o")})
     assert main(["average", "--config", cfg]) == 1
     assert capsys.readouterr().err.startswith("error: field '%s': " % field)
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("project", "--epsilon", "NaN"), ("project", "--epsilon", "Infinity"),
+    ("cover", "--target-radius", "NaN"), ("cover", "--target-radius", "-0.1"),
+    ("simulate", "--decay", "Infinity"), ("simulate", "--amplitude", "NaN")])
+def test_out_of_range_library_input_exits_1_without_manifest(
+        tmp_path, mode_file, capsys, command, flag, value):
+    basis = tmp_path / "basis.json"
+    basis.write_text(json.dumps([json.loads(state_to_json(
+        SpectralState.from_coeffs({(2, 1): 0.5}, 6)))]))
+    payload = {"project": {"mode_set": mode_file, "basis": str(basis), "epsilon": 0.05,
+                           "target": [0.2]},
+               "cover": {"mode_set": mode_file, "radius": 4, "target_radius": 0.2},
+               "simulate": {"radius": 3, "duration": 0.02, "state": "random"}}
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, "cfg.json", dict(payload[command], output_dir=str(out)))
+    assert main([command, "--config", cfg, flag, value]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / "manifest.json").exists()

@@ -300,6 +300,13 @@ def test_resize_round_trip():
     assert sobolev_norm(down - s, 0) == 0
 
 
+@pytest.mark.parametrize("field", ["amplitude", "decay"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_random_state_rejects_a_non_finite_amplitude_or_decay(field, value):
+    with pytest.raises(ValueError, match="must be finite"):
+        random_decaying_state(4, **{field: value})
+
+
 # ---------------------------------------------------------------------------
 # serialization
 

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from modecascade.forcing import (ChannelMap, Constant, ForcingProgram,
                                  Oscillatory, Zero, chattering_approximation,
-                                 constant_program, zero_program)
+                                 constant_program, program_to_json,
+                                 zero_program)
 from modecascade.integrator import IntegratorConfig, integrate
 from modecascade.lattice import saturation_chain, symmetrize
 from modecascade.spectral import (SimParams, SpectralState, enstrophy, inner0,
@@ -19,9 +20,8 @@ from modecascade.spectral import (SimParams, SpectralState, enstrophy, inner0,
 from modecascade.steering import (ConvergenceError, CoordinateProjection,
                                   SteeringConfig, SubspaceProjection,
                                   averaging_experiment, base_step_program,
-                                  cascade_program, correction_program,
-                                  coverage_check, coverage_grid, endpoint_map,
-                                  near_identity_gap, observed_endpoint,
+                                  cascade_program, coverage_check,
+                                  coverage_grid, near_identity_gap,
                                   steer_in_projection, steer_to_target,
                                   subspace_setup, synthesize)
 import modecascade.steering as steering_module
@@ -94,10 +94,11 @@ def test_base_step_rejects_a_non_finite_tau(tau):
 
 
 def test_correction_program_structure():
-    prog = correction_program(K1, np.zeros(4), np.array([1.0, 0, 0, 0]), 0.01)
+    # the terminal correction ramp is the base step over end - start
+    prog = base_step_program(K1, np.array([1.0, 0, 0, 0]) - np.zeros(4), 0.01)
     assert isinstance(prog.segments[0], Constant)
     assert prog.segments[0].values[(1, 0)] == pytest.approx(100.0)
-    trivial = correction_program(K1, np.ones(4), np.ones(4), 0.01)
+    trivial = base_step_program(K1, np.ones(4) - np.ones(4), 0.01)
     assert isinstance(trivial.segments[0], Zero)
 
 
@@ -235,7 +236,7 @@ def test_synthesize_m2_contains_packets_and_correction():
 def test_endpoint_map_conserves_unforced_euler():
     rng = np.random.default_rng(2)
     s0 = random_decaying_state(4, amplitude=0.3, rng=rng)
-    out = endpoint_map(s0, SimParams(), zero_program(0.5), FAST)
+    out = integrate(s0, SimParams(), zero_program(0.5), FAST).final
     assert enstrophy(out) == pytest.approx(enstrophy(s0), rel=1e-9)
 
 
@@ -243,7 +244,7 @@ def test_observed_endpoint_of_base_ramp():
     proj = CoordinateProjection(K1)
     p = np.array([0.4, 0.0, -0.2, 0.1])
     prog = base_step_program(K1, p, 0.02)
-    got = observed_endpoint(SpectralState.zeros(4), SimParams(), prog, proj, FAST)
+    got = proj.observe(integrate(SpectralState.zeros(4), SimParams(), prog, FAST).final)
     assert np.linalg.norm(got - p) <= 5e-3
 
 
@@ -252,7 +253,7 @@ def test_observed_endpoint_with_subspace_projection():
     e = (1.0 / sobolev_norm(e, 0)) * e
     sub = SubspaceProjection([e])
     prog = base_step_program(K1, np.array([0.3, 0.0, 0.0, 0.0]), 0.02)
-    got = observed_endpoint(SpectralState.zeros(4), SimParams(), prog, sub, FAST)
+    got = sub.observe(integrate(SpectralState.zeros(4), SimParams(), prog, FAST).final)
     assert got[0] == pytest.approx(np.sqrt(2) * 0.3, abs=5e-3)
 
 
@@ -328,7 +329,7 @@ def test_steer_error_sequence_monotone_m1():
     s0 = SpectralState.zeros(4)
     for _ in range(4):
         prog = synthesize(p, CHAIN, K1, s0, SimParams(nu=0.05), cfg)
-        achieved = observed_endpoint(s0, SimParams(nu=0.05), prog, orig, FAST)
+        achieved = orig.observe(integrate(s0, SimParams(nu=0.05), prog, FAST).final)
         errors.append(np.linalg.norm(target - achieved))
         p = p + (target - achieved)
     assert all(b <= a * (1 + 1e-9) for a, b in zip(errors[1:], errors[2:]))
@@ -420,12 +421,25 @@ def test_steer_reaches_tight_tolerance_over_the_ball(seed, nu):
     assert rep.error_norm <= 1e-6
 
 
+@pytest.mark.parametrize("nu", [0.0, 0.01])
+def test_synthesize_is_the_first_refinement_pass(nu):
+    # from a state not at rest the main interval displaces the observed
+    # channels by target - start, as the first pass of steer_to_target does
+    cfg = quick_config(max_fp_iters=1, fp_tol=1.0)
+    s0 = random_decaying_state(6, amplitude=0.2, rng=np.random.default_rng(3))
+    target = ball_target(np.random.default_rng([7, 1]))
+    prog = synthesize(target, CHAIN, K2, s0, SimParams(nu=nu), cfg)
+    rep = steer_to_target(target, CHAIN, K2, s0, SimParams(nu=nu), cfg)
+    assert rep.iterations == 1
+    assert program_to_json(prog) == program_to_json(rep.program)
+
+
 def test_tail_samples_count_the_recorded_states():
     cfg = quick_config()
     target = ball_target(np.random.default_rng([7, 0]))
     rep = steer_to_target(target, CHAIN, K2, SpectralState.zeros(6), SimParams(nu=0.01), cfg)
     program, trajs = steering_module._synthesize_pieces(
-        target, CHAIN, K2, SpectralState.zeros(6), SimParams(nu=0.01), cfg, target)
+        target, np.zeros(8), CHAIN, K2, SpectralState.zeros(6), SimParams(nu=0.01), cfg)
     assert rep.iterations == 1
     assert rep.tail_samples == sum(len(t) for t in trajs) > 2
     assert steering_module.report_to_dict(rep)["tail_samples"] == rep.tail_samples
@@ -458,7 +472,7 @@ def test_correction_ramp_tail_disturbance_is_linear_in_tau():
     q0 = project_complement(s0, K1)
     disturbances = []
     for tau in (0.02, 0.01):
-        prog = correction_program(K1, start, end, tau)
+        prog = base_step_program(K1, end - start, tau)
         traj = integrate(s0, SimParams(nu=0.01), prog, icfg)
         disturbances.append(max(sobolev_norm(project_complement(s, K1) - q0, 0)
                                 for s in traj.states))
@@ -508,13 +522,20 @@ def test_subspace_setup_dependent_basis():
         subspace_setup([a, 2.0 * a], epsilon=0.1)
 
 
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan, math.inf])
+def test_subspace_setup_rejects_epsilon_outside_the_positive_reals(epsilon):
+    e = SpectralState.from_coeffs({(1, 0): 1.0}, 4)
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        subspace_setup([e], epsilon)
+
+
 def test_steer_in_projection_single_mode_reduces_to_coordinate():
     cfg = quick_config()
     e = SpectralState.from_coeffs({(2, 1): 0.5}, 6)
     e = (1.0 / sobolev_norm(e, 0)) * e
-    rep = steer_in_projection(SubspaceProjection([e]), np.array([0.2]), CHAIN,
-                              SpectralState.zeros(6), SimParams(), cfg,
-                              epsilon=0.05)
+    proj, S = subspace_setup([e], epsilon=0.05)
+    rep = steer_in_projection(proj, S, np.array([0.2]), CHAIN,
+                              SpectralState.zeros(6), SimParams(), cfg)
     assert rep.error_norm <= 2 * cfg.fp_tol
     assert rep.converged
 
@@ -531,6 +552,12 @@ def test_coverage_grid_shapes():
     assert g3.shape == (9, 2)
     with pytest.raises(ValueError):
         coverage_grid(2, 0.3, 1)
+
+
+@pytest.mark.parametrize("radius", [-0.1, math.nan, math.inf])
+def test_coverage_grid_rejects_radius_outside_the_half_line(radius):
+    with pytest.raises(ValueError, match="grid radius"):
+        coverage_grid(2, radius, 2)
 
 
 def test_coverage_single_origin_target():

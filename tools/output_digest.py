@@ -29,10 +29,13 @@ line:
 then one digest over all of them.  Last come the command-line runs,
 made through ``modecascade.cli.main`` in a temporary directory with
 relative paths so that two checkouts write the same manifests: a fixed
-``saturate``, ``simulate`` (random state, the mixed program), ``chatter``
-and ``steer`` run, one line for each exit code and one for each file the
-run wrote (``manifest.json`` included).  Stdlib plus the package under
-test (and the numpy it needs).
+``saturate``, ``simulate`` (random state, the mixed program), ``chatter``,
+``steer``, ``project`` (a two-vector basis mixing four mode pairs) and
+``cover`` (with a ``tau_ladder``, so the near-identity gap too) run, one
+line for each exit code and one for each file the run wrote
+(``manifest.json`` included).  The last line is the program JSON of
+``synthesize`` from rest for the first seed-7 ``cover_r6`` target.
+Stdlib plus the package under test (and the numpy it needs).
 """
 
 from __future__ import annotations
@@ -165,7 +168,20 @@ CLI_RUNS = {
     "steer": {"mode_set": "k1.txt", "radius": 4, "nu": 0.01,
               "target": [0.3, 0.0, -0.1, 0.05], "tau": 0.02, "fp_tol": 1e-3,
               "dt_base": 1e-3, "state": "rest", "seed": SEED},
+    "project": {"mode_set": "k1.txt", "basis": "basis.json", "epsilon": 0.05,
+                "radius": 6, "nu": 0.01, "target": [0.2, -0.1], "tau": 1.0,
+                "omega": 400.0, "fp_tol": 1e-2, "chatter_windows": 1,
+                "dt_base": 1e-3, "record_stride": 20, "state": "rest", "seed": SEED},
+    "cover": {"mode_set": "k1.txt", "radius": 4, "nu": 0.01, "target_radius": 0.2,
+              "grid_density": 2, "tau": 0.02, "tau_ladder": [0.04, 0.02],
+              "fp_tol": 1e-3, "dt_base": 1e-3, "state": "rest", "seed": SEED},
 }
+
+
+def basis_json(mc) -> str:
+    raw = [mc.SpectralState.from_coeffs({(1, 0): 0.8, (2, 1): 0.6 + 0.2j}, 6),
+           mc.SpectralState.from_coeffs({(0, 1): 0.7j, (1, 1): -0.5}, 6)]
+    return json.dumps([json.loads(mc.spectral.state_to_json(s)) for s in raw])
 
 
 def cli_lines(mc):
@@ -174,6 +190,7 @@ def cli_lines(mc):
         "mixed.json": mc.program_to_json(mixed_program(mc)),
         "constant.json": mc.program_to_json(mc.constant_program(
             {(1, 0), (1, 1)}, {(1, 0): 0.3 - 0.2j, (1, 1): 0.25j}, 1.0)),
+        "basis.json": basis_json(mc),
     }
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -191,6 +208,14 @@ def cli_lines(mc):
                     yield "cli %s %s" % (command, path.name), digest(path.read_bytes())
         finally:
             os.chdir(home)
+
+
+def synthesize_lines(mc, workloads):
+    wl = workloads.CoverR6(SEED)
+    ctx = wl.setup()
+    program = mc.synthesize(wl.inputs(ctx, 0), ctx.chain, ctx.observed, ctx.state0,
+                            ctx.params, ctx.config)
+    yield "synthesize cover_r6 target 0 program_json", digest(mc.program_to_json(program))
 
 
 def main() -> int:
@@ -213,8 +238,9 @@ def main() -> int:
             print("%s %s" % (value, name), flush=True)
             total.update(value.encode())
     print("%s all" % total.hexdigest())
-    for name, value in cli_lines(mc):
-        print("%s %s" % (value, name), flush=True)
+    for lines in (cli_lines(mc), synthesize_lines(mc, workloads)):
+        for name, value in lines:
+            print("%s %s" % (value, name), flush=True)
     return 0
 
 
