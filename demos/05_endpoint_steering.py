@@ -46,10 +46,10 @@ cfg2 = mc.SteeringConfig(tau=1.0, omega=400.0, fp_tol=1e-2, max_fp_iters=20,
                          integrator=mc.IntegratorConfig(dt_base=1e-3,
                                                         record_stride=20))
 s0 = mc.SpectralState.zeros(6)
-proj = mc.CoordinateProjection(K2)
+cmap = mc.ChannelMap(K2)
 target = np.zeros(8)
-target[proj.cmap.index((2, 1), "re")] = 0.2
-target[proj.cmap.index((0, 1), "im")] = -0.15
+target[cmap.index((2, 1), "re")] = 0.2
+target[cmap.index((0, 1), "im")] = -0.15
 prog = mc.synthesize(target, CHAIN, K2, s0, params, cfg2)
 print("synthesized program: %d segments over T=%.2f, support %s"
       % (len(prog.segments), prog.total_duration,

@@ -24,9 +24,10 @@ raw = [mc.SpectralState.from_coeffs({(1, 0): 0.8, (2, 1): 0.6 + 0.2j}, 6),
 proj, S = mc.subspace_setup(raw, epsilon)
 print("orthonormalized a 2-dimensional subspace mixing four mode pairs")
 print("truncation set S:", sorted(S))
-print("Gram matrix:")
-for a in proj.basis:
-    print("   ", ["%+.3f" % mc.inner0(a, b) for b in proj.basis])
+print("Gram matrix (the subspace coordinates of the basis vectors):")
+basis = [mc.SpectralState(proj.radius, e) for e in proj.weights]
+for a in basis:
+    print("   ", ["%+.3f" % x for x in proj.observe(a)])
 print()
 
 cfg = mc.SteeringConfig(tau=1.0, omega=400.0, fp_tol=1e-2, max_fp_iters=20,

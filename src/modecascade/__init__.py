@@ -26,8 +26,8 @@ from .forcing import (ChannelMap, Constant, ForcingProgram, Oscillatory,
                       zero_program)
 from .integrator import (BlowUpError, IntegratorConfig, StepBudgetError,
                          Trajectory, convergence_order, integrate, step)
-from .steering import (ConvergenceError, CoordinateProjection, CoverageResult,
-                       EndpointReport, SteeringConfig, SubspaceProjection,
+from .steering import (ConvergenceError, CoverageResult, EndpointReport,
+                       Observation, SteeringConfig,
                        averaging_experiment, base_step_program,
                        cascade_program, coverage_check, coverage_grid,
                        near_identity_gap, steer_in_projection, steer_to_target,

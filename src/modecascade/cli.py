@@ -39,7 +39,7 @@ from .integrator import (BlowUpError, IntegratorConfig, StepBudgetError,
 from .lattice import (chain_to_json, norm_sq, parse_mode_set, saturation_chain,
                       symmetrize)
 from .spectral import (SimParams, SpectralState, quadratic_kernel,
-                       random_decaying_state, resize, sobolev_norm,
+                       random_decaying_state, resize, sobolev_norms,
                        state_from_csv, state_from_json, state_to_csv)
 from .steering import (ConvergenceError, SteeringConfig, averaging_experiment,
                        coverage_check, coverage_grid, near_identity_gap,
@@ -362,7 +362,7 @@ def _run_rxprobe(cfg: dict, em: _Emitter) -> int:
     state0, params = _initial(cfg, em, _get(cfg, "radius", int))
     icfg = _integrator_config(cfg)
     sample = np.linspace(0.0, duration, 41)
-    base = integrate(state0, params, zero_program(duration, single), icfg, sample)
+    base = integrate(state0, params, zero_program(duration, single), icfg, sample).rows_at(sample)
     lines = ["delta,rx,sup_deviation"]
     for delta in _get(cfg, "deltas", _floats, [0.1, 0.05, 0.025]):
         omega = 1.0 / delta ** 2
@@ -370,7 +370,7 @@ def _run_rxprobe(cfg: dict, em: _Emitter) -> int:
         prog = ForcingProgram(single, [seg])
         rx = relaxation_distance(prog, zero_program(duration, single))
         traj = integrate(state0, params, prog, icfg, sample)
-        dev = max(sobolev_norm(traj.at(t) - base.at(t), 0) for t in sample)
+        dev = float(sobolev_norms(state0.radius, traj.rows_at(sample) - base).max())
         lines.append("%r,%r,%r" % (delta, rx, dev))
     em.write_csv("rxprobe.csv", "\n".join(lines) + "\n")
     print("rxprobe trajectory: %d deltas" % (len(lines) - 1))

@@ -124,6 +124,8 @@ class Constant:
             raise ValueError("segment duration must be positive")
         self.duration = float(duration)
         self.values = fold_conjugate(values, 1e-9, "forcing")
+        if not all(map(cmath.isfinite, self.values.values())):
+            raise ValueError("forcing values must be finite")
 
     def __eq__(self, other):
         return (isinstance(other, Constant) and self.values == other.values

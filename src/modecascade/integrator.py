@@ -33,8 +33,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .forcing import ForcingProgram
-from .spectral import (SimParams, SpectralState, _tables, energy, enstrophy,
-                       sobolev_norm)
+from .spectral import (SimParams, SpectralState, _tables, energies,
+                       sobolev_norm, sobolev_norms)
 
 __all__ = ["IntegratorConfig", "Trajectory", "BlowUpError", "StepBudgetError",
            "step", "integrate", "convergence_order"]
@@ -68,21 +68,21 @@ class IntegratorConfig:
     def __post_init__(self):
         if not 0 < self.dt_base < math.inf:
             raise ValueError("dt_base must be positive")
-        if self.oscillation_resolution < 1:
-            raise ValueError("oscillation_resolution must be >= 1")
-        if self.record_stride < 1:
-            raise ValueError("record_stride must be >= 1")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
+        for name in ("oscillation_resolution", "record_stride", "max_steps"):
+            if getattr(self, name) < 1:
+                raise ValueError("%s must be >= 1" % name)
 
 
 class Trajectory:
-    """Recorded (t, state) samples of one integration run."""
+    """Recorded samples of one integration run: the record times and one
+    read-only (n_records, n_reps) array of coefficient rows at ``radius``."""
 
-    def __init__(self, times: Sequence[float], states: Sequence[SpectralState]):
+    def __init__(self, radius: int, times: Sequence[float], data: np.ndarray):
+        self.radius = radius
         self.times = np.asarray(times, dtype=float)
-        self.states = list(states)
-        if len(self.times) != len(self.states):
+        self.data = np.asarray(data, dtype=np.complex128).view()
+        self.data.flags.writeable = False
+        if self.data.shape != (len(self.times), _tables(radius).n_reps):
             raise ValueError("times and states must align")
         if len(self.times) == 0 or self.times[0] != 0.0:
             raise ValueError("trajectories start at t = 0")
@@ -90,26 +90,36 @@ class Trajectory:
             raise ValueError("record times must be strictly increasing")
 
     def __len__(self):
-        return len(self.states)
+        return len(self.times)
+
+    @property
+    def states(self) -> list[SpectralState]:
+        """The records as states viewing the rows."""
+        return [SpectralState(self.radius, row, _copy=False) for row in self.data]
 
     @property
     def final(self) -> SpectralState:
-        return self.states[-1]
+        """The last record, copied so it does not hold the whole array."""
+        return SpectralState(self.radius, self.data[-1])
 
     def at(self, t: float) -> SpectralState:
         """The state recorded at t, to a relative 1e-9."""
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-9 * max(1.0, abs(t)):
-            raise KeyError("no state recorded at t=%g" % t)
-        return self.states[i]
+        return SpectralState(self.radius, self.rows_at([t])[0])
+
+    def rows_at(self, times: Sequence[float]) -> np.ndarray:
+        """The rows recorded at the given times, each to a relative 1e-9."""
+        t = np.asarray(times, dtype=float)
+        i = np.abs(self.times - t[:, None]).argmin(axis=1)
+        missed = np.abs(self.times[i] - t) > 1e-9 * np.maximum(1.0, np.abs(t))
+        if missed.any():
+            raise KeyError("no state recorded at t=%g" % t[missed][0])
+        return self.data[i]
 
     def summary(self) -> np.ndarray:
         """Rows (t, energy, enstrophy, h1, h2)."""
-        rows = np.empty((len(self), 5))
-        for i, (t, s) in enumerate(zip(self.times, self.states)):
-            rows[i] = (t, energy(s), enstrophy(s),
-                       sobolev_norm(s, 1), sobolev_norm(s, 2))
-        return rows
+        h0, h1, h2 = (sobolev_norms(self.radius, self.data, order) for order in range(3))
+        return np.column_stack([self.times, energies(self.radius, self.data),
+                                h0 * h0, h1, h2])
 
     def to_csv(self) -> str:
         """Long format "t,kx,ky,re,im" over stored representatives."""
@@ -252,7 +262,7 @@ def integrate(state0: SpectralState, params: SimParams, program: ForcingProgram,
                               % (planned, config.max_steps))
 
     times = [0.0]
-    states = [state0]
+    rows = [state0.data]
     q = state0.data
     step_count = 0
     for i, duration in enumerate(durations):
@@ -276,8 +286,8 @@ def integrate(state0: SpectralState, params: SimParams, program: ForcingProgram,
                 if ((j == n - 1 or step_count % config.record_stride == 0)
                         and t_now > times[-1]):
                     times.append(t_now)
-                    states.append(SpectralState(state0.radius, q))
-    return Trajectory(times, states)
+                    rows.append(q)
+    return Trajectory(state0.radius, times, np.stack(rows))
 
 
 def convergence_order(state0: SpectralState, params: SimParams,

@@ -60,9 +60,9 @@ from .lattice import (Mode, ball, canonical_rep, check_mode, fold_conjugate,
 __all__ = [
     "SimParams", "SpectralState", "vector_field", "nonlinear_term",
     "quadratic_kernel",
-    "energy", "enstrophy", "sobolev_norm", "inner0",
+    "energy", "energies", "enstrophy", "sobolev_norm", "sobolev_norms", "inner0",
     "velocity_from_vorticity", "project", "project_complement",
-    "random_decaying_state", "resize",
+    "random_decaying_state", "resize", "resize_rows",
     "state_to_csv", "state_from_csv", "state_to_json", "state_from_json",
 ]
 
@@ -305,22 +305,31 @@ def vector_field(state: SpectralState, params: SimParams,
 
 def sobolev_norm(state: SpectralState, order: int = 0) -> float:
     """Norm sqrt(sum_k |k|^(2*order) |q_k|^2) over the full symmetric ball."""
+    return float(sobolev_norms(state.radius, state.data, order))
+
+
+def sobolev_norms(radius: int, rows: np.ndarray, order: int = 0) -> np.ndarray:
+    """``sobolev_norm`` of each coefficient row (last axis) at a radius."""
     if order not in (0, 1, 2):
         raise ValueError("Sobolev order must be 0, 1 or 2")
-    tab = _tables(state.radius)
-    w = tab.norm_sq ** order
-    return float(np.sqrt(2.0 * np.sum(w * np.abs(state.data) ** 2)))
+    w = _tables(radius).norm_sq ** order
+    return np.sqrt(2.0 * np.sum(w * np.abs(rows) ** 2, axis=-1))
 
 
 def enstrophy(state: SpectralState) -> float:
     """Squared H0 norm of the vorticity."""
-    return sobolev_norm(state, 0) ** 2
+    norm = sobolev_norm(state, 0)
+    return norm * norm
 
 
 def energy(state: SpectralState) -> float:
     """Energy sum_k |k|^-2 |q_k|^2 of the velocity field recovered from w."""
-    tab = _tables(state.radius)
-    return float(2.0 * np.sum(np.abs(state.data) ** 2 / tab.norm_sq))
+    return float(energies(state.radius, state.data))
+
+
+def energies(radius: int, rows: np.ndarray) -> np.ndarray:
+    """``energy`` of each coefficient row (last axis) at a radius."""
+    return 2.0 * np.sum(np.abs(rows) ** 2 / _tables(radius).norm_sq, axis=-1)
 
 
 def inner0(a: SpectralState, b: SpectralState) -> float:
@@ -375,15 +384,16 @@ def project_complement(state: SpectralState, modes: Iterable[Mode]) -> SpectralS
 def resize(state: SpectralState, radius: int) -> SpectralState:
     """Re-embed a state at another resolution (coefficients outside the
     new ball are dropped)."""
-    if radius == state.radius:
-        return state
-    tab = _tables(radius)
-    data = np.zeros(tab.n_reps, dtype=np.complex128)
-    for k, v in state.items():
-        i = tab.rep_index.get(k)
-        if i is not None:
-            data[i] = v
-    return SpectralState(radius, data, _copy=False)
+    return SpectralState(radius, resize_rows(state.data, state.radius, radius), _copy=False)
+
+
+def resize_rows(rows: np.ndarray, radius: int, new_radius: int) -> np.ndarray:
+    """``resize`` of each coefficient row (last axis)."""
+    src, dst = _tables(radius), _tables(new_radius)
+    keep = [i for i, k in enumerate(src.reps) if k in dst.rep_index]
+    out = np.zeros(rows.shape[:-1] + (dst.n_reps,), dtype=np.complex128)
+    out[..., dst.positions(src.reps[i] for i in keep)] = rows[..., keep]
+    return out
 
 
 def random_decaying_state(radius: int, amplitude: float = 0.3, decay: float = 3.0,

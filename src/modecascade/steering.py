@@ -26,12 +26,12 @@ from .forcing import (ChannelMap, Constant, ForcingProgram, Zero,
 from .integrator import (BlowUpError, IntegratorConfig, StepBudgetError,
                          Trajectory, integrate)
 from .lattice import (Mode, SaturationChain, check_mode, find_generating_pair,
-                      symmetrize)
-from .spectral import (SimParams, SpectralState, inner0, project,
-                       project_complement, resize, sobolev_norm)
+                      norm_sq, symmetrize)
+from .spectral import (SimParams, SpectralState, _rep_mask, _tables, inner0,
+                       resize, resize_rows, sobolev_norm, sobolev_norms)
 
 __all__ = [
-    "SteeringConfig", "CoordinateProjection", "SubspaceProjection",
+    "SteeringConfig", "Observation",
     "EndpointReport", "ConvergenceError",
     "base_step_program", "cascade_program",
     "synthesize", "steer_to_target", "near_identity_gap",
@@ -73,22 +73,16 @@ class SteeringConfig:
     integrator: IntegratorConfig = IntegratorConfig()
 
     def __post_init__(self):
-        if not 0 < self.tau < math.inf:
-            raise ValueError("tau must be positive")
-        if not 1 < self.gamma < math.inf:
-            raise ValueError("gamma must exceed 1")
-        if not 0 < self.fp_tol < math.inf:
-            raise ValueError("fp_tol must be positive")
-        if not 0 < self.omega < math.inf:
-            raise ValueError("omega must be positive")
-        if not 0 < self.level_omega_ratio < math.inf:
-            raise ValueError("level_omega_ratio must be positive")
+        for name in ("tau", "fp_tol", "omega", "level_omega_ratio"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError("%s must be positive" % name)
         if self.correction_tau is not None and not 0 < self.correction_tau < math.inf:
             raise ValueError("correction_tau must be positive")
-        if self.max_fp_iters < 1:
-            raise ValueError("max_fp_iters must be >= 1")
-        if self.chatter_windows < 1:
-            raise ValueError("chatter_windows must be >= 1")
+        if not 1 < self.gamma < math.inf:
+            raise ValueError("gamma must exceed 1")
+        for name in ("max_fp_iters", "chatter_windows"):
+            if getattr(self, name) < 1:
+                raise ValueError("%s must be >= 1" % name)
         _check_construction(self.construction)
 
     @property
@@ -96,56 +90,51 @@ class SteeringConfig:
         return self.correction_tau if self.correction_tau is not None else self.tau / 10.0
 
 
-class CoordinateProjection:
-    """Observation of the real channel vector over a symmetric mode set."""
+@dataclass(frozen=True, eq=False)
+class Observation:
+    """H0 projection onto a finite-dimensional subspace, in coordinates.
 
-    def __init__(self, modes: Iterable[Mode]):
-        self.modes = symmetrize(modes)
-        if not self.modes:
+    Row i of the complex weight matrix, laid out at ``radius``, is the
+    state e_i of the i-th coordinate, and the coordinate of a state q is
+    inner0(q, e_i) = 2 Re sum_k q_k conj(e_ik).  The coordinate channel
+    (k, "re") or (k, "im") is the weight 0.5 or 0.5j at k's slot, a
+    subspace coordinate its orthonormal basis vector.  A state at another
+    radius is read with both sides lifted to the larger ball.
+    """
+
+    radius: int
+    weights: np.ndarray
+
+    @classmethod
+    def of_modes(cls, modes: Iterable[Mode]) -> "Observation":
+        """The channels (Re, Im interleaved) of ``ChannelMap(modes)``."""
+        reps = ChannelMap(modes).reps
+        if not reps:
             raise ValueError("observed mode set is empty")
-        self.cmap = ChannelMap(self.modes)
+        tab = _tables(math.ceil(math.sqrt(max(map(norm_sq, reps)))))
+        weights = np.zeros((len(reps), 2, tab.n_reps), dtype=np.complex128)
+        weights[np.arange(len(reps)), :, tab.positions(reps)] = [0.5, 0.5j]
+        return cls(tab.radius, weights.reshape(2 * len(reps), -1))
 
-    @property
-    def dimension(self) -> int:
-        return self.cmap.size
-
-    def observe(self, state: SpectralState) -> np.ndarray:
-        arr = np.array([state.coeff(r) for r in self.cmap.reps], dtype=np.complex128)
-        return self.cmap.complex_to_vector(arr)
-
-
-class SubspaceProjection:
-    """Observation through an H0-orthonormal basis of a finite-dimensional
-    subspace; coordinates are the inner products with the basis."""
-
-    def __init__(self, basis: Sequence[SpectralState]):
-        self.basis = tuple(basis)
-        if not self.basis:
+    @classmethod
+    def of_basis(cls, basis: Sequence[SpectralState]) -> "Observation":
+        """The coordinates in an H0-orthonormal basis."""
+        if not basis:
             raise ValueError("empty basis")
-        radius = max(e.radius for e in self.basis)
-        lifted = [resize(e, radius) for e in self.basis]
-        for i, a in enumerate(lifted):
-            for j, b in enumerate(lifted):
-                want = 1.0 if i == j else 0.0
-                if abs(inner0(a, b) - want) > 1e-10:
-                    raise ValueError("basis is not orthonormal in the H0 inner product")
+        radius = max(e.radius for e in basis)
+        weights = np.array([resize(e, radius).data for e in basis])
+        if np.abs(2.0 * (weights @ weights.conj().T).real - np.eye(len(basis))).max() > 1e-10:
+            raise ValueError("basis is not orthonormal in the H0 inner product")
+        return cls(radius, weights)
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return len(self.weights)
 
     def observe(self, state: SpectralState) -> np.ndarray:
-        out = np.empty(len(self.basis))
-        for i, e in enumerate(self.basis):
-            r = max(state.radius, e.radius)
-            out[i] = inner0(resize(state, r), resize(e, r))
-        return out
-
-    def apply(self, state: SpectralState) -> SpectralState:
-        out = SpectralState.zeros(state.radius)
-        for coord, e in zip(self.observe(state), self.basis):
-            out = out + float(coord) * resize(e, state.radius)
-        return out
+        r = max(state.radius, self.radius)
+        q = resize_rows(state.data, state.radius, r)
+        return 2.0 * np.sum(q * np.conj(resize_rows(self.weights, self.radius, r)), axis=-1).real
 
 
 @dataclass(eq=False)
@@ -293,12 +282,9 @@ def _synthesize_pieces(aim: np.ndarray, origin: np.ndarray,
     k1_obs = symmetrize(chain.levels[0]) & obs
     if level == 0 or not k1_obs:
         return main, [traj_main]
-    proj1 = CoordinateProjection(k1_obs)
-    cmap_obs = ChannelMap(obs)
-    want = np.array([aim[cmap_obs.index(r, prt)]
-                     for r in proj1.cmap.reps for prt in ("re", "im")])
-    corr = base_step_program(k1_obs, want - proj1.observe(traj_main.final),
-                             config.corr_tau)
+    k1 = np.repeat([r in k1_obs for r in ChannelMap(obs).reps], 2)
+    have = Observation.of_modes(obs).observe(traj_main.final)
+    corr = base_step_program(k1_obs, aim[k1] - have[k1], config.corr_tau)
     traj_corr = integrate(traj_main.final, params, corr, config.integrator)
     full = ForcingProgram(main.support | k1_obs,
                           main.segments + corr.segments)
@@ -315,7 +301,7 @@ def synthesize(target: np.ndarray, chain: SaturationChain, k_obs,
     this runs one integration internally.
     """
     obs = symmetrize(k_obs)
-    origin = CoordinateProjection(obs).observe(state0)
+    origin = Observation.of_modes(obs).observe(state0)
     program, _ = _synthesize_pieces(np.asarray(target, dtype=float), origin,
                                     chain, obs, state0, params, config)
     return program
@@ -323,13 +309,11 @@ def synthesize(target: np.ndarray, chain: SaturationChain, k_obs,
 
 def _tail_growth(trajs: Sequence[Trajectory], obs: frozenset[Mode],
                  state0: SpectralState) -> tuple[float, int]:
-    """Unobserved H0 norm growth over the recorded states, and their count."""
-    base = sobolev_norm(project_complement(state0, obs), 0)
-    worst = base
-    for traj in trajs:
-        for s in traj.states:
-            worst = max(worst, sobolev_norm(project_complement(s, obs), 0))
-    return worst - base, sum(len(traj) for traj in trajs)
+    """Unobserved H0 norm growth over the recorded states (the first is
+    state0), and their count."""
+    observed = _rep_mask(_tables(state0.radius), obs)
+    tails = [sobolev_norms(t.radius, np.where(observed, 0.0, t.data)) for t in trajs]
+    return float(max(n.max() for n in tails) - tails[0][0]), sum(map(len, trajs))
 
 
 def steer_to_target(target: np.ndarray, chain: SaturationChain, k_obs,
@@ -345,8 +329,8 @@ def steer_to_target(target: np.ndarray, chain: SaturationChain, k_obs,
     the refinement does not reach fp_tol within max_fp_iters.
     """
     obs = symmetrize(k_obs)
-    proj = CoordinateProjection(obs)
-    if max(k[0] ** 2 + k[1] ** 2 for k in obs) > state0.radius ** 2:
+    proj = Observation.of_modes(obs)
+    if proj.radius > state0.radius:
         raise ValueError("observed modes exceed the state resolution radius")
     target = np.asarray(target, dtype=float)
     if target.shape != (proj.dimension,):
@@ -380,11 +364,11 @@ def near_identity_gap(support: Iterable[Mode], targets: Sequence[np.ndarray],
                       config: IntegratorConfig = IntegratorConfig()) -> float:
     """Measured sup over the targets of |observed endpoint - (start + p)|
     for the plain constant ramp; the O(tau) defect of the base step."""
-    proj = CoordinateProjection(support)
+    proj = Observation.of_modes(support)
     origin = proj.observe(state0)
     worst = 0.0
     for p in targets:
-        prog = base_step_program(proj.modes, p, tau)
+        prog = base_step_program(support, p, tau)
         achieved = proj.observe(integrate(state0, params, prog, config).final)
         worst = max(worst, float(np.linalg.norm(achieved - origin - p)))
     return worst
@@ -412,14 +396,17 @@ def averaging_experiment(k: Mode, pair: tuple[Mode, Mode], amplitude: float,
     omega as a diagnostic.
     """
     _check_construction(construction)
+    if not math.isfinite(amplitude):
+        raise ValueError("amplitude must be finite")
     m, n = pair
     k = check_mode(k)
     if (m[0] + n[0], m[1] + n[1]) != k:
         raise ValueError("pair does not sum to the target mode")
     pair_modes = symmetrize({m, n})
+    on_pair = _rep_mask(_tables(state0.radius), pair_modes)
     samples = np.linspace(0.0, duration, 101)
     ref_prog = constant_program(symmetrize({k}), {k: amplitude}, duration)
-    ref = integrate(state0, params, ref_prog, config, samples)
+    ref = integrate(state0, params, ref_prog, config, samples).rows_at(samples)
     out = []
     for w in omegas:
         if amplitude == 0:
@@ -430,15 +417,12 @@ def averaging_experiment(k: Mode, pair: tuple[Mode, Mode], amplitude: float,
         else:
             prog = ForcingProgram(pair_modes,
                                   [cascade_packet(k, m, n, amplitude, w, duration)])
-        traj = integrate(state0, params, prog, config, samples)
-        dev = on_pair = 0.0
-        for t in samples:
-            diff = traj.at(t) - ref.at(t)
-            dev = max(dev, sobolev_norm(project_complement(diff, pair_modes), 0))
-            on_pair = max(on_pair, sobolev_norm(project(diff, pair_modes), 0))
-        out.append(dev)
+        diff = integrate(state0, params, prog, config, samples).rows_at(samples) - ref
+        off, on = sobolev_norms(state0.radius, np.stack(
+            [np.where(on_pair, 0.0, diff), np.where(on_pair, diff, 0.0)])).max(axis=1)
+        out.append(float(off))
         if pair_deviation is not None:
-            pair_deviation.append(on_pair)
+            pair_deviation.append(float(on))
     return out
 
 
@@ -447,22 +431,19 @@ def averaging_experiment(k: Mode, pair: tuple[Mode, Mode], amplitude: float,
 
 
 def subspace_setup(basis_raw: Sequence[SpectralState], epsilon: float
-                   ) -> tuple[SubspaceProjection, frozenset[Mode]]:
+                   ) -> tuple[Observation, frozenset[Mode]]:
     """Orthonormalize a raw basis in the H0 inner product and truncate each
     vector to a symmetric coordinate mode set within epsilon.
 
-    Returns the subspace projection (built on the exact orthonormal
+    Returns the observation of the subspace (on the exact orthonormal
     basis) and the coordinate set S; the truncated vectors stay within
     (len(basis)+1) * epsilon of their projection onto the subspace.
     """
     if not 0 < epsilon < math.inf:
         raise ValueError("epsilon must be positive")
-    if not basis_raw:
-        raise ValueError("empty basis")
-    radius = max(s.radius for s in basis_raw)
-    vecs = [resize(s, radius) for s in basis_raw]
+    radius = max((s.radius for s in basis_raw), default=1)   # of_basis rejects []
     basis: list[SpectralState] = []
-    for v in vecs:
+    for v in (resize(s, radius) for s in basis_raw):
         e = v
         for prev in basis:
             e = e - inner0(e, prev) * prev
@@ -470,38 +451,36 @@ def subspace_setup(basis_raw: Sequence[SpectralState], epsilon: float
         if nrm <= 1e-10 * max(1.0, sobolev_norm(v, 0)):
             raise ValueError("dependent basis")
         basis.append((1.0 / nrm) * e)
-    ell = len(basis)
+    proj = Observation.of_basis(basis)
     S: set[Mode] = set()
-    for e in basis:
-        weights = sorted(((2.0 * abs(c) ** 2, rep) for rep, c in e.items()),
-                         reverse=True)
-        kept = 0.0
-        total = sobolev_norm(e, 0) ** 2
-        for w, rep in weights:
-            if math.sqrt(max(total - kept, 0.0)) <= epsilon:
-                break
-            S.add(rep)
-            kept += w
-        else:
-            if math.sqrt(max(total - kept, 0.0)) > epsilon:
-                raise ValueError("epsilon unattainable at resolution")
+    for e in proj.weights:
+        # the heaviest modes, until the H0 norm left out is within epsilon
+        w = 2.0 * np.abs(e) ** 2
+        order = np.argsort(w, kind="stable")[::-1]
+        left = np.sqrt(np.maximum(w.sum() - np.cumsum(np.r_[0.0, w[order]]), 0.0))
+        if left[-1] > epsilon:
+            raise ValueError("epsilon unattainable at resolution")
+        S.update(_tables(radius).reps[i] for i in order[left[:-1] > epsilon])
+    if not S:
+        raise ValueError("epsilon %g keeps no coordinate mode: the basis vectors "
+                         "have unit norm, so epsilon must be below 1" % epsilon)
     S_sym = symmetrize(S)
-    proj = SubspaceProjection(basis)
-    for e in basis:
-        ebar = project(e, S_sym)
-        defect = sobolev_norm(proj.apply(ebar) - ebar, 0)
-        if defect > (ell + 1) * epsilon * (1 + 1e-9):
-            raise RuntimeError("truncation defect %.3g exceeds the (l+1)*eps bound"
-                               % defect)
+    truncated = np.where(_rep_mask(_tables(radius), S_sym), proj.weights, 0.0)
+    # each truncated vector's projection onto the subspace, less the vector
+    defects = sobolev_norms(radius, 2.0 * (truncated @ proj.weights.conj().T).real
+                            @ proj.weights - truncated)
+    if defects.max() > (len(basis) + 1) * epsilon * (1 + 1e-9):
+        raise RuntimeError("truncation defect %.3g exceeds the (l+1)*eps bound"
+                           % defects.max())
     return proj, S_sym
 
 
-def steer_in_projection(proj: SubspaceProjection, S: frozenset[Mode],
+def steer_in_projection(proj: Observation, S: frozenset[Mode],
                         target: np.ndarray, chain: SaturationChain,
                         state0: SpectralState, params: SimParams,
                         config: SteeringConfig) -> EndpointReport:
     """Steer the projection of the state onto a finite-dimensional subspace,
-    given the projection and coordinate set S of :func:`subspace_setup`.
+    given the observation and coordinate set S of :func:`subspace_setup`.
 
     The target (subspace coordinates) is lifted through the truncated
     basis into coordinate channels over S, steered there, and the
@@ -510,11 +489,11 @@ def steer_in_projection(proj: SubspaceProjection, S: frozenset[Mode],
     target = np.asarray(target, dtype=float)
     if target.shape != (proj.dimension,):
         raise ValueError("target must have one coordinate per basis vector")
-    w_star = SpectralState.zeros(state0.radius)
-    for t_i, e in zip(target, proj.basis):
-        w_star = w_star + float(t_i) * resize(project(e, S), state0.radius)
+    truncated = np.where(_rep_mask(_tables(state0.radius), S),
+                         resize_rows(proj.weights, proj.radius, state0.radius), 0.0)
+    w_star = SpectralState(state0.radius, target @ truncated, _copy=False)
     try:
-        inner = steer_to_target(CoordinateProjection(S).observe(w_star), chain,
+        inner = steer_to_target(Observation.of_modes(S).observe(w_star), chain,
                                 S, state0, params, config)
     except ConvergenceError as exc:
         inner = exc.report
@@ -540,10 +519,8 @@ class CoverageResult:
     misses: list[str]
 
     def to_csv(self) -> str:
-        lines = []
         dim = self.targets.shape[1] if self.targets.size else 0
-        header = ",".join("target_%d" % c for c in range(dim))
-        lines.append(header + ",miss,error,converged")
+        lines = [",".join("target_%d" % c for c in range(dim)) + ",miss,error,converged"]
         for t, rep, miss in zip(self.targets, self.reports, self.misses):
             if rep is None:
                 err, conv = float("inf"), False

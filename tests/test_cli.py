@@ -463,3 +463,22 @@ def test_out_of_range_library_input_exits_1_without_manifest(
     assert main([command, "--config", cfg, flag, value]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("project", "--epsilon", "2"), ("average", "--amplitude", "NaN"),
+    ("average", "--amplitude", "-Infinity")])
+def test_rejected_library_input_is_named_and_writes_no_manifest(
+        tmp_path, mode_file, capsys, command, flag, value):
+    # an epsilon that keeps no coordinate mode, a non-finite drive amplitude
+    basis = tmp_path / "basis.json"
+    basis.write_text(json.dumps([json.loads(state_to_json(
+        SpectralState.from_coeffs({(2, 1): 0.5}, 6)))]))
+    payload = {"project": {"mode_set": mode_file, "basis": str(basis), "target": [0.2]},
+               "average": {"k": [2, 1], "pair": [[1, 0], [1, 1]], "omegas": [40],
+                           "duration": 0.02, "radius": 4}}
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, "cfg.json", dict(payload[command], output_dir=str(out)))
+    assert main([command, "--config", cfg, flag, value]) == 1
+    assert flag[2:] in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()

@@ -56,6 +56,13 @@ def test_out_of_range_message_shows_the_gap():
         prog.evaluate(1.0 + 1e-9)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(0.0, math.nan),
+                                   complex(1.0, math.inf)])
+def test_constant_rejects_non_finite_values(value):
+    with pytest.raises(ValueError, match="forcing values must be finite"):
+        Constant(1.0, {(1, 0): value})
+
+
 def test_evaluate_constant_segment():
     prog = single_channel_program(1 + 0j, 2.0)
     assert prog.evaluate(0.7)[(1, 0)] == 1 + 0j

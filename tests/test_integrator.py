@@ -237,13 +237,42 @@ def test_trajectory_csv_formats():
 def test_trajectory_validation():
     s = SpectralState.zeros(3)
     with pytest.raises(ValueError, match="start at t = 0"):
-        Trajectory([0.5], [s])
+        Trajectory(3, [0.5], [s.data])
     with pytest.raises(ValueError, match="strictly increasing"):
-        Trajectory([0.0, 0.0], [s, s])
+        Trajectory(3, [0.0, 0.0], [s.data, s.data])
+    with pytest.raises(ValueError, match="align"):
+        Trajectory(3, [0.0, 0.1], [s.data])
     traj = integrate(s, SimParams(), zero_program(0.1),
                      IntegratorConfig(dt_base=5e-2))
     with pytest.raises(KeyError):
         traj.at(0.123456)
+
+
+def test_trajectory_is_one_read_only_array():
+    # states view the rows; final copies the last row, so a kept report
+    # does not hold the whole run
+    s0 = random_decaying_state(4, amplitude=0.4, rng=np.random.default_rng(8))
+    traj = integrate(s0, SimParams(nu=0.01), zero_program(0.1),
+                     IntegratorConfig(dt_base=1e-2))
+    assert traj.data.shape == (len(traj), _tables(4).n_reps)
+    assert not traj.data.flags.writeable
+    assert np.array_equal(traj.data[0], s0.data)
+    assert all(np.shares_memory(s.data, traj.data) for s in traj.states)
+    assert not np.shares_memory(traj.final.data, traj.data)
+    assert np.array_equal(traj.final.data, traj.data[-1])
+    assert np.array_equal(traj.at(traj.times[3]).data, traj.data[3])
+    with pytest.raises(KeyError, match="no state recorded"):
+        traj.rows_at([0.0, 0.0123])
+
+
+def test_summary_rows_match_the_per_state_norms_bitwise():
+    s0 = random_decaying_state(5, amplitude=0.4, rng=np.random.default_rng(9))
+    seg = Oscillatory.from_cos_pairs(0.2, 90.0, [((1, 0), 0.5)])
+    traj = integrate(s0, SimParams(nu=0.01), ForcingProgram(SINGLE, [seg]),
+                     IntegratorConfig(dt_base=2e-3, record_stride=5))
+    want = [(t, energy(s), enstrophy(s), sobolev_norm(s, 1), sobolev_norm(s, 2))
+            for t, s in zip(traj.times, traj.states)]
+    assert traj.summary().tolist() == [list(row) for row in want]
 
 
 def test_public_step_through_oscillatory_segment():

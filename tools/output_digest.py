@@ -33,8 +33,11 @@ relative paths so that two checkouts write the same manifests: a fixed
 ``steer``, ``project`` (a two-vector basis mixing four mode pairs) and
 ``cover`` (with a ``tau_ladder``, so the near-identity gap too) run, one
 line for each exit code and one for each file the run wrote
-(``manifest.json`` included).  The last line is the program JSON of
-``synthesize`` from rest for the first seed-7 ``cover_r6`` target.
+(``manifest.json`` included).  Then comes the program JSON of
+``synthesize`` from rest for the first seed-7 ``cover_r6`` target, and
+last, in the same form as the command-line runs above, an ``average``
+run (rest state, two omegas) and an ``rxprobe`` run in trajectory mode
+(random state), whose deviations reduce recorded trajectories.
 Stdlib plus the package under test (and the numpy it needs).
 """
 
@@ -176,6 +179,14 @@ CLI_RUNS = {
               "grid_density": 2, "tau": 0.02, "tau_ladder": [0.04, 0.02],
               "fp_tol": 1e-3, "dt_base": 1e-3, "state": "rest", "seed": SEED},
 }
+DEVIATION_RUNS = {
+    "average": {"k": [2, 1], "pair": [[1, 0], [1, 1]], "omegas": [50.0, 100.0],
+                "amplitude": 1.0, "duration": 0.2, "radius": 4, "nu": 0.01,
+                "dt_base": 1e-3, "record_stride": 10, "state": "rest", "seed": SEED},
+    "rxprobe": {"mode": "trajectory", "deltas": [0.1, 0.05], "duration": 0.3,
+                "radius": 4, "nu": 0.01, "dt_base": 1e-3, "state": "random",
+                "seed": SEED},
+}
 
 
 def basis_json(mc) -> str:
@@ -184,7 +195,7 @@ def basis_json(mc) -> str:
     return json.dumps([json.loads(mc.spectral.state_to_json(s)) for s in raw])
 
 
-def cli_lines(mc):
+def cli_lines(mc, runs):
     inputs = {
         "k1.txt": "1 0\n-1 0\n1 1\n-1 -1\n",
         "mixed.json": mc.program_to_json(mixed_program(mc)),
@@ -198,7 +209,7 @@ def cli_lines(mc):
         try:
             for name, text in inputs.items():
                 Path(name).write_text(text)
-            for command, cfg in CLI_RUNS.items():
+            for command, cfg in runs.items():
                 Path(command + ".json").write_text(json.dumps(dict(cfg, output_dir=command)))
                 with contextlib.redirect_stdout(io.StringIO()), \
                         contextlib.redirect_stderr(io.StringIO()):
@@ -238,7 +249,8 @@ def main() -> int:
             print("%s %s" % (value, name), flush=True)
             total.update(value.encode())
     print("%s all" % total.hexdigest())
-    for lines in (cli_lines(mc), synthesize_lines(mc, workloads)):
+    for lines in (cli_lines(mc, CLI_RUNS), synthesize_lines(mc, workloads),
+                  cli_lines(mc, DEVIATION_RUNS)):
         for name, value in lines:
             print("%s %s" % (value, name), flush=True)
     return 0
