@@ -156,6 +156,8 @@ class Oscillatory:
             if h == 0:
                 raise ValueError("harmonic index must be nonzero")
             c = complex(c)
+            if not cmath.isfinite(c):
+                raise ValueError("oscillation coefficients must be finite")
             if canonical_rep(k) != k:
                 k, h, c = canonical_rep(k), -h, c.conjugate()
             merged[(k, h)] = merged.get((k, h), 0j) + c

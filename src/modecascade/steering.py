@@ -7,9 +7,10 @@ program (chattering); replace each switching segment that actuates a
 not-actually-controlled mode by a fast oscillation packet on a
 generating pair one saturation level down, whose averaged quadratic
 interaction reproduces the missing drive; finally settle the directly
-controlled channels with a terminal correction ramp.  A fixed-point
-refinement of the pretended target absorbs the O(tau) endpoint error of
-the whole construction.
+controlled channels with a terminal correction ramp.  The ramp is aimed
+past its own viscous decay and first-order quadratic drift, and a
+fixed-point refinement of the pretended target absorbs what that
+prediction leaves of the O(tau) endpoint error of the construction.
 """
 
 from __future__ import annotations
@@ -99,11 +100,18 @@ class Observation:
     inner0(q, e_i) = 2 Re sum_k q_k conj(e_ik).  The coordinate channel
     (k, "re") or (k, "im") is the weight 0.5 or 0.5j at k's slot, a
     subspace coordinate its orthonormal basis vector.  A state at another
-    radius is read with both sides lifted to the larger ball.
+    radius is read in this ball: the weights vanish outside it.
     """
 
     radius: int
     weights: np.ndarray
+
+    def __post_init__(self):
+        # only the weighted columns are read, so a coefficient elsewhere,
+        # even a non-finite one, does not reach the coordinates
+        cols = np.flatnonzero(np.any(self.weights != 0, axis=0))
+        object.__setattr__(self, "_cols", cols)
+        object.__setattr__(self, "_conj", np.conj(self.weights[:, cols]))
 
     @classmethod
     def of_modes(cls, modes: Iterable[Mode]) -> "Observation":
@@ -132,9 +140,8 @@ class Observation:
         return len(self.weights)
 
     def observe(self, state: SpectralState) -> np.ndarray:
-        r = max(state.radius, self.radius)
-        q = resize_rows(state.data, state.radius, r)
-        return 2.0 * np.sum(q * np.conj(resize_rows(self.weights, self.radius, r)), axis=-1).real
+        q = resize_rows(state.data, state.radius, self.radius)[self._cols]
+        return 2.0 * np.sum(q * self._conj, axis=-1).real
 
 
 @dataclass(eq=False)
@@ -270,14 +277,33 @@ def _synthesize_main(p: np.ndarray, chain: SaturationChain,
     return prog, level
 
 
+def _ramp_displacement(aim: np.ndarray, origin: np.ndarray,
+                       obs: frozenset[Mode], state0: SpectralState,
+                       params: SimParams, tau: float) -> np.ndarray:
+    """Displacement p whose ramp p / tau on every observed channel lands the
+    pretended system from state0 on ``aim`` at tau: exact in the viscous
+    decay lambda = nu |k|^2, and to first order in the quadratic drift,
+    taken along the straight ramp by Simpson's rule (exact for a quadratic)."""
+    tab, cmap = _tables(state0.radius), ChannelMap(obs)
+    at = tab.positions(cmap.reps)
+    lam_tau = params.nu * tau * np.repeat(tab.norm_sq[at], 2)
+    gain = np.divide(lam_tau, -np.expm1(-lam_tau), out=np.ones_like(lam_tau),
+                     where=lam_tau > 0)
+    d0 = gain * (aim - np.exp(-lam_tau) * origin)
+    step = tab.vector(cmap.vector_to_rep_coeffs(d0))
+    n0, n1, n2 = (tab.nonlinear(state0.data + s * step)[at] for s in (0.0, 0.5, 1.0))
+    return d0 - gain * cmap.complex_to_vector(tau / 6.0 * (n0 + 4.0 * n1 + n2))
+
+
 def _synthesize_pieces(aim: np.ndarray, origin: np.ndarray,
                        chain: SaturationChain, obs: frozenset[Mode],
                        state0: SpectralState, params: SimParams,
                        config: SteeringConfig):
     """Full program with terminal correction, plus its trajectories: the
-    main interval displaces the observed channels by ``aim - origin`` and
-    the correction ramp ends the K1 channels at ``aim``."""
-    main, level = _synthesize_main(aim - origin, chain, obs, config)
+    main ramp is aimed by :func:`_ramp_displacement` and the correction
+    ramp ends the K1 channels at ``aim``."""
+    p = _ramp_displacement(aim, origin, obs, state0, params, config.tau)
+    main, level = _synthesize_main(p, chain, obs, config)
     traj_main = integrate(state0, params, main, config.integrator)
     k1_obs = symmetrize(chain.levels[0]) & obs
     if level == 0 or not k1_obs:
@@ -296,9 +322,10 @@ def synthesize(target: np.ndarray, chain: SaturationChain, k_obs,
                config: SteeringConfig) -> ForcingProgram:
     """Build the full cascade program for one observed target vector.
 
-    This is the first pass of :func:`steer_to_target`.  The terminal
-    correction needs the simulated end state of the main interval, so
-    this runs one integration internally.
+    This is the first pass of :func:`steer_to_target`, its ramp aimed by
+    the same defect prediction.  The terminal correction needs the
+    simulated end state of the main interval, so this runs one
+    integration internally.
     """
     obs = symmetrize(k_obs)
     origin = Observation.of_modes(obs).observe(state0)
@@ -321,9 +348,10 @@ def steer_to_target(target: np.ndarray, chain: SaturationChain, k_obs,
                     config: SteeringConfig) -> EndpointReport:
     """Reach a target vector of observed channels by fixed-point refinement
     aim <- aim + (target - achieved(aim)) around the cascade synthesis,
-    starting from aim = target.  The main interval displaces the observed
-    channels by aim minus their start and the terminal correction aims at
-    aim, so the correction ramp's own defect is fed back too.
+    starting from aim = target.  The main ramp is aimed at aim past its
+    predicted viscous decay and quadratic drift, and the terminal
+    correction at aim, so the refinement absorbs only what the prediction
+    leaves, the correction ramp's own defect included.
 
     Raises :class:`ConvergenceError` (with the best report attached) when
     the refinement does not reach fp_tol within max_fp_iters.

@@ -90,6 +90,20 @@ def test_simulate_manifest_reproduces_bitwise(tmp_path):
     assert (out2 / "trajectory.csv").read_bytes() == blob
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+def test_non_finite_oscillatory_program_exits_1(tmp_path, capsys, value):
+    # rejected while the program loads, not as a blow-up (exit 2) later
+    prog = tmp_path / "prog.json"
+    prog.write_text(program_to_json(ForcingProgram(FOUR_MODES, [
+        Oscillatory(0.1, 10.0, [((1, 0), 1, 0.25)])])).replace("0.25", value))
+    out = tmp_path / "sim"
+    cfg = write_config(tmp_path, "cfg.json", {
+        "radius": 3, "program": str(prog), "state": "rest", "output_dir": str(out)})
+    assert main(["simulate", "--config", cfg]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 def test_missing_file_names_the_field(tmp_path, capsys):
     cfg = write_config(tmp_path, "cfg.json", {
         "mode_set": str(tmp_path / "nope.txt"), "radius": 3,
@@ -139,10 +153,14 @@ def test_steer_m1_run(tmp_path, mode_file):
 
 
 def test_steer_nonconvergence_exit_2_with_partial_report(tmp_path, mode_file):
+    # observed: the second saturation level, whose cascade channel (0, 1)
+    # the first pass misses (a directly forced K1 ramp is exact)
+    observed = tmp_path / "k2.txt"
+    observed.write_text(format_mode_set(symmetrize({(0, 1), (1, 0), (1, 1), (2, 1)})))
     out = tmp_path / "steer2"
     cfg = write_config(tmp_path, "cfg.json", {
-        "mode_set": mode_file, "radius": 4, "nu": 0.05,
-        "target": [0.3, 0.0, 0.0, 0.0], "tau": 0.02, "fp_tol": 1e-15,
+        "mode_set": mode_file, "observed": str(observed), "radius": 4, "nu": 0.05,
+        "target": [0.3] + [0.0] * 7, "tau": 0.02, "fp_tol": 1e-15,
         "max_fp_iters": 2, "dt_base": 1e-3, "state": "rest",
         "output_dir": str(out)})
     assert main(["steer", "--config", cfg]) == 2

@@ -63,6 +63,21 @@ def test_constant_rejects_non_finite_values(value):
         Constant(1.0, {(1, 0): value})
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(0.0, math.nan),
+                                   complex(1.0, math.inf)])
+def test_oscillatory_rejects_non_finite_coefficients(value):
+    with pytest.raises(ValueError, match="oscillation coefficients must be finite"):
+        Oscillatory(1.0, 10.0, [((1, 0), 1, value)])
+
+
+@pytest.mark.parametrize("field,value", [("amp", math.nan), ("amp", math.inf),
+                                         ("amp", -math.inf), ("phase", math.nan)])
+def test_cos_pairs_reject_non_finite_amplitude_and_phase(field, value):
+    kw = {"amp": 0.5, "phase": 0.0, field: value}
+    with pytest.raises(ValueError, match="oscillation coefficients must be finite"):
+        Oscillatory.from_cos_pairs(1.0, 10.0, [((1, 0), kw["amp"])], phase=kw["phase"])
+
+
 def test_evaluate_constant_segment():
     prog = single_channel_program(1 + 0j, 2.0)
     assert prog.evaluate(0.7)[(1, 0)] == 1 + 0j
