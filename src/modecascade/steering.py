@@ -277,9 +277,9 @@ def _synthesize_main(p: np.ndarray, chain: SaturationChain,
     return prog, level
 
 
-def _ramp_displacement(aim: np.ndarray, origin: np.ndarray,
-                       obs: frozenset[Mode], state0: SpectralState,
-                       params: SimParams, tau: float) -> np.ndarray:
+def _ramp_displacement(aim: np.ndarray, obs: frozenset[Mode],
+                       state0: SpectralState, params: SimParams, tau: float
+                       ) -> np.ndarray:
     """Displacement p whose ramp p / tau on every observed channel lands the
     pretended system from state0 on ``aim`` at tau: exact in the viscous
     decay lambda = nu |k|^2, and to first order in the quadratic drift,
@@ -289,20 +289,19 @@ def _ramp_displacement(aim: np.ndarray, origin: np.ndarray,
     lam_tau = params.nu * tau * np.repeat(tab.norm_sq[at], 2)
     gain = np.divide(lam_tau, -np.expm1(-lam_tau), out=np.ones_like(lam_tau),
                      where=lam_tau > 0)
-    d0 = gain * (aim - np.exp(-lam_tau) * origin)
+    d0 = gain * (aim - np.exp(-lam_tau) * cmap.complex_to_vector(state0.data[at]))
     step = tab.vector(cmap.vector_to_rep_coeffs(d0))
     n0, n1, n2 = (tab.nonlinear(state0.data + s * step)[at] for s in (0.0, 0.5, 1.0))
     return d0 - gain * cmap.complex_to_vector(tau / 6.0 * (n0 + 4.0 * n1 + n2))
 
 
-def _synthesize_pieces(aim: np.ndarray, origin: np.ndarray,
-                       chain: SaturationChain, obs: frozenset[Mode],
-                       state0: SpectralState, params: SimParams,
-                       config: SteeringConfig):
+def _synthesize_pieces(aim: np.ndarray, chain: SaturationChain,
+                       obs: frozenset[Mode], state0: SpectralState,
+                       params: SimParams, config: SteeringConfig):
     """Full program with terminal correction, plus its trajectories: the
     main ramp is aimed by :func:`_ramp_displacement` and the correction
     ramp ends the K1 channels at ``aim``."""
-    p = _ramp_displacement(aim, origin, obs, state0, params, config.tau)
+    p = _ramp_displacement(aim, obs, state0, params, config.tau)
     main, level = _synthesize_main(p, chain, obs, config)
     traj_main = integrate(state0, params, main, config.integrator)
     k1_obs = symmetrize(chain.levels[0]) & obs
@@ -327,10 +326,8 @@ def synthesize(target: np.ndarray, chain: SaturationChain, k_obs,
     simulated end state of the main interval, so this runs one
     integration internally.
     """
-    obs = symmetrize(k_obs)
-    origin = Observation.of_modes(obs).observe(state0)
-    program, _ = _synthesize_pieces(np.asarray(target, dtype=float), origin,
-                                    chain, obs, state0, params, config)
+    program, _ = _synthesize_pieces(np.asarray(target, dtype=float), chain,
+                                    symmetrize(k_obs), state0, params, config)
     return program
 
 
@@ -364,12 +361,10 @@ def steer_to_target(target: np.ndarray, chain: SaturationChain, k_obs,
     if target.shape != (proj.dimension,):
         raise ValueError("target must have one entry per observed channel (%d)"
                          % proj.dimension)
-    origin = proj.observe(state0)
     aim = target
     best: EndpointReport | None = None
     for it in range(1, config.max_fp_iters + 1):
-        program, trajs = _synthesize_pieces(aim, origin, chain, obs, state0,
-                                            params, config)
+        program, trajs = _synthesize_pieces(aim, chain, obs, state0, params, config)
         final = trajs[-1].final
         achieved = proj.observe(final)
         err = float(np.linalg.norm(target - achieved))

@@ -70,12 +70,11 @@ def test_oscillatory_rejects_non_finite_coefficients(value):
         Oscillatory(1.0, 10.0, [((1, 0), 1, value)])
 
 
-@pytest.mark.parametrize("field,value", [("amp", math.nan), ("amp", math.inf),
-                                         ("amp", -math.inf), ("phase", math.nan)])
-def test_cos_pairs_reject_non_finite_amplitude_and_phase(field, value):
-    kw = {"amp": 0.5, "phase": 0.0, field: value}
+@pytest.mark.parametrize("amp,phase", [(math.nan, 0.0), (math.inf, 0.0),
+                                       (-math.inf, 0.0), (0.5, math.nan)])
+def test_cos_pairs_reject_non_finite_amplitude_and_phase(amp, phase):
     with pytest.raises(ValueError, match="oscillation coefficients must be finite"):
-        Oscillatory.from_cos_pairs(1.0, 10.0, [((1, 0), kw["amp"])], phase=kw["phase"])
+        Oscillatory.from_cos_pairs(1.0, 10.0, [((1, 0), amp)], phase=phase)
 
 
 def test_evaluate_constant_segment():

@@ -483,7 +483,7 @@ def test_tail_samples_count_the_recorded_states():
     target = ball_target(np.random.default_rng([7, 0]))
     rep = steer_to_target(target, CHAIN, K2, SpectralState.zeros(6), SimParams(nu=0.01), cfg)
     program, trajs = steering_module._synthesize_pieces(
-        target, np.zeros(8), CHAIN, K2, SpectralState.zeros(6), SimParams(nu=0.01), cfg)
+        target, CHAIN, K2, SpectralState.zeros(6), SimParams(nu=0.01), cfg)
     assert rep.iterations == 1
     assert rep.tail_samples == sum(len(t) for t in trajs) > 2
     assert steering_module.report_to_dict(rep)["tail_samples"] == rep.tail_samples
@@ -492,7 +492,7 @@ def test_tail_samples_count_the_recorded_states():
 def test_tail_growth_is_the_per_state_maximum_bitwise():
     s0 = random_decaying_state(6, amplitude=0.2, rng=np.random.default_rng(5))
     _, trajs = steering_module._synthesize_pieces(
-        ball_target(np.random.default_rng([7, 2])), np.zeros(8), CHAIN, K2, s0,
+        ball_target(np.random.default_rng([7, 2])), CHAIN, K2, s0,
         SimParams(nu=0.01), quick_config())
     base = sobolev_norm(project_complement(s0, K2), 0)
     worst = max(sobolev_norm(project_complement(s, K2), 0)
@@ -579,8 +579,7 @@ def test_ramp_displacement_lands_the_pretended_system_on_the_aim(nu, perturbed):
     s0, proj = cover_start(perturbed), Observation.of_modes(K2)
     for i in range(6):
         aim = ball_target(np.random.default_rng([7, i]))
-        p = steering_module._ramp_displacement(aim, proj.observe(s0), K2, s0,
-                                               SimParams(nu=nu), 1.0)
+        p = steering_module._ramp_displacement(aim, K2, s0, SimParams(nu=nu), 1.0)
         end = integrate(s0, SimParams(nu=nu), base_step_program(K2, p, 1.0), FAST).final
         assert np.linalg.norm(proj.observe(end) - aim) <= 2e-4
 
