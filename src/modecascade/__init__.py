@@ -17,13 +17,11 @@ from .lattice import (Mode, SaturationChain, admissible_pair, ball,
 from .spectral import (SimParams, SpectralState, energy, enstrophy, inner0,
                        nonlinear_term, project, project_complement,
                        random_decaying_state, resize, sobolev_norm,
-                       vector_field, velocity_from_vorticity)
+                       velocity_from_vorticity)
 from .forcing import (ChannelMap, Constant, ForcingProgram, Oscillatory,
-                      Zero, cascade_packet,
-                      chattering_approximation, constant_program,
-                      cos_pair_segment, delta_distance, oscillatory_amplitudes,
-                      program_from_json, program_to_json, relaxation_distance,
-                      zero_program)
+                      Zero, cascade_packet, chattering_approximation,
+                      constant_program, delta_distance, program_from_json,
+                      program_to_json, relaxation_distance, zero_program)
 from .integrator import (BlowUpError, IntegratorConfig, StepBudgetError,
                          Trajectory, convergence_order, integrate, step)
 from .steering import (ConvergenceError, CoverageResult, EndpointReport,

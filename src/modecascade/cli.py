@@ -1,16 +1,17 @@
 """Batch experiment runner.
 
 One JSON config document drives each run.  A subcommand's long-form
-flags are exactly the top-level scalar fields it reads, plus ``--seed``
-and ``--output-dir`` (flag name equals field name); a flag overrides the
-field.  Every run emits its artifacts plus a ``manifest.json``, written
-by ``main`` once the subcommand returns, echoing the fully resolved
-configuration and the tool version; re-running from a manifest
-reproduces the outputs bit for bit.
+flags are exactly the top-level fields it reads, plus ``--seed`` and
+``--output-dir`` (flag name equals field name; a list-valued flag takes
+JSON text); a flag overrides the field, and a field the subcommand does
+not read is an error.  Every run emits its artifacts plus a
+``manifest.json``, written by ``main`` once the subcommand returns,
+echoing the fully resolved configuration and the tool version;
+re-running from a manifest reproduces the outputs bit for bit.
 
 Exit codes: 0 success, 1 usage error (unknown flag, missing
-``--config``) or configuration/validation error (a missing or
-unconvertible field is named in the message), 2 numerical failure:
+``--config``) or configuration/validation error (an unknown, missing
+or unconvertible field is named in the message), 2 numerical failure:
 blow-up or non-convergence with partial results still written, or a
 forcing program that needs more integration steps than the budget
 allows.  ``main`` turns the last two, raised by any subcommand, into
@@ -140,7 +141,7 @@ _INTEGRATOR_FIELDS = {"dt_base": float, "oscillation_resolution": int,
                       "record_stride": int}
 _STEERING_FIELDS = {"tau": float, "gamma": float, "omega": float,
                     "correction_tau": float, "max_fp_iters": int,
-                    "fp_tol": float, "chatter_windows": int, "construction": str}
+                    "fp_tol": float, "chatter_windows": int}
 
 
 def _given(cfg: dict, fields: dict) -> dict:
@@ -278,8 +279,7 @@ def _run_average(cfg: dict, em: _Emitter) -> int:
     state0, params = _initial(cfg, em, _get(cfg, "radius", int))
     devs = averaging_experiment(
         k, pair, _get(cfg, "amplitude", float, 1.0), omegas,
-        _get(cfg, "duration", float), state0, params,
-        _integrator_config(cfg), **_given(cfg, {"construction": str}))
+        _get(cfg, "duration", float), state0, params, _integrator_config(cfg))
     lines = ["omega,deviation"]
     lines += ["%r,%r" % (w, d) for w, d in zip(omegas, devs)]
     em.write_csv("deviations.csv", "\n".join(lines) + "\n")
@@ -393,20 +393,20 @@ def _run_project(cfg: dict, em: _Emitter) -> int:
     return code
 
 
-# A subcommand's flags are exactly the scalar fields it reads, plus
-# seed and output_dir.
+# A subcommand's fields, and so its flags, are exactly the fields it
+# reads, plus seed and output_dir; any other field is rejected.
 _STATE = ("radius", "nu", "state", "amplitude", "decay", *_INTEGRATOR_FIELDS)
 _STEERING = ("mode_set", "max_levels", *_STEERING_FIELDS)
 _COMMANDS = {
     "saturate": (_run_saturate, ("mode_set", "radius", "max_levels")),
     "simulate": (_run_simulate, _STATE + ("duration", "program")),
-    "steer": (_run_steer, _STATE + _STEERING + ("observed",)),
-    "average": (_run_average, _STATE + ("duration", "construction")),
+    "steer": (_run_steer, _STATE + _STEERING + ("observed", "target")),
+    "average": (_run_average, _STATE + ("duration", "k", "pair", "omegas")),
     "chatter": (_run_chatter, ("program", "amplitude", "windows", "slack_channel")),
     "cover": (_run_cover, _STATE + _STEERING + ("observed", "target_radius",
-                                               "grid_density")),
-    "project": (_run_project, _STATE + _STEERING + ("basis", "epsilon")),
-    "rxprobe": (_run_rxprobe, _STATE + ("mode", "duration")),
+                                               "grid_density", "tau_ladder")),
+    "project": (_run_project, _STATE + _STEERING + ("basis", "epsilon", "target")),
+    "rxprobe": (_run_rxprobe, _STATE + ("mode", "duration", "omegas", "deltas")),
 }
 
 
@@ -441,6 +441,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = _load_config(path, command)
         cfg.update((f, _coerce(v)) for f, v in flags.items() if v is not None)
+        unknown = sorted(set(cfg) - {"seed", "output_dir", *_COMMANDS[command][1]})
+        if unknown:
+            raise ConfigError("unknown field '%s' for '%s'"
+                              % ("', '".join(unknown), command))
         cfg["seed"] = _get(cfg, "seed", int, 0)
         em = _Emitter(cfg, command)
         code = _COMMANDS[command][0](cfg, em)

@@ -10,8 +10,9 @@ Oscillatory segments are stored through their primitives.  A component
 ``(k, h, c)`` contributes ``c * (exp(i h w t) - 1)`` to the primitive
 V_k on the segment-local clock (so primitives start at zero at every
 segment start) and ``c * i h w * exp(i h w t)`` to the forcing itself.
-The plain single-harmonic cosine pair of the cascade construction and
-the counter-rotating two-harmonic packets are both special cases.
+Plain cosine bundles (:meth:`Oscillatory.from_cos_pairs`) and the
+counter-rotating two-harmonic packets of the cascade are both special
+cases.
 
 Why two-harmonic packets exist: forcing a mode pair (m, n) with equal
 plain cosines pumps, through the quadratic term, not only the sum mode
@@ -54,8 +55,7 @@ __all__ = [
     "ChannelMap", "Constant", "Oscillatory", "Zero", "ForcingProgram",
     "zero_program", "constant_program",
     "relaxation_distance", "delta_distance",
-    "oscillatory_amplitudes", "cascade_packet", "cos_pair_segment",
-    "chattering_approximation",
+    "cascade_packet", "chattering_approximation",
     "program_to_dict", "program_from_dict", "program_to_json", "program_from_json",
 ]
 
@@ -440,40 +440,18 @@ def delta_distance(f: ForcingProgram, g: ForcingProgram) -> float:
 
 
 # ---------------------------------------------------------------------------
-# cascade amplitudes
+# cascade packets
 
 
 def _interaction_coeff(m: Mode, n: Mode) -> float:
     return wedge(m, n) * (1.0 / norm_sq(m) - 1.0 / norm_sq(n))
 
 
-def oscillatory_amplitudes(k: Mode, m: Mode, n: Mode, amplitude: float
-                           ) -> tuple[float, float]:
-    """Equal-magnitude cosine amplitudes (A_m, A_n) solving
-
-        A_m * A_n * wedge(m, n) * (|m|^-2 - |n|^-2) = 2 * amplitude
-
-    with A_m > 0 and the sign carried by A_n.  This is the amplitude
-    condition of the plain single-harmonic cascade step.
-    """
-    k = check_mode(k)
-    if (m[0] + n[0], m[1] + n[1]) != k:
-        raise ValueError("pair does not sum to the target mode")
-    if amplitude == 0:
-        raise ValueError("amplitude must be nonzero")
-    coeff = _interaction_coeff(m, n)
-    if coeff == 0.0:
-        raise ValueError("inadmissible pair: collinear or equal-length modes")
-    product = 2.0 * amplitude / coeff
-    mag = math.sqrt(abs(product))
-    return mag, math.copysign(mag, product)
-
-
-def snap_omega(omega: float, duration: float, period_fraction: float = 2.0 * math.pi) -> float:
-    """Smallest frequency >= omega whose phase advance over the segment is
-    a positive multiple of period_fraction (so primitives close up)."""
-    cycles = max(1, math.ceil(omega * duration / period_fraction - 1e-9))
-    return period_fraction * cycles / duration
+def snap_omega(omega: float, duration: float) -> float:
+    """Smallest frequency >= omega that fits a positive whole number of
+    cycles in the segment (so primitives close up)."""
+    cycles = max(1, math.ceil(omega * duration / (2.0 * math.pi) - 1e-9))
+    return 2.0 * math.pi * cycles / duration
 
 
 def cascade_packet(k: Mode, m: Mode, n: Mode, target: complex, omega: float,
@@ -503,17 +481,6 @@ def cascade_packet(k: Mode, m: Mode, n: Mode, target: complex, omega: float,
         (m, +1, a), (m, +2, -a),
         (n, -1, a), (n, -2, -a),
     ])
-
-
-def cos_pair_segment(k: Mode, m: Mode, n: Mode, amplitude: float, omega: float,
-                     duration: float) -> Oscillatory:
-    """Plain construction: equal cosines A_m w cos(wt), A_n w cos(wt) on the
-    pair, with amplitudes from :func:`oscillatory_amplitudes`.  Drives the
-    real channel of k = m+n at mean rate ``amplitude`` but also the
-    difference pair m-n at the opposite rate; kept for comparison runs."""
-    a_m, a_n = oscillatory_amplitudes(k, m, n, amplitude)
-    w = snap_omega(omega, duration, period_fraction=math.pi)
-    return Oscillatory.from_cos_pairs(duration, w, [(m, a_m), (n, a_n)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Galerkin vorticity states and the spectral vector field on the torus.
+"""Galerkin vorticity states and their quadratic term on the torus.
 
 A state holds the Fourier coefficients q_k of a real scalar vorticity
 field over the symmetric ball 1 <= |k|^2 <= R^2.  Realness means
@@ -58,7 +58,7 @@ from .lattice import (Mode, ball, canonical_rep, check_mode, fold_conjugate,
                       is_symmetric, neg, norm_sq, unfold_conjugate, wedge)
 
 __all__ = [
-    "SimParams", "SpectralState", "vector_field", "nonlinear_term",
+    "SimParams", "SpectralState", "nonlinear_term",
     "quadratic_kernel",
     "energy", "energies", "enstrophy", "sobolev_norm", "sobolev_norms", "inner0",
     "velocity_from_vorticity", "project", "project_complement",
@@ -227,10 +227,14 @@ class SpectralState:
         """Build a state from a mode -> coefficient map.
 
         Entries may be given on either member of a {k, -k} pair, or on
-        both if v(-k) = conj(v(k)) to within 1e-12 * max(1, |v|).
+        both if v(-k) = conj(v(k)) to within 1e-12 * max(1, |v|), and
+        must be finite.
         """
         values = fold_conjugate(coeffs, 1e-12, "state")
-        return cls(radius, _tables(radius).vector(values), _copy=False)
+        data = _tables(radius).vector(values)
+        if not np.isfinite(data).all():
+            raise ValueError("state coefficients must be finite")
+        return cls(radius, data, _copy=False)
 
     # -- access -------------------------------------------------------------
 
@@ -289,18 +293,6 @@ def nonlinear_term(state: SpectralState) -> SpectralState:
     derivative."""
     tab = _tables(state.radius)
     return SpectralState(state.radius, tab.nonlinear(state.data), _copy=False)
-
-
-def vector_field(state: SpectralState, params: SimParams,
-                 forcing: Mapping[Mode, complex] | None = None) -> SpectralState:
-    """Right-hand side dq_k/dt = N_k(q) - nu |k|^2 q_k + v_k."""
-    tab = _tables(state.radius)
-    out = tab.nonlinear(state.data)
-    if params.nu:
-        out = out - params.nu * tab.norm_sq * state.data
-    if forcing:
-        out = out + tab.vector(fold_conjugate(forcing, 1e-9, "forcing"))
-    return SpectralState(state.radius, out, _copy=False)
 
 
 def sobolev_norm(state: SpectralState, order: int = 0) -> float:

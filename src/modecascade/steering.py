@@ -10,7 +10,7 @@ interaction reproduces the missing drive; finally settle the directly
 controlled channels with a terminal correction ramp.  The ramp is aimed
 past its own viscous decay and first-order quadratic drift, and a
 fixed-point refinement of the pretended target absorbs what that
-prediction leaves of the O(tau) endpoint error of the construction.
+prediction leaves of the O(tau) endpoint error of the synthesis.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .forcing import (ChannelMap, Constant, ForcingProgram, Zero,
                       cascade_packet, chattering_approximation,
-                      cos_pair_segment, constant_program, zero_program)
+                      constant_program, zero_program)
 from .integrator import (BlowUpError, IntegratorConfig, StepBudgetError,
                          Trajectory, integrate)
 from .lattice import (Mode, SaturationChain, check_mode, find_generating_pair,
@@ -40,15 +40,6 @@ __all__ = [
     "coverage_grid", "coverage_check", "CoverageResult",
     "report_to_dict",
 ]
-
-
-CONSTRUCTIONS = ("counter_rotating", "plain")
-
-
-def _check_construction(construction: str):
-    if construction not in CONSTRUCTIONS:
-        raise ValueError("unknown construction %r: expected one of %s"
-                         % (construction, ", ".join(CONSTRUCTIONS)))
 
 
 @dataclass(frozen=True)
@@ -69,7 +60,6 @@ class SteeringConfig:
     max_fp_iters: int = 20
     fp_tol: float = 1e-3
     chatter_windows: int = 4
-    construction: str = "counter_rotating"
     level_omega_ratio: float = 25.0
     integrator: IntegratorConfig = IntegratorConfig()
 
@@ -84,7 +74,6 @@ class SteeringConfig:
         for name in ("max_fp_iters", "chatter_windows"):
             if getattr(self, name) < 1:
                 raise ValueError("%s must be >= 1" % name)
-        _check_construction(self.construction)
 
     @property
     def corr_tau(self) -> float:
@@ -200,17 +189,16 @@ def base_step_program(support: Iterable[Mode], p: np.ndarray, tau: float
 
 
 def cascade_program(extended: ForcingProgram, k_prev: Iterable[Mode],
-                    omega: float, construction: str = "counter_rotating"
-                    ) -> ForcingProgram:
+                    omega: float) -> ForcingProgram:
     """Transfer an extreme-valued piecewise-constant program one saturation
     level down.
 
     Segments actuating a channel whose mode pair already lies in k_prev
     are copied verbatim; segments actuating a new mode k are replaced by
-    an oscillation packet on the generating pair of k in k_prev, whose
-    averaged quadratic interaction reproduces the segment's drive.
+    a counter-rotating packet (:func:`cascade_packet`) on the generating
+    pair of k in k_prev, whose averaged quadratic interaction reproduces
+    the segment's drive.
     """
-    _check_construction(construction)
     k_prev = symmetrize(k_prev)
     if not extended.is_piecewise_constant():
         raise ValueError("segment not extreme-valued: chatter oscillatory "
@@ -234,13 +222,8 @@ def cascade_program(extended: ForcingProgram, k_prev: Iterable[Mode],
             out.append(Constant(duration, {rep: value if part == "re" else 1j * value}))
             continue
         m, n = find_generating_pair(rep, k_prev)
-        if construction == "counter_rotating":
-            target = complex(value) if part == "re" else 1j * value
-            out.append(cascade_packet(rep, m, n, target, omega, duration))
-        else:
-            if part != "re":
-                raise ValueError("plain construction drives real channels only")
-            out.append(cos_pair_segment(rep, m, n, value, omega, duration))
+        target = complex(value) if part == "re" else 1j * value
+        out.append(cascade_packet(rep, m, n, target, omega, duration))
     return ForcingProgram(k_prev, out)
 
 
@@ -273,7 +256,7 @@ def _synthesize_main(p: np.ndarray, chain: SaturationChain,
                 4.0 * fastest * prog.total_duration / (2.0 * math.pi)))
         prog = chattering_approximation(prog, amplitude, windows, slack)
         omega_j = config.omega * config.level_omega_ratio ** depth
-        prog = cascade_program(prog, k_prev, omega_j, config.construction)
+        prog = cascade_program(prog, k_prev, omega_j)
     return prog, level
 
 
@@ -405,11 +388,11 @@ def averaging_experiment(k: Mode, pair: tuple[Mode, Mode], amplitude: float,
                          omegas: Sequence[float], duration: float,
                          state0: SpectralState, params: SimParams,
                          config: IntegratorConfig = IntegratorConfig(),
-                         construction: str = "counter_rotating",
                          pair_deviation: list[float] | None = None
                          ) -> list[float]:
-    """Deviation D(omega) between the pair-oscillated run and the reference
-    run under the emulated constant drive, outside the oscillated modes.
+    """Deviation D(omega) between the run oscillating the pair with
+    :func:`cascade_packet` and the reference run under the emulated
+    constant drive, outside the oscillated modes.
 
     D(omega) = sup over 101 equally spaced t of the H0 norm of the difference
     projected off the pair modes; it should fall as omega grows.  The
@@ -418,7 +401,6 @@ def averaging_experiment(k: Mode, pair: tuple[Mode, Mode], amplitude: float,
     settles; pass a list as ``pair_deviation`` to have it recorded per
     omega as a diagnostic.
     """
-    _check_construction(construction)
     if not math.isfinite(amplitude):
         raise ValueError("amplitude must be finite")
     m, n = pair
@@ -432,14 +414,8 @@ def averaging_experiment(k: Mode, pair: tuple[Mode, Mode], amplitude: float,
     ref = integrate(state0, params, ref_prog, config, samples).rows_at(samples)
     out = []
     for w in omegas:
-        if amplitude == 0:
-            prog = zero_program(duration, pair_modes)
-        elif construction == "plain":
-            prog = ForcingProgram(pair_modes,
-                                  [cos_pair_segment(k, m, n, amplitude, w, duration)])
-        else:
-            prog = ForcingProgram(pair_modes,
-                                  [cascade_packet(k, m, n, amplitude, w, duration)])
+        prog = ForcingProgram(pair_modes,
+                              [cascade_packet(k, m, n, amplitude, w, duration)])
         diff = integrate(state0, params, prog, config, samples).rows_at(samples) - ref
         off, on = sobolev_norms(state0.radius, np.stack(
             [np.where(on_pair, 0.0, diff), np.where(on_pair, diff, 0.0)])).max(axis=1)

@@ -104,6 +104,19 @@ def test_non_finite_oscillatory_program_exits_1(tmp_path, capsys, value):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+def test_non_finite_state_file_exits_1(tmp_path, capsys, value):
+    # rejected while the state loads, not as a blow-up (exit 2) at the first step
+    state = tmp_path / "state.json"
+    state.write_text('{"radius": 3, "coeffs": {"1,0": [%s, 0.0]}}' % value)
+    out = tmp_path / "sim"
+    cfg = write_config(tmp_path, "cfg.json", {
+        "radius": 3, "duration": 0.01, "state": str(state), "output_dir": str(out)})
+    assert main(["simulate", "--config", cfg]) == 1
+    assert capsys.readouterr().err == "error: state coefficients must be finite\n"
+    assert not out.exists()
+
+
 def test_missing_file_names_the_field(tmp_path, capsys):
     cfg = write_config(tmp_path, "cfg.json", {
         "mode_set": str(tmp_path / "nope.txt"), "radius": 3,
@@ -362,26 +375,52 @@ def test_empty_config_takes_the_dataclass_defaults():
     assert scfg.integrator == IntegratorConfig(dt_base=5e-3)
 
 
-def test_unknown_construction_exits_1(tmp_path, mode_file, capsys):
+def test_unknown_construction_exits_1(tmp_path, capsys):
+    # the cascade has one construction, so a config asking for another fails
+    out = tmp_path / "o"
     cfg = write_config(tmp_path, "cfg.json", {
-        "mode_set": mode_file, "radius": 4, "target": [0.0] * 4,
-        "construction": "counter-rotating", "output_dir": str(tmp_path / "o")})
+        "k": [2, 1], "pair": [[1, 0], [1, 1]], "omegas": [40], "duration": 0.02,
+        "radius": 4, "construction": "plain", "output_dir": str(out)})
+    assert main(["average", "--config", cfg]) == 1
+    assert capsys.readouterr().err == "error: unknown field 'construction' for 'average'\n"
+    assert not out.exists()
+
+
+def test_misspelt_field_exits_1_without_manifest(tmp_path, mode_file, capsys):
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, "cfg.json", {
+        "mode_set": mode_file, "radius": 4, "target": [0.0] * 4, "fp_tl": 1e-12,
+        "output_dir": str(out)})
     assert main(["steer", "--config", cfg]) == 1
-    assert "unknown construction 'counter-rotating'" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: unknown field 'fp_tl' for 'steer'\n"
+    assert not out.exists()
+
+
+def test_list_field_flag_takes_json_text(tmp_path):
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, "cfg.json", {
+        "k": [2, 1], "pair": [[1, 0], [1, 1]], "omegas": [40], "duration": 0.02,
+        "radius": 4, "output_dir": str(out)})
+    assert main(["average", "--config", cfg, "--omegas", "[40, 80]"]) == 0
+    rows = (out / "deviations.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in rows[2:]] == ["40.0", "80.0"]
+    assert json.loads((out / "manifest.json").read_text())["config"]["omegas"] == [40, 80]
 
 
 def test_steer_and_cover_take_one_mode_of_each_pair(tmp_path):
     # the mode set lists (1, 0) and (1, 1) without their negatives
     half = tmp_path / "half.txt"
     half.write_text("1 0\n1 1\n")
-    cfg = write_config(tmp_path, "cfg.json", {
-        "mode_set": str(half), "radius": 4, "nu": 0.01,
-        "target": [0.3, 0.0, 0.0, 0.0], "tau": 0.02, "fp_tol": 1e-3,
-        "dt_base": 1e-3, "state": "rest", "target_radius": 0.2,
-        "grid_density": 2, "output_dir": str(tmp_path / "o")})
-    assert main(["steer", "--config", cfg]) == 0
+    common = {"mode_set": str(half), "radius": 4, "nu": 0.01, "tau": 0.02,
+              "fp_tol": 1e-3, "dt_base": 1e-3, "state": "rest",
+              "output_dir": str(tmp_path / "o")}
+    steer = write_config(tmp_path, "steer.json",
+                         dict(common, target=[0.3, 0.0, 0.0, 0.0]))
+    assert main(["steer", "--config", steer]) == 0
     assert json.loads((tmp_path / "o" / "report.json").read_text())["converged"] is True
-    assert main(["cover", "--config", cfg]) == 0
+    cover = write_config(tmp_path, "cover.json",
+                         dict(common, target_radius=0.2, grid_density=2))
+    assert main(["cover", "--config", cover]) == 0
 
 
 @pytest.mark.parametrize("flag", ["--nu", "--dt-base", "--tau", "--fp-tol"])

@@ -1,4 +1,4 @@
-"""Conjugate folding of real-field mode maps: one fold, three callers."""
+"""Conjugate folding of real-field mode maps: one fold, two callers."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from modecascade.forcing import Constant, ForcingProgram
 from modecascade.integrator import _segment_evaluator
 from modecascade.lattice import (ball, fold_conjugate, neg, rep_modes, symmetrize,
                                 unfold_conjugate)
-from modecascade.spectral import SimParams, SpectralState, _tables, vector_field
+from modecascade.spectral import SpectralState, _tables
 
 RADIUS = 4
 REPS = rep_modes(ball(RADIUS))
@@ -41,10 +41,6 @@ def via_state(values):
     return SpectralState.from_coeffs(values, RADIUS).data
 
 
-def via_vector_field(values):
-    return vector_field(SpectralState.zeros(RADIUS), SimParams(), values).data
-
-
 def via_constant(values):
     # the primitive of a unit-duration constant segment at its end is its value
     program = ForcingProgram(symmetrize(values), [Constant(1.0, values)])
@@ -65,7 +61,7 @@ def test_state_forcing_and_constant_fold_alike(maps):
     want = np.zeros(tab.n_reps, dtype=complex)
     for r, v in values.items():
         want[tab.rep_index[r]] = v
-    for build in (via_state, via_vector_field, via_constant):
+    for build in (via_state, via_constant):
         np.testing.assert_array_equal(build(mixed), want)
 
 
@@ -77,6 +73,5 @@ def test_asymmetric_pair_raises_everywhere(values, data):
     bad[neg(r)] = values[r].conjugate() + 1e-6 * max(1.0, abs(values[r])) * 1j
     with pytest.raises(ValueError, match="conjugate"):
         via_state(bad)
-    for build in (via_vector_field, via_constant):
-        with pytest.raises(ValueError, match="asymmetric forcing"):
-            build(bad)
+    with pytest.raises(ValueError, match="asymmetric forcing"):
+        via_constant(bad)

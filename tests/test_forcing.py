@@ -1,5 +1,5 @@
 """Forcing programs: primitives against quadrature, relaxation and delta
-metrics, cascade amplitudes, packet averaging, chattering."""
+metrics, cascade packets and their averaging, chattering."""
 
 import json
 import math
@@ -17,8 +17,7 @@ from modecascade.forcing import (ChannelMap, Constant, ForcingProgram,
                                  Oscillatory, Zero,
                                  _boundary_and_extremum_times,
                                  cascade_packet, chattering_approximation,
-                                 constant_program, cos_pair_segment,
-                                 delta_distance, oscillatory_amplitudes,
+                                 constant_program, delta_distance,
                                  program_from_json, program_to_json,
                                  relaxation_distance, zero_program)
 from modecascade.lattice import (admissible_pair, norm_sq, symmetrize,
@@ -229,26 +228,14 @@ def test_delta_distance_rejects_oscillatory():
 
 
 # ---------------------------------------------------------------------------
-# cascade amplitudes
+# cascade packets
 
 
-def test_oscillatory_amplitudes_hand_values():
-    assert oscillatory_amplitudes((2, 1), (1, 0), (1, 1), 1.0) == (2.0, 2.0)
-    assert oscillatory_amplitudes((2, 1), (1, 0), (1, 1), -1.0) == (2.0, -2.0)
-
-
-def test_oscillatory_amplitudes_solve_the_product_equation():
-    for amp in (0.5, -2.0, 3.7):
-        a_m, a_n = oscillatory_amplitudes((2, 1), (1, 0), (1, 1), amp)
-        coeff = wedge((1, 0), (1, 1)) * (1 / norm_sq((1, 0)) - 1 / norm_sq((1, 1)))
-        assert a_m * a_n * coeff == pytest.approx(2 * amp)
-        assert abs(a_m) == pytest.approx(abs(a_n))
-        assert a_m > 0
-
-
-def test_oscillatory_amplitudes_inadmissible():
-    with pytest.raises(ValueError, match="inadmissible"):
-        oscillatory_amplitudes((1, 1), (1, 0), (0, 1), 1.0)
+def test_cascade_packet_rejects_an_inadmissible_pair():
+    # (1, 0) and (0, 1) have equal length: no mean drive on (1, 1) at all
+    for target in (1.0, 0.0):
+        with pytest.raises(ValueError, match="inadmissible"):
+            cascade_packet((1, 1), (1, 0), (0, 1), target, 100.0, 0.5)
 
 
 def packet_mean_drives(seg, m, n, duration, points=200001):
@@ -282,10 +269,11 @@ def test_cascade_packet_drives_sum_mode_only(target):
 
 
 def test_plain_cos_pair_has_difference_byproduct():
-    # the single-harmonic construction drives the difference pair with the
-    # opposite mean rate; this is why the packet construction exists
+    # equal cosines (A_m A_n coeff = 2 for a unit drive on (2, 1)) drive
+    # the difference pair with the opposite mean rate; this is why the
+    # two-harmonic packets exist.  48 pi fits 12 whole cycles in 0.5.
     m, n = (1, 0), (1, 1)
-    seg = cos_pair_segment((2, 1), m, n, 1.0, 150.0, 0.5)
+    seg = Oscillatory.from_cos_pairs(0.5, 48.0 * math.pi, [(m, 2.0), (n, 2.0)])
     on_sum, on_diff, _, _ = packet_mean_drives(seg, m, n, 0.5)
     assert on_sum == pytest.approx(1.0, abs=1e-6)
     assert on_diff == pytest.approx(-1.0, abs=1e-6)

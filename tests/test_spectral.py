@@ -12,8 +12,7 @@ from modecascade.spectral import (SimParams, SpectralState, energy, enstrophy,
                                   project_complement, random_decaying_state,
                                   resize, sobolev_norm, state_from_csv,
                                   state_from_json, state_to_csv, state_to_json,
-                                  vector_field, velocity_from_vorticity,
-                                  _tables)
+                                  velocity_from_vorticity, _tables)
 from modecascade.forcing import zero_program
 from modecascade.integrator import IntegratorConfig, integrate
 from modecascade.spectral import FFT_RADIUS, quadratic_kernel
@@ -55,6 +54,22 @@ def test_conflicting_conjugate_entries_rejected():
 def test_out_of_ball_coefficients_rejected():
     with pytest.raises(ValueError, match="outside"):
         SpectralState.from_coeffs({(4, 0): 1.0}, 3)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.5, np.nan)])
+def test_from_coeffs_rejects_non_finite_coefficients(value):
+    with pytest.raises(ValueError, match="must be finite"):
+        SpectralState.from_coeffs({(1, 0): 0.5, (2, 1): value}, 3)
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_state_readers_reject_non_finite_coefficients(value):
+    text = state_to_json(SpectralState.from_coeffs({(1, 0): 0.25}, 3))
+    with pytest.raises(ValueError, match="must be finite"):
+        state_from_json(text.replace("0.25", value))
+    text = state_to_csv(SpectralState.from_coeffs({(1, 0): 0.25}, 3))
+    with pytest.raises(ValueError, match="must be finite"):
+        state_from_csv(text.replace("0.25", value.lower().replace("infinity", "inf")))
 
 
 def test_states_are_immutable():
@@ -119,24 +134,14 @@ def test_rearranged_sum_equals_double_sum_oracle():
     assert checked == 100
 
 
-def test_vector_field_single_pair_linear():
+def test_nonlinear_term_vanishes_on_one_mode_pair():
+    # a mode pair {k, -k} has no triad: wedge(k, k) = 0 and 0 is not in the ball
     s = SpectralState.from_coeffs({(1, 0): 1.0}, 3)
-    f = vector_field(s, SimParams(nu=0.1))
-    assert f.coeff((1, 0)) == pytest.approx(-0.1)
+    assert not nonlinear_term(s).data.any()
 
 
-def test_vector_field_zero_state():
-    f = vector_field(SpectralState.zeros(3), SimParams(nu=0.5))
-    assert enstrophy(f) == 0.0
-
-
-def test_vector_field_forcing_and_asymmetry_error():
-    s = SpectralState.zeros(3)
-    f = vector_field(s, SimParams(), {(1, 0): 2.0 + 1.0j})
-    assert f.coeff((1, 0)) == 2.0 + 1.0j
-    assert f.coeff((-1, 0)) == 2.0 - 1.0j
-    with pytest.raises(ValueError, match="asymmetric forcing"):
-        vector_field(s, SimParams(), {(1, 0): 1.0, (-1, 0): 1.0 + 0.5j})
+def test_nonlinear_term_zero_state():
+    assert enstrophy(nonlinear_term(SpectralState.zeros(3))) == 0.0
 
 
 def test_triad_conservation_identities():
@@ -155,7 +160,8 @@ def test_enstrophy_dissipation_identity():
     rng = np.random.default_rng(8)
     s = random_decaying_state(4, amplitude=0.4, rng=rng)
     nu = 0.3
-    f = vector_field(s, SimParams(nu=nu))
+    # the quadratic term conserves enstrophy, so only the viscous term is left
+    f = nonlinear_term(s) - nu * SpectralState(4, _tables(4).norm_sq * s.data)
     assert inner0(f, s) == pytest.approx(-nu * sobolev_norm(s, 1) ** 2, rel=1e-12)
 
 

@@ -15,8 +15,8 @@ from modecascade.forcing import (ChannelMap, Constant, ForcingProgram,
                                  zero_program)
 from modecascade.integrator import IntegratorConfig, integrate
 from modecascade.lattice import saturation_chain, symmetrize
-from modecascade.spectral import (SimParams, SpectralState, enstrophy, inner0,
-                                  project, project_complement,
+from modecascade.spectral import (SimParams, SpectralState, _tables, enstrophy,
+                                  inner0, project, project_complement,
                                   random_decaying_state, resize, sobolev_norm)
 from modecascade.steering import (ConvergenceError, Observation,
                                   SteeringConfig, averaging_experiment,
@@ -72,7 +72,7 @@ def test_subspace_projection_requires_orthonormal_basis():
 
 def test_observation_reads_only_the_weighted_columns():
     # a non-finite coefficient outside the observed modes stays out of the read
-    s = SpectralState.from_coeffs({(1, 0): 0.5, (2, 2): math.inf}, 3)
+    s = SpectralState(3, _tables(3).vector({(1, 0): 0.5, (2, 2): math.inf}))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert list(Observation.of_modes({(1, 0)}).observe(s)) == [0.5, 0.0]
@@ -198,32 +198,29 @@ def test_cascade_rejects_unreachable_modes():
 
 
 @st.composite
-def k2_programs(draw, real_new_modes):
-    """Piecewise-constant programs on K2; the plain construction drives
-    only the real channels of the modes K1 lacks."""
+def k2_programs(draw):
+    """Piecewise-constant programs on K2."""
     cmap = ChannelMap(K2)
     segs = []
     for _ in range(draw(st.integers(1, 4))):
         values = {}
         for rep in draw(st.lists(st.sampled_from(cmap.reps), max_size=4, unique=True)):
-            re, im = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
-            values[rep] = complex(re, 0.0 if real_new_modes and rep not in K1 else im)
+            values[rep] = complex(draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)))
         values = {r: v for r, v in values.items() if v}
         duration = draw(st.floats(0.05, 0.5))
         segs.append(Constant(duration, values) if values else Zero(duration))
     return ForcingProgram(K2, segs)
 
 
-@pytest.mark.parametrize("construction", ["counter_rotating", "plain"])
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
-def test_cascade_of_chattering_needs_no_run_merge(construction, data):
-    prog = data.draw(k2_programs(real_new_modes=construction == "plain"))
+def test_cascade_of_chattering_needs_no_run_merge(data):
+    prog = data.draw(k2_programs())
     cmap = ChannelMap(K2)
     slack = next(i for i in range(cmap.size) if cmap.channel(i)[0] in K1)
     amplitude = 1.1 * max(prog.value_l1_bound(), 1e-9)
     chattered = chattering_approximation(prog, amplitude, data.draw(st.integers(1, 6)), slack)
-    out = cascade_program(chattered, K1, omega=100.0, construction=construction)
+    out = cascade_program(chattered, K1, omega=100.0)
     # one segment per chattering run, each of the run's duration
     np.testing.assert_array_equal(out.durations, chattered.durations)
     plain = np.bincount(out.comp_seg, minlength=len(out.durations)) == 0
@@ -643,6 +640,13 @@ def test_averaging_zero_amplitude():
     assert devs == [0.0, 0.0]
 
 
+def test_averaging_zero_amplitude_still_rejects_an_inadmissible_pair():
+    # (1, 0) and (0, 1) have equal length, so they cannot drive (1, 1)
+    with pytest.raises(ValueError, match="inadmissible pair"):
+        averaging_experiment((1, 1), ((1, 0), (0, 1)), 0.0, [50.0], 0.05,
+                             SpectralState.zeros(3), SimParams(), FAST)
+
+
 def test_averaging_deviations_are_the_per_sample_maxima_bitwise():
     s0 = random_decaying_state(4, amplitude=0.2, rng=np.random.default_rng(6))
     k, pair, params = (2, 1), ((1, 0), (1, 1)), SimParams(nu=0.01)
@@ -785,22 +789,6 @@ def test_coverage_propagates_other_errors(monkeypatch):
     with pytest.raises(ZeroDivisionError):
         coverage_check(CHAIN, K1, 0.5, 2, SpectralState.zeros(4),
                        SimParams(nu=0.01), quick_config())
-
-
-def test_steering_config_rejects_unknown_construction():
-    with pytest.raises(ValueError, match="unknown construction 'counter-rotating'"):
-        SteeringConfig(construction="counter-rotating")
-    assert SteeringConfig(construction="plain").construction == "plain"
-
-
-def test_averaging_experiment_rejects_unknown_construction(monkeypatch):
-    def never(*args, **kwargs):
-        raise AssertionError("integrated before validating the construction")
-    monkeypatch.setattr(steering_module, "integrate", never)
-    with pytest.raises(ValueError, match="unknown construction 'plane'"):
-        averaging_experiment((2, 1), ((1, 0), (1, 1)), 1.0, [50.0], 0.2,
-                             SpectralState.zeros(4), SimParams(),
-                             construction="plane")
 
 
 @pytest.mark.parametrize("failure,reason", [
