@@ -294,17 +294,16 @@ class ForcingProgram:
         time tloc[r] of each row r, complex (len(idx), n_rep): the closed
         form of the program, read by every caller."""
         seg, col, freq, coef = self.comp_seg, self.comp_col, self.freq, self.coef
-        first = np.searchsorted(seg, idx)
-        count = np.searchsorted(seg, idx, side="right") - first
         out = self.const[idx] if value else self.offsets[idx] + self.const[idx] * tloc[:, None]
-        # step k adds the k-th component of each row's segment: one term per
-        # row, so a plain fancy += is exact
-        for k in range(count.max(initial=0)):
-            rows = np.flatnonzero(count > k)
-            j = first[rows] + k
-            phase = np.exp(1j * freq[j] * tloc[rows])
-            out.reshape(-1)[rows * len(self.reps) + col[j]] += (
-                1j * freq[j] * coef[j] * phase if value else coef[j] * (phase - 1.0))
+        # rows grouped by segment; each component, in stored order, adds its
+        # term to its segment's rows, so every row sums its terms in order
+        order = np.argsort(idx, kind="stable")
+        lo, hi = np.searchsorted(idx[order], [seg, seg + 1])
+        for c in np.flatnonzero(hi > lo).tolist():
+            rows = order[lo[c]:hi[c]]
+            phase = np.exp(1j * freq[c] * tloc[rows])
+            out[rows, col[c]] += (1j * freq[c] * coef[c] * phase if value
+                                  else coef[c] * (phase - 1.0))
         return out
 
     def _unfolded_row(self, t: float, value: bool) -> dict[Mode, complex]:
@@ -450,6 +449,10 @@ def _interaction_coeff(m: Mode, n: Mode) -> float:
 def snap_omega(omega: float, duration: float) -> float:
     """Smallest frequency >= omega that fits a positive whole number of
     cycles in the segment (so primitives close up)."""
+    if not 0 < duration < math.inf:
+        raise ValueError("segment duration must be positive")
+    if not 0 < omega < math.inf:
+        raise ValueError("oscillation frequency must be positive")
     cycles = max(1, math.ceil(omega * duration / (2.0 * math.pi) - 1e-9))
     return 2.0 * math.pi * cycles / duration
 
@@ -471,12 +474,12 @@ def cascade_packet(k: Mode, m: Mode, n: Mode, target: complex, omega: float,
     coeff = _interaction_coeff(m, n)
     if coeff == 0.0:
         raise ValueError("inadmissible pair: collinear or equal-length modes")
+    w = snap_omega(omega, duration)
     target = complex(target)
     if target == 0:
         return Zero(duration)
     z = target / (2.0 * coeff)
     a = math.sqrt(abs(z)) * cmath.exp(1j * cmath.phase(z) / 2.0)
-    w = snap_omega(omega, duration)
     return Oscillatory(duration, w, [
         (m, +1, a), (m, +2, -a),
         (n, -1, a), (n, -2, -a),

@@ -9,6 +9,10 @@ synthesis.  All norm comparisons are exact integer arithmetic on
 
 ``next_level`` encodes modes as int64 keys kx*B + ky with B = 4 max|k| + 1:
 keys add like modes and sums decode exactly, so one np.unique dedups.
+``saturation_chain`` does not call it: it holds its levels on a boolean
+grid over the working ball and sums only the pairs with a mode fresh at
+the previous level, which gives the same levels; ``next_level`` stays as
+their one-step definition, against which the tests check the chain.
 
 Vorticity and forcing are real fields on T^2, so every coefficient map
 obeys v(-k) = conj(v(k)) and is stored on the canonical representative
@@ -20,6 +24,7 @@ representatives; ``unfold_conjugate`` expands it back to both members.
 from __future__ import annotations
 
 import json
+import math
 from functools import lru_cache
 from typing import Iterable, Mapping
 
@@ -192,10 +197,23 @@ class SaturationChain:
             fresh.append(sorted(level - prev))
             prev = level
         modes = np.array([k for new in fresh for k in new], dtype=np.int64).reshape(-1, 2)
+        self._set_arrays(modes, [len(new) for new in fresh], status, covered_radius,
+                         requested_radius)
+
+    @classmethod
+    def _of_arrays(cls, modes: np.ndarray, counts: list[int], status: str,
+                   covered_radius: int, requested_radius: int) -> "SaturationChain":
+        """Chain from its int64 modes (n, 2), fresh ones of each level in
+        lexicographic order, and the number of modes each level adds."""
+        chain = object.__new__(cls)
+        chain._set_arrays(modes, counts, status, covered_radius, requested_radius)
+        return chain
+
+    def _set_arrays(self, modes, counts, status, covered_radius, requested_radius):
         self.modes = modes.astype(np.int32) if np.abs(modes).max(initial=0) < 2 ** 31 else modes
-        self.first_level = np.repeat(np.arange(len(fresh), dtype=np.min_scalar_type(len(fresh))),
-                                     [len(new) for new in fresh])
-        self.depth, self.status = len(fresh), status
+        self.first_level = np.repeat(np.arange(len(counts), dtype=np.min_scalar_type(len(counts))),
+                                     counts)
+        self.depth, self.status = len(counts), status
         self.covered_radius, self.requested_radius = covered_radius, requested_radius
 
     @property
@@ -223,25 +241,21 @@ class SaturationChain:
             other.levels, other.status, other.covered_radius, other.requested_radius)
 
 
-def _covered_radius(modes: frozenset[Mode], radius: int) -> int:
-    best = 0
-    for r in range(1, radius + 1):
-        if ball(r) <= modes:
-            best = r
-        else:
-            break
-    return best
-
-
 def saturation_chain(k1: Iterable[Mode], radius: int, max_levels: int = 32) -> SaturationChain:
     """Iterate next_level until the radius ball is covered, the chain is
     stationary, or the level budget runs out.
 
     The iteration is restricted to a working ball of radius
-    2 * max(radius, floor(max |k| over the seed) + 1): new sums outside
+    W = 2 * max(radius, floor(max |k| over the seed) + 1): new sums outside
     it are discarded, which keeps runtimes bounded.  A "covered" verdict
     is always sound; "stationary" means no further progress is possible
     using modes inside the working ball.
+
+    The levels live on a boolean grid over |kx|, |ky| <= W, which holds
+    the seed.  A level adds the in-ball sums of the admissible pairs with
+    at least one mode fresh at the previous level; a sum of two older
+    modes is already held or lies outside the ball, so this is next_level
+    exactly.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
@@ -249,36 +263,45 @@ def saturation_chain(k1: Iterable[Mode], radius: int, max_levels: int = 32) -> S
         raise ValueError("max_levels must be >= 1")
     seed = frozenset(check_mode(k) for k in k1)
     extent = max((norm_sq(k) for k in seed), default=1)
-    clip = ball(2 * max(radius, int(extent ** 0.5) + 1)) | seed
-    target = ball(radius)
-    levels = [seed]
+    w = 2 * max(radius, int(extent ** 0.5) + 1)
+    axis = np.arange(-w, w + 1)
+    r2 = axis[:, None] ** 2 + axis ** 2
+    in_ball = (r2 <= w * w) & (r2 > 0)
+    in_target = (r2 <= radius * radius) & (r2 > 0)
+    fresh = np.array(sorted(seed), dtype=np.int64).reshape(-1, 2)
+    held = np.zeros(in_ball.shape, dtype=bool)
+    held[fresh[:, 0] + w, fresh[:, 1] + w] = True
+    modes, counts = [fresh], [len(fresh)]
     status = _STATUS_BUDGET
     for _ in range(max_levels):
-        current = levels[-1]
-        if target <= current:
+        if not (in_target & ~held).any():
             status = _STATUS_COVERED
             break
-        reached = next_level(current)
-        grown = frozenset({k for k in clip if k in reached})   # clip's shared tuples
-        if grown == current:
+        every = np.concatenate(modes)
+        fx, fy, ax, ay = fresh[:, :1], fresh[:, 1:], every[:, 0], every[:, 1]
+        sx, sy = fx + ax, fy + ay
+        ok = ((fx * fx + fy * fy != ax * ax + ay * ay) & (fx * ay != fy * ax)
+              & (np.abs(sx) <= w) & (np.abs(sy) <= w))
+        reached = np.zeros_like(held)
+        reached[sx[ok] + w, sy[ok] + w] = True
+        new = reached & in_ball & ~held
+        if not new.any():
             status = _STATUS_STATIONARY
             break
-        levels.append(grown)
-    if target <= levels[-1]:
+        held |= new
+        fresh = np.stack(np.nonzero(new), axis=1) - w     # lexicographic, like sorted()
+        modes.append(fresh)
+        counts.append(len(fresh))
+    missing = r2[in_target & ~held]
+    if not missing.size:
         status = _STATUS_COVERED
-    return SaturationChain(
-        levels=tuple(levels),
-        status=status,
-        covered_radius=_covered_radius(levels[-1], radius),
-        requested_radius=radius,
-    )
+    covered = math.isqrt(int(missing.min(initial=radius * radius + 1)) - 1)
+    return SaturationChain._of_arrays(np.concatenate(modes), counts, status, covered, radius)
 
 
 def _generates_full_lattice(members: list[Mode]) -> bool:
     """Whether the integer span of the set is all of Z^2: the gcd of all
     pairwise wedge products must be 1 (Smith-form index of the sublattice)."""
-    import math
-
     g = 0
     for i, m in enumerate(members):
         for n in members[i + 1:]:

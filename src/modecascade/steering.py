@@ -410,12 +410,12 @@ def averaging_experiment(k: Mode, pair: tuple[Mode, Mode], amplitude: float,
     pair_modes = symmetrize({m, n})
     on_pair = _rep_mask(_tables(state0.radius), pair_modes)
     samples = np.linspace(0.0, duration, 101)
+    packets = [cascade_packet(k, m, n, amplitude, w, duration) for w in omegas]
     ref_prog = constant_program(symmetrize({k}), {k: amplitude}, duration)
     ref = integrate(state0, params, ref_prog, config, samples).rows_at(samples)
     out = []
-    for w in omegas:
-        prog = ForcingProgram(pair_modes,
-                              [cascade_packet(k, m, n, amplitude, w, duration)])
+    for packet in packets:
+        prog = ForcingProgram(pair_modes, [packet])
         diff = integrate(state0, params, prog, config, samples).rows_at(samples) - ref
         off, on = sobolev_norms(state0.radius, np.stack(
             [np.where(on_pair, 0.0, diff), np.where(on_pair, diff, 0.0)])).max(axis=1)

@@ -386,6 +386,20 @@ def test_unknown_construction_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("omega", ["-5.0", "Infinity"])
+def test_average_rejects_a_frequency_that_is_not_positive(tmp_path, capsys, omega):
+    # -5 was measured at 2 pi / duration, Infinity died in math.ceil
+    out = tmp_path / "o"
+    (tmp_path / "cfg.json").write_text(
+        '{"k": [2, 1], "pair": [[1, 0], [1, 1]], "omegas": [%s], "duration": 0.05, '
+        '"radius": 4, "output_dir": "%s"}' % (omega, out))
+    assert main(["average", "--config", str(tmp_path / "cfg.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: oscillation frequency must be positive\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_misspelt_field_exits_1_without_manifest(tmp_path, mode_file, capsys):
     out = tmp_path / "o"
     cfg = write_config(tmp_path, "cfg.json", {

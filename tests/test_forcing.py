@@ -283,6 +283,22 @@ def test_cascade_packet_zero_target_is_zero_segment():
     assert isinstance(cascade_packet((2, 1), (1, 0), (1, 1), 0.0, 100.0, 0.5), Zero)
 
 
+@pytest.mark.parametrize("omega, duration, match", [
+    (-5.0, 0.5, "oscillation frequency must be positive"),
+    (0.0, 0.5, "oscillation frequency must be positive"),
+    (math.inf, 0.5, "oscillation frequency must be positive"),
+    (math.nan, 0.5, "oscillation frequency must be positive"),
+    (100.0, 0.0, "segment duration must be positive"),
+])
+@pytest.mark.parametrize("target", [0.5, 0.0])
+def test_cascade_packet_rejects_a_frequency_that_is_not_positive(omega, duration, match,
+                                                                 target):
+    # not snapped to one cycle per segment, nor an OverflowError from ceil or
+    # a ZeroDivisionError, whether or not the packet is zero
+    with pytest.raises(ValueError, match=match):
+        cascade_packet((2, 1), (1, 0), (1, 1), target, omega, duration)
+
+
 # ---------------------------------------------------------------------------
 # chattering
 
@@ -539,6 +555,27 @@ def test_evaluate_is_left_closed_at_segment_starts():
     assert prog.evaluate(0.5) == {} == oracle.evaluate(prog, 0.5)
     assert prog.evaluate(0.75)[(1, 0)] == 2.0 == oracle.evaluate(prog, 0.75)[(1, 0)]
     assert prog.evaluate(1.0)[(1, 0)] == 2.0           # t = T lands in the last segment
+
+
+def test_multi_segment_reads_match_one_time_reads_in_any_row_order():
+    # the read groups its rows by segment: a row grouped under the wrong
+    # segment, or given its terms in another order, changes its bits
+    prog = ForcingProgram(MIXED_SUPPORT, [
+        Constant(0.2, {(1, 0): 0.8 - 0.3j, (1, 1): 0.5j}),
+        Zero(0.1),
+        Oscillatory.from_cos_pairs(0.3, 150.0, [((1, 0), 0.4), ((1, 1), -0.3)], phase=0.3),
+        Oscillatory(0.25, 120.0, [((1, 0), 1, 0.2 - 0.1j), ((1, 0), 2, 0.1j),
+                                  ((1, 0), -3, 0.05), ((0, 1), -1, 0.15 + 0.05j),
+                                  ((2, 1), 2, -0.1 + 0.2j)]),
+        Oscillatory.from_cos_pairs(0.15, 90.0, [((2, 1), 0.7), ((1, 0), -0.2)]),
+    ])
+    times = np.concatenate([prog.starts, np.linspace(0.0, prog.total_duration, 41)[1:-1]])
+    np.random.default_rng(3).shuffle(times)
+    assert set(prog._locate(times)[0].tolist()) == set(range(5))
+    for value in (True, False):
+        rows = prog._read(times, value)
+        for t, row in zip(times.tolist(), rows):
+            assert row.tobytes() == prog._read(np.array([t]), value)[0].tobytes(), (t, value)
 
 
 LEVELS = [0j, 1.0 + 0j, -0.5j, 0.25 - 1j]

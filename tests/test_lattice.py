@@ -2,12 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modecascade.lattice import (admissible_pair, ball, chain_from_dict,
-                                 chain_to_dict, chain_to_json, check_mode,
+from modecascade.lattice import (SaturationChain, admissible_pair, ball,
+                                 chain_from_dict, chain_to_dict, chain_to_json, check_mode,
                                  find_generating_pair, format_mode_set,
                                  is_saturating_symmetric, is_symmetric,
                                  next_level, norm_sq, parse_mode_set,
@@ -237,32 +238,65 @@ def test_next_level_exact_at_the_largest_components():
 # compact chains and chain JSON validation
 
 
-def plain_chain_levels(seed, radius, max_levels):
-    """saturation_chain's levels as a plain list of next_level frozensets."""
+def plain_chain(seed, radius, max_levels):
+    """saturation_chain as plain next_level frozensets: (levels, status,
+    covered_radius)."""
     extent = max((norm_sq(k) for k in seed), default=1)
     clip = ball(2 * max(radius, int(extent ** 0.5) + 1)) | seed
-    levels = [frozenset(seed)]
-    while len(levels) <= max_levels and not ball(radius) <= levels[-1]:
+    levels, status = [frozenset(seed)], "budget"
+    while not ball(radius) <= levels[-1]:
+        if len(levels) > max_levels:
+            break
         grown = next_level(levels[-1]) & clip
         if grown == levels[-1]:
+            status = "stationary"
             break
         levels.append(grown)
-    return levels
+    else:
+        status = "covered"
+    covered = max(r for r in range(radius + 1) if ball(r) <= levels[-1])
+    return levels, status, covered
+
+
+def assert_compact_chain_matches_plain_iteration(k, radius, max_levels):
+    chain = saturation_chain(k, radius=radius, max_levels=max_levels)
+    levels, status, covered = plain_chain(k, radius, max_levels)
+    assert chain.levels == tuple(levels)
+    assert (chain.status, chain.covered_radius) == (status, covered)
+    assert chain.top == levels[-1]
+    for j, level in enumerate(levels):
+        assert chain.level_containing(level) == j
+    built = SaturationChain(levels, status, covered, radius)
+    for got, want in ((chain.modes, built.modes), (chain.first_level, built.first_level)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    back = chain_from_dict(chain_to_dict(chain), requested_radius=radius)
+    assert back == chain
+    assert back.levels == chain.levels
+    assert chain_to_dict(back) == chain_to_dict(chain)
 
 
 @given(modes_strategy, st.integers(1, 5), st.integers(1, 6))
 @settings(max_examples=60, deadline=None)
 def test_compact_chain_matches_plain_iteration(k, radius, max_levels):
-    chain = saturation_chain(k, radius=radius, max_levels=max_levels)
-    levels = plain_chain_levels(k, radius, max_levels)
-    assert chain.levels == tuple(levels)
-    assert chain.top == levels[-1]
-    for j, level in enumerate(levels):
-        assert chain.level_containing(level) == j
-    back = chain_from_dict(chain_to_dict(chain), requested_radius=radius)
-    assert back == chain
-    assert back.levels == chain.levels
-    assert chain_to_dict(back) == chain_to_dict(chain)
+    assert_compact_chain_matches_plain_iteration(k, radius, max_levels)
+
+
+# the seed pairs of the seed-7 control_algebra bench rounds 0 and 1: index 1
+# pairs cover the ball, index 2 pairs stop growing on a sublattice
+BENCH_PAIRS = [((-1, 0), (-1, -1)), ((1, -1), (0, -2)), ((1, -1), (1, 0)),
+               ((0, 2), (-1, 0)), ((0, 1), (1, 2)), ((0, 1), (2, 0)),
+               ((0, -1), (1, -2)), ((-2, 2), (2, -1)), ((1, -2), (-1, 1)),
+               ((-2, -2), (0, -1)), ((0, 1), (-1, 1)), ((1, 2), (-1, 0))]
+
+
+@pytest.mark.parametrize("radius", [4, 6, 8])
+def test_compact_chain_matches_plain_iteration_on_bench_pairs(radius):
+    statuses = set()
+    for pair in BENCH_PAIRS:
+        assert_compact_chain_matches_plain_iteration(symmetrize(pair), radius, 32)
+        statuses.add(saturation_chain(symmetrize(pair), radius, 32).status)
+    assert statuses == {"covered", "stationary"}
 
 
 def test_chain_json_rejects_levels_that_are_not_nested():

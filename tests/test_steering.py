@@ -675,6 +675,20 @@ def test_averaging_experiment_rejects_a_non_finite_amplitude(monkeypatch, amplit
                              SpectralState.zeros(4), SimParams())
 
 
+@pytest.mark.parametrize("pair, omegas, match", [
+    (((1, 0), (0, 1)), [50.0], "inadmissible pair"),
+    (((1, 0), (1, 1)), [50.0, -5.0], "oscillation frequency must be positive"),
+])
+def test_averaging_experiment_checks_pair_and_omegas_before_integrating(
+        monkeypatch, pair, omegas, match):
+    def never(*args, **kwargs):
+        raise AssertionError("integrated before validating the packets")
+    monkeypatch.setattr(steering_module, "integrate", never)
+    k = (pair[0][0] + pair[1][0], pair[0][1] + pair[1][1])
+    with pytest.raises(ValueError, match=match):
+        averaging_experiment(k, pair, 1.0, omegas, 0.2, SpectralState.zeros(4), SimParams())
+
+
 def test_averaging_deviation_decreases():
     devs = averaging_experiment((2, 1), ((1, 0), (1, 1)), 1.0, [50, 200], 0.25,
                                 SpectralState.zeros(5), SimParams(), FAST)

@@ -37,7 +37,11 @@ line for each exit code and one for each file the run wrote
 ``synthesize`` from rest for the first seed-7 ``cover_r6`` target, and
 last, in the same form as the command-line runs above, an ``average``
 run (rest state, two omegas) and an ``rxprobe`` run in trajectory mode
-(random state), whose deviations reduce recorded trajectories.
+(random state), whose deviations reduce recorded trajectories.  Last of
+all comes one line for each of the six seed-7 ``control_algebra`` rounds
+over its saturation chains: the ``chain_to_json`` text of each and the
+bytes and dtypes of its compact ``modes`` and ``first_level`` arrays (these
+lines come after the others so that those keep their places).
 Stdlib plus the package under test (and the numpy it needs).
 """
 
@@ -110,6 +114,16 @@ def control_algebra_lines(mc, workloads):
         yield "control_algebra round %d program_json" % i, digest(texts)
         yield "control_algebra round %d distances" % i, digest(
             [rx.hex() for _, rx in res.chatter], [rx.hex() for rx in res.packets])
+
+
+def chain_lines(mc, workloads):
+    wl = workloads.ControlAlgebra(SEED)
+    ctx = wl.setup()
+    for i in range(OPERATIONS):
+        res = wl.op(ctx, wl.inputs(ctx, i))
+        yield "control_algebra round %d chains" % i, digest(
+            [(mc.lattice.chain_to_json(c), c.modes.dtype.str, c.modes.tobytes(),
+              c.first_level.dtype.str, c.first_level.tobytes()) for c in res.chains])
 
 
 def euler_lines(mc, workloads):
@@ -250,7 +264,7 @@ def main() -> int:
             total.update(value.encode())
     print("%s all" % total.hexdigest())
     for lines in (cli_lines(mc, CLI_RUNS), synthesize_lines(mc, workloads),
-                  cli_lines(mc, DEVIATION_RUNS)):
+                  cli_lines(mc, DEVIATION_RUNS), chain_lines(mc, workloads)):
         for name, value in lines:
             print("%s %s" % (value, name), flush=True)
     return 0
