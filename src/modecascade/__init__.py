@@ -20,8 +20,8 @@ from .spectral import (SimParams, SpectralState, energy, enstrophy, inner0,
                        velocity_from_vorticity)
 from .forcing import (ChannelMap, Constant, ForcingProgram, Oscillatory,
                       Zero, cascade_packet, chattering_approximation,
-                      constant_program, delta_distance, program_from_json,
-                      program_to_json, relaxation_distance, zero_program)
+                      constant_program, program_from_json, program_to_json,
+                      relaxation_distance, zero_program)
 from .integrator import (BlowUpError, IntegratorConfig, StepBudgetError,
                          Trajectory, convergence_order, integrate, step)
 from .steering import (ConvergenceError, CoverageResult, EndpointReport,

@@ -43,9 +43,8 @@ from .spectral import (SimParams, SpectralState, quadratic_kernel,
                        random_decaying_state, resize, sobolev_norms,
                        state_from_csv, state_from_json, state_to_csv)
 from .steering import (ConvergenceError, SteeringConfig, averaging_experiment,
-                       coverage_check, coverage_grid, near_identity_gap,
-                       report_to_dict, steer_in_projection, steer_to_target,
-                       subspace_setup)
+                       coverage_check, near_identity_gap, report_to_dict,
+                       steer_in_projection, steer_to_target, subspace_setup)
 
 
 class ConfigError(Exception):
@@ -140,8 +139,7 @@ def _initial(cfg: dict, em: _Emitter, radius: int) -> tuple[SpectralState, SimPa
 _INTEGRATOR_FIELDS = {"dt_base": float, "oscillation_resolution": int,
                       "record_stride": int}
 _STEERING_FIELDS = {"tau": float, "gamma": float, "omega": float,
-                    "correction_tau": float, "max_fp_iters": int,
-                    "fp_tol": float, "chatter_windows": int}
+                    "max_fp_iters": int, "fp_tol": float, "chatter_windows": int}
 
 
 def _given(cfg: dict, fields: dict) -> dict:
@@ -320,11 +318,9 @@ def _run_cover(cfg: dict, em: _Emitter) -> int:
                                     "targets": int(len(result.targets))})
     ladder = _get(cfg, "tau_ladder", _floats, [])
     if ladder:
-        targets = coverage_grid(result.targets.shape[1], target_radius,
-                                grid_density)
         lines = ["tau,near_identity_gap"]
         for tau in ladder:
-            gap = near_identity_gap(observed, targets, tau, state0,
+            gap = near_identity_gap(observed, result.targets, tau, state0,
                                     params, scfg.integrator)
             lines.append("%r,%r" % (tau, gap))
         em.write_csv("near_identity.csv", "\n".join(lines) + "\n")

@@ -54,7 +54,7 @@ from .lattice import (Mode, canonical_rep, check_mode, fold_conjugate, norm_sq,
 __all__ = [
     "ChannelMap", "Constant", "Oscillatory", "Zero", "ForcingProgram",
     "zero_program", "constant_program",
-    "relaxation_distance", "delta_distance",
+    "relaxation_distance",
     "cascade_packet", "chattering_approximation",
     "program_to_dict", "program_from_dict", "program_to_json", "program_from_json",
 ]
@@ -139,7 +139,7 @@ class Oscillatory:
     """Harmonic packet: per representative mode a set of harmonics of a
     shared base frequency, parameterized by the primitive coefficients."""
 
-    __slots__ = ("duration", "omega", "components", "freq", "coef")
+    __slots__ = ("duration", "omega", "components")
 
     def __init__(self, duration: float, omega: float,
                  components: Iterable[tuple[Mode, int, complex]]):
@@ -164,8 +164,6 @@ class Oscillatory:
         self.components = tuple(sorted(
             ((k, h, c) for (k, h), c in merged.items() if c != 0),
             key=lambda item: (item[0], item[1])))
-        self.freq = np.array([h * self.omega for _, h, _ in self.components])
-        self.coef = np.array([c for _, _, c in self.components], dtype=np.complex128)
 
     @classmethod
     def from_cos_pairs(cls, duration: float, omega: float,
@@ -233,8 +231,8 @@ class ForcingProgram:
             if isinstance(seg, Constant):
                 for r, v in seg.values.items():
                     const[i, col[r]] = v
-            elif comps:
-                osc += [(i, col[k], f, c) for (k, _, _), f, c in zip(comps, seg.freq, seg.coef)]
+            else:
+                osc += [(i, col[k], h * seg.omega, c) for k, h, c in comps]
         osc = np.array(osc, dtype=[("seg", np.intp), ("col", np.intp),
                                    ("freq", float), ("coef", np.complex128)])
         self._set_arrays(support, reps, np.array([s.duration for s in self.segments]), const,
@@ -318,9 +316,9 @@ class ForcingProgram:
         """Exact closed-form primitive of the forcing at time t."""
         return self._unfolded_row(t, value=False)
 
-    def _rep_matrix(self, times: np.ndarray, cmap: ChannelMap, value: bool = False) -> np.ndarray:
-        """Complex (len(times), len(cmap.reps)) matrix of primitive (or forcing) values."""
-        read = self._read(times, value)
+    def _rep_matrix(self, times: np.ndarray, cmap: ChannelMap) -> np.ndarray:
+        """Complex (len(times), len(cmap.reps)) matrix of primitive values."""
+        read = self._read(times, False)
         if cmap.reps == self.reps:
             return read
         out = np.zeros((read.shape[0], len(cmap.reps)), dtype=np.complex128)
@@ -384,12 +382,10 @@ def relaxation_distance(f: ForcingProgram, g: ForcingProgram) -> float:
     zoomed at once: 33 samples each per batched read, narrowed to the best
     sample's neighbours until below 1e-13 max(1, T), to machine accuracy.
     """
-    T = f.total_duration
-    if abs(T - g.total_duration) > 1e-9 * max(1.0, T):
-        raise ValueError("duration mismatch: %g vs %g" % (T, g.total_duration))
+    if abs(f.total_duration - g.total_duration) > 1e-9 * max(1.0, f.total_duration):
+        raise ValueError("duration mismatch: %g vs %g" % (f.total_duration, g.total_duration))
+    T = min(f.total_duration, g.total_duration)      # neither is read past its end
     cmap = ChannelMap(f.support | g.support)
-    if cmap.size == 0:
-        return 0.0
 
     def dist_many(ts: np.ndarray) -> np.ndarray:
         diff = f.channel_primitive(ts, cmap) - g.channel_primitive(ts, cmap)
@@ -419,23 +415,6 @@ def relaxation_distance(f: ForcingProgram, g: ForcingProgram) -> float:
         j = d.argmax(axis=1)
         lo, hi = ts[rows, np.maximum(j - 1, 0)], ts[rows, np.minimum(j + 1, sample.size - 1)]
     return best
-
-
-def delta_distance(f: ForcingProgram, g: ForcingProgram) -> float:
-    """Lebesgue measure of the set where two piecewise-constant programs
-    differ, computed exactly from the segment breakpoints."""
-    if not (f.is_piecewise_constant() and g.is_piecewise_constant()):
-        raise ValueError("non-piecewise-constant input")
-    T = f.total_duration
-    if abs(T - g.total_duration) > 1e-9 * max(1.0, T):
-        raise ValueError("duration mismatch")
-    # clipped to the shorter horizon, so no midpoint lies past either program
-    edges = np.unique(np.minimum(np.concatenate([f.starts, g.starts]),
-                                 min(T, g.total_duration)))
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    cmap = ChannelMap(f.support | g.support)
-    differ = (f._rep_matrix(mid, cmap, value=True) != g._rep_matrix(mid, cmap, value=True))
-    return float(np.diff(edges)[differ.any(axis=1)].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -578,16 +557,10 @@ def program_from_dict(data: dict) -> ForcingProgram:
                 values[(int(kx), int(ky))] = complex(float(re), float(im))
             segments.append(Constant(dur, values))
         elif kind == "oscillatory":
-            omega = float(entry["omega"])
-            if "pairs" in entry:
-                pairs = [(tuple(p["mode"]), float(p["amp"])) for p in entry["pairs"]]
-                segments.append(Oscillatory.from_cos_pairs(
-                    dur, omega, pairs, phase=float(entry.get("phase", 0.0))))
-            else:
-                comps = [(tuple(c["mode"]), int(c["harmonic"]),
-                          complex(float(c["coeff"][0]), float(c["coeff"][1])))
-                         for c in entry["components"]]
-                segments.append(Oscillatory(dur, omega, comps))
+            comps = [(tuple(c["mode"]), int(c["harmonic"]),
+                      complex(float(c["coeff"][0]), float(c["coeff"][1])))
+                     for c in entry["components"]]
+            segments.append(Oscillatory(dur, float(entry["omega"]), comps))
         else:
             raise ValueError("unknown segment kind %r" % kind)
     return ForcingProgram(support, segments)

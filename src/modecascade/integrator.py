@@ -40,6 +40,7 @@ __all__ = ["IntegratorConfig", "Trajectory", "BlowUpError", "StepBudgetError",
            "step", "integrate", "convergence_order"]
 
 BLOWUP_LIMIT = 1e12
+MAX_STEPS = 2_000_000    # step budget of one integration; guards runaway frequencies
 _BLOCK = 64        # steps whose stage primitives one evaluator read tabulates
 
 
@@ -53,7 +54,7 @@ class BlowUpError(RuntimeError):
 
 class StepBudgetError(RuntimeError):
     """Raised before integrating when a program needs more steps than
-    ``IntegratorConfig.max_steps`` allows."""
+    ``MAX_STEPS`` allows."""
 
 
 @dataclass(frozen=True)
@@ -63,12 +64,11 @@ class IntegratorConfig:
     # main intervals within 1e-8 of a 320-steps-per-period run
     oscillation_resolution: int = 8
     record_stride: int = 1
-    max_steps: int = 2_000_000           # guards runaway oscillation frequencies
 
     def __post_init__(self):
         if not 0 < self.dt_base < math.inf:
             raise ValueError("dt_base must be positive")
-        for name in ("oscillation_resolution", "record_stride", "max_steps"):
+        for name in ("oscillation_resolution", "record_stride"):
             if getattr(self, name) < 1:
                 raise ValueError("%s must be >= 1" % name)
 
@@ -205,11 +205,13 @@ def _lawson_rk4(q: np.ndarray, h: float, decay: np.ndarray, half_decay: np.ndarr
 
 def _steps(q: np.ndarray, ev, factors, nl, a: float, h: float, n: int):
     """n Lawson steps of size h from local time a, yielding each new state;
-    V is read for up to _BLOCK steps per evaluator call."""
+    one evaluator call reads V at the start, midpoint and end of up to
+    _BLOCK steps."""
     for j in range(0, n, _BLOCK):
         starts = a + np.arange(j, min(j + _BLOCK, n)) * h
-        for v in zip(ev(starts), ev(starts + 0.5 * h), ev(starts + h)):
-            q = _lawson_rk4(q, h, *factors, nl, *v)
+        v = ev(np.concatenate([starts, starts + 0.5 * h, starts + h]))
+        for v0, vm, v1 in zip(*np.split(v, 3)):
+            q = _lawson_rk4(q, h, *factors, nl, v0, vm, v1)
             yield q
 
 
@@ -256,10 +258,10 @@ def integrate(state0: SpectralState, params: SimParams, program: ForcingProgram,
     durations = program.durations.tolist()
     dts = _segment_dts(program, config)
     planned = int(np.ceil(program.durations / dts - 1e-9).sum())
-    if planned > config.max_steps:
+    if planned > MAX_STEPS:
         raise StepBudgetError("step budget exceeded: %d steps planned, %d allowed "
                               "(reduce the horizon or oscillation frequencies)"
-                              % (planned, config.max_steps))
+                              % (planned, MAX_STEPS))
 
     times = [0.0]
     rows = [state0.data]
@@ -274,8 +276,6 @@ def integrate(state0: SpectralState, params: SimParams, program: ForcingProgram,
         brk = np.unique(np.concatenate([[0.0, duration], inner]))
         for a, b in zip(brk[:-1].tolist(), brk[1:].tolist()):
             span = b - a
-            if span <= 0:
-                continue
             n = max(1, math.ceil(span / dt_seg - 1e-9))
             h = span / n
             factors = _integrating_factors(params.nu, tab, h)

@@ -41,6 +41,8 @@ __all__ = [
     "report_to_dict",
 ]
 
+LEVEL_OMEGA_RATIO = 25.0    # base frequency multiplier per additional cascade level
+
 
 @dataclass(frozen=True)
 class SteeringConfig:
@@ -48,36 +50,27 @@ class SteeringConfig:
 
     tau is the main actuation interval, gamma > 1 the chattering
     amplitude margin, omega the base oscillation frequency of the
-    cascade (multiplied by level_omega_ratio for each additional cascade
-    level).  The terminal correction ramp lasts correction_tau (tau/10
-    when unset).
+    cascade (multiplied by LEVEL_OMEGA_RATIO for each additional cascade
+    level).  The terminal correction ramp lasts tau/10.
     """
 
     tau: float = 0.02
     gamma: float = 1.1
     omega: float = 400.0
-    correction_tau: float | None = None
     max_fp_iters: int = 20
     fp_tol: float = 1e-3
     chatter_windows: int = 4
-    level_omega_ratio: float = 25.0
     integrator: IntegratorConfig = IntegratorConfig()
 
     def __post_init__(self):
-        for name in ("tau", "fp_tol", "omega", "level_omega_ratio"):
+        for name in ("tau", "fp_tol", "omega"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError("%s must be positive" % name)
-        if self.correction_tau is not None and not 0 < self.correction_tau < math.inf:
-            raise ValueError("correction_tau must be positive")
         if not 1 < self.gamma < math.inf:
             raise ValueError("gamma must exceed 1")
         for name in ("max_fp_iters", "chatter_windows"):
             if getattr(self, name) < 1:
                 raise ValueError("%s must be >= 1" % name)
-
-    @property
-    def corr_tau(self) -> float:
-        return self.correction_tau if self.correction_tau is not None else self.tau / 10.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,7 +248,7 @@ def _synthesize_main(p: np.ndarray, chain: SaturationChain,
             windows = max(windows, math.ceil(
                 4.0 * fastest * prog.total_duration / (2.0 * math.pi)))
         prog = chattering_approximation(prog, amplitude, windows, slack)
-        omega_j = config.omega * config.level_omega_ratio ** depth
+        omega_j = config.omega * LEVEL_OMEGA_RATIO ** depth
         prog = cascade_program(prog, k_prev, omega_j)
     return prog, level
 
@@ -292,7 +285,7 @@ def _synthesize_pieces(aim: np.ndarray, chain: SaturationChain,
         return main, [traj_main]
     k1 = np.repeat([r in k1_obs for r in ChannelMap(obs).reps], 2)
     have = Observation.of_modes(obs).observe(traj_main.final)
-    corr = base_step_program(k1_obs, aim[k1] - have[k1], config.corr_tau)
+    corr = base_step_program(k1_obs, aim[k1] - have[k1], config.tau / 10.0)
     traj_corr = integrate(traj_main.final, params, corr, config.integrator)
     full = ForcingProgram(main.support | k1_obs,
                           main.segments + corr.segments)

@@ -11,8 +11,6 @@ clock; a ``Zero`` segment contributes nothing.
 import bisect
 import cmath
 
-import numpy as np
-
 from modecascade.forcing import Constant, Oscillatory
 from modecascade.lattice import unfold_conjugate
 
@@ -75,15 +73,3 @@ def primitive(program, t):
     for r in segment_reps(seg):
         out[r] = out.get(r, 0j) + segment_primitive(seg, r, tloc)
     return unfold_conjugate({r: v for r, v in out.items() if v != 0})
-
-
-def delta_distance(f, g):
-    """Measure of the set where two piecewise-constant programs differ,
-    one breakpoint interval at a time."""
-    edges = np.unique(np.concatenate([f.starts, g.starts]))
-    total = 0.0
-    for a, b in zip(edges[:-1].tolist(), edges[1:].tolist()):
-        mid = 0.5 * (a + b)
-        if evaluate(f, mid) != evaluate(g, mid):
-            total += b - a
-    return total

@@ -2,13 +2,15 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from modecascade.cli import (_integrator_config, _steering_config, build_parser,
                              main)
 from modecascade.forcing import constant_program, program_to_json
 from modecascade.lattice import format_mode_set, symmetrize
-from modecascade.spectral import SpectralState, state_to_json
+from modecascade.spectral import (SpectralState, random_decaying_state, resize,
+                                  state_to_csv, state_to_json)
 from modecascade.forcing import ForcingProgram, Oscillatory
 from modecascade.spectral import FFT_RADIUS
 from modecascade.integrator import IntegratorConfig
@@ -114,6 +116,42 @@ def test_non_finite_state_file_exits_1(tmp_path, capsys, value):
         "radius": 3, "duration": 0.01, "state": str(state), "output_dir": str(out)})
     assert main(["simulate", "--config", cfg]) == 1
     assert capsys.readouterr().err == "error: state coefficients must be finite\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_simulate_raises_a_smaller_state_file_to_the_run_radius(tmp_path, fmt):
+    state = random_decaying_state(3, 0.3, rng=np.random.default_rng(5))
+    path = tmp_path / ("state." + fmt)
+    path.write_text(state_to_csv(state) if fmt == "csv" else state_to_json(state))
+    out = tmp_path / "sim"
+    cfg = write_config(tmp_path, "cfg.json", {
+        "radius": 5, "nu": 0.01, "duration": 0.01, "state": str(path),
+        "output_dir": str(out)})
+    assert main(["simulate", "--config", cfg]) == 0
+    rows = [line for line in (out / "trajectory.csv").read_text().splitlines()[2:]
+            if line.startswith("0.0,")]
+    want = resize(state, 5)
+    assert rows == ["0.0,%d,%d,%r,%r" % (k[0], k[1], float(v.real), float(v.imag))
+                    for k, v in want.items()]
+
+
+@pytest.mark.parametrize("command,document,flags,message", [
+    ("simulate", None, [], "error: field 'config': file not found: "),
+    ("simulate", {"command": "saturate", "config": {"radius": 3}}, [],
+     "error: manifest was produced by 'saturate', not 'simulate'\n"),
+    ("simulate", [{"radius": 3}], [], "error: config must be a JSON object\n"),
+    ("rxprobe", {"radius": 3}, ["--mode", "bogus"],
+     "error: field 'mode': expected 'law' or 'trajectory', got 'bogus'\n"),
+])
+def test_bad_config_document_exits_1_without_output(tmp_path, capsys, command, document,
+                                                    flags, message):
+    # a None document is a config file that does not exist
+    cfg = (str(tmp_path / "cfg.json") if document is None
+           else write_config(tmp_path, "cfg.json", document))
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--output-dir", str(out)] + flags) == 1
+    assert capsys.readouterr().err.startswith(message)
     assert not out.exists()
 
 
@@ -277,6 +315,24 @@ def test_project_subcommand(tmp_path, mode_file):
     assert report["error"] <= 2e-2
 
 
+def test_project_nonconvergence_exit_2_with_report(tmp_path, mode_file):
+    raw = [SpectralState.from_coeffs({(1, 0): 0.8, (2, 1): 0.6 + 0.2j}, 6),
+           SpectralState.from_coeffs({(0, 1): 0.7j, (1, 1): -0.5}, 6)]
+    basis_path = tmp_path / "basis.json"
+    basis_path.write_text(json.dumps([json.loads(state_to_json(e)) for e in raw]))
+    out = tmp_path / "proj"
+    cfg = write_config(tmp_path, "cfg.json", {
+        "mode_set": mode_file, "basis": str(basis_path), "epsilon": 0.05,
+        "radius": 6, "nu": 0.01, "target": [0.2, -0.1], "tau": 1.0, "omega": 400.0,
+        "fp_tol": 1e-12, "max_fp_iters": 1, "chatter_windows": 1, "dt_base": 1e-3,
+        "record_stride": 20, "state": "rest", "output_dir": str(out)})
+    assert main(["project", "--config", cfg]) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["converged"] is False and report["iterations"] == 1
+    assert len(report["achieved"]) == 2
+    assert (out / "program.json").exists() and (out / "manifest.json").exists()
+
+
 def test_step_budget_exit_2_with_error_line(tmp_path, capsys):
     single = symmetrize({(1, 0)})
     seg = Oscillatory.from_cos_pairs(2.0, 1e7, [((1, 0), 1.0)])
@@ -370,8 +426,8 @@ def test_empty_config_takes_the_dataclass_defaults():
     assert _integrator_config({}) == IntegratorConfig()
     assert _steering_config({}) == SteeringConfig()
     # given keys are converted; a null one keeps the default
-    scfg = _steering_config({"tau": 1, "correction_tau": None, "dt_base": "5e-3"})
-    assert scfg.tau == 1.0 and scfg.correction_tau is None
+    scfg = _steering_config({"tau": 1, "omega": None, "dt_base": "5e-3"})
+    assert scfg.tau == 1.0 and scfg.omega == SteeringConfig().omega
     assert scfg.integrator == IntegratorConfig(dt_base=5e-3)
 
 

@@ -1,5 +1,5 @@
-"""Forcing programs: primitives against quadrature, relaxation and delta
-metrics, cascade packets and their averaging, chattering."""
+"""Forcing programs: primitives against quadrature, the relaxation metric,
+cascade packets and their averaging, chattering."""
 
 import json
 import math
@@ -17,7 +17,7 @@ from modecascade.forcing import (ChannelMap, Constant, ForcingProgram,
                                  Oscillatory, Zero,
                                  _boundary_and_extremum_times,
                                  cascade_packet, chattering_approximation,
-                                 constant_program, delta_distance,
+                                 constant_program,
                                  program_from_json, program_to_json,
                                  relaxation_distance, zero_program)
 from modecascade.lattice import (admissible_pair, norm_sq, symmetrize,
@@ -37,16 +37,21 @@ def single_channel_program(value, duration, support=SINGLE, mode=(1, 0)):
 # evaluate / primitive
 
 
-def test_delta_distance_within_the_duration_tolerance():
+def test_relaxation_distance_within_the_duration_tolerance():
     # durations 1 and 1 + 1e-10 agree to the 1e-9 tolerance; the sliver
     # past the shorter horizon is not read
     a = single_channel_program(1.0, 1.0)
     b = single_channel_program(1.0, 1.0 + 1e-10)
-    assert delta_distance(a, b) == 0.0
-    assert delta_distance(b, a) == 0.0
     assert relaxation_distance(a, b) == 0.0
+    assert relaxation_distance(b, a) == 0.0
     with pytest.raises(ValueError, match="duration mismatch"):
-        delta_distance(a, single_channel_program(1.0, 1.0 + 1e-6))
+        relaxation_distance(a, single_channel_program(1.0, 1.0 + 1e-6))
+
+
+def test_relaxation_distance_of_empty_supports_is_zero():
+    # no channel, so the breakpoint maximum reads an empty norm
+    split = ForcingProgram((), [Zero(0.4), Zero(0.6)])
+    assert relaxation_distance(split, zero_program(1.0)) == 0.0
 
 
 def test_out_of_range_message_shows_the_gap():
@@ -208,26 +213,6 @@ def test_fast_oscillation_rx_decay_uniform_in_omega():
 
 
 # ---------------------------------------------------------------------------
-# delta metric
-
-
-def test_delta_distance_cases():
-    a = single_channel_program(1.0, 1.0)
-    b = single_channel_program(2.0, 1.0)
-    assert delta_distance(a, a) == 0.0
-    assert delta_distance(a, b) == pytest.approx(1.0)
-    first = ForcingProgram(SINGLE, [Constant(0.25, {(1, 0): 3.0}),
-                                    Constant(0.75, {(1, 0): 1.0})])
-    assert delta_distance(first, a) == pytest.approx(0.25)
-
-
-def test_delta_distance_rejects_oscillatory():
-    seg = Oscillatory.from_cos_pairs(1.0, 10.0, [((1, 0), 1.0)])
-    with pytest.raises(ValueError, match="non-piecewise-constant"):
-        delta_distance(ForcingProgram(SINGLE, [seg]), zero_program(1.0, SINGLE))
-
-
-# ---------------------------------------------------------------------------
 # cascade packets
 
 
@@ -382,18 +367,13 @@ def test_program_json_round_trip_all_kinds():
                   - prog.channel_primitive(ts, cmap)).max() < 1e-12
 
 
-def test_pairs_form_file_reads_as_cosine_bundle():
-    # the writer emits components only; a (pairs, phase) file is still read
+def test_pairs_form_file_is_rejected():
+    # packets are read only in the components form the writer emits
     text = json.dumps({"support": [[1, 0], [-1, 0]], "segments": [
         {"kind": "oscillatory", "duration": 1.0, "omega": 10.0, "phase": 0.1,
          "pairs": [{"mode": [1, 0], "amp": 2.0}]}]})
-    prog = program_from_json(text)
-    want = ForcingProgram(SINGLE, [Oscillatory.from_cos_pairs(1.0, 10.0, [((1, 0), 2.0)],
-                                                              phase=0.1)])
-    assert prog.segments[0].components == want.segments[0].components
-    assert prog.evaluate(0.0)[(1, 0)] == pytest.approx(20.0 * math.cos(0.1))
-    entry = json.loads(program_to_json(prog))["segments"][0]
-    assert "pairs" not in entry and len(entry["components"]) == 2
+    with pytest.raises(KeyError, match="components"):
+        program_from_json(text)
 
 
 def test_constant_segment_requires_conjugate_symmetry():
@@ -576,37 +556,6 @@ def test_multi_segment_reads_match_one_time_reads_in_any_row_order():
         rows = prog._read(times, value)
         for t, row in zip(times.tolist(), rows):
             assert row.tobytes() == prog._read(np.array([t]), value)[0].tobytes(), (t, value)
-
-
-LEVELS = [0j, 1.0 + 0j, -0.5j, 0.25 - 1j]
-
-
-@st.composite
-def pwc_pairs(draw):
-    """Two piecewise-constant programs over one horizon, from few levels on
-    shared breakpoints, so that they agree on some intervals."""
-    grid = sorted(draw(st.sets(st.integers(1, 15), max_size=6)))
-    starts = [0] + grid
-
-    def one():
-        cut = sorted(draw(st.sets(st.sampled_from(starts), min_size=1)) | {0})
-        segs = []
-        for a, b in zip(cut, cut[1:] + [16]):
-            v = draw(st.sampled_from(LEVELS))
-            w = draw(st.sampled_from(LEVELS))
-            values = {(1, 0): v, (1, 1): w}
-            segs.append(Constant((b - a) / 16.0, values) if v or w else Zero((b - a) / 16.0))
-        return ForcingProgram(PAIR_SUPPORT, segs)
-
-    return one(), one()
-
-
-@given(pwc_pairs())
-@settings(max_examples=150, deadline=None)
-def test_delta_distance_matches_oracle_loop(pair):
-    f, g = pair
-    assert delta_distance(f, g) == pytest.approx(oracle.delta_distance(f, g), rel=1e-12, abs=0)
-    assert delta_distance(f, f) == 0.0
 
 
 def loop_extremum_times(program):
@@ -823,7 +772,8 @@ def test_cascade_packet_primitives_close_at_segment_end(pair, re, im, omega, dur
         assert not end.any()
         return
     # the snapped phase 2 w T is a whole number of turns up to its rounding
-    tol = 8 * np.finfo(float).eps * 2 * seg.omega * duration * np.abs(seg.coef).max()
+    amp = max(abs(c) for _, _, c in seg.components)
+    tol = 8 * np.finfo(float).eps * 2 * seg.omega * duration * amp
     assert np.abs(end).max() <= tol
 
 

@@ -10,6 +10,7 @@ from modecascade.forcing import (ForcingProgram, Oscillatory, constant_program,
                                  zero_program)
 from modecascade.integrator import (BlowUpError, IntegratorConfig, Trajectory,
                                     convergence_order, integrate, step)
+from modecascade import integrator
 from modecascade.integrator import BLOWUP_LIMIT, StepBudgetError, _check_finite
 from modecascade.integrator import (_integrating_factors, _lawson_rk4,
                                     _segment_evaluator)
@@ -436,8 +437,9 @@ def test_unforced_support_mode_outside_the_radius_integrates(forced):
                   IntegratorConfig(dt_base=1e-2))
 
 
-def test_convergence_order_keeps_the_step_budget():
-    # every run of the dt ladder honours the caller's max_steps
+def test_convergence_order_keeps_the_step_budget(monkeypatch):
+    # every run of the dt ladder honours the step budget
+    monkeypatch.setattr(integrator, "MAX_STEPS", 5)
     with pytest.raises(StepBudgetError, match="step budget"):
         convergence_order(SpectralState.zeros(3), SimParams(), zero_program(0.1),
-                          [1e-2, 5e-3, 2.5e-3], IntegratorConfig(max_steps=5))
+                          [1e-2, 5e-3, 2.5e-3])
