@@ -23,7 +23,7 @@ from .forcing import (ChannelMap, Constant, ForcingProgram, Oscillatory,
                       constant_program, program_from_json, program_to_json,
                       relaxation_distance, zero_program)
 from .integrator import (BlowUpError, IntegratorConfig, StepBudgetError,
-                         Trajectory, convergence_order, integrate, step)
+                         Trajectory, integrate, step)
 from .steering import (ConvergenceError, CoverageResult, EndpointReport,
                        Observation, SteeringConfig,
                        averaging_experiment, base_step_program,

@@ -127,10 +127,6 @@ class Constant:
         if not all(map(cmath.isfinite, self.values.values())):
             raise ValueError("forcing values must be finite")
 
-    def __eq__(self, other):
-        return (isinstance(other, Constant) and self.values == other.values
-                and self.duration == other.duration)
-
     def __repr__(self):
         return "Constant(duration=%g, modes=%s)" % (self.duration, sorted(self.values))
 
@@ -544,26 +540,33 @@ def program_to_dict(program: ForcingProgram) -> dict:
 
 def program_from_dict(data: dict) -> ForcingProgram:
     support = frozenset(tuple(k) for k in data["support"])
-    segments: list[Segment] = []
-    for entry in data["segments"]:
-        kind = entry["kind"]
-        dur = float(entry["duration"])
-        if kind == "zero":
-            segments.append(Zero(dur))
-        elif kind == "constant":
-            values = {}
-            for key, (re, im) in entry["values"].items():
-                kx, ky = key.split(",")
-                values[(int(kx), int(ky))] = complex(float(re), float(im))
-            segments.append(Constant(dur, values))
-        elif kind == "oscillatory":
-            comps = [(tuple(c["mode"]), int(c["harmonic"]),
-                      complex(float(c["coeff"][0]), float(c["coeff"][1])))
-                     for c in entry["components"]]
-            segments.append(Oscillatory(dur, float(entry["omega"]), comps))
-        else:
-            raise ValueError("unknown segment kind %r" % kind)
+    segments = []
+    for i, entry in enumerate(data["segments"]):
+        try:
+            segments.append(_segment_from_dict(entry))
+        except KeyError as exc:
+            raise ValueError("program segment %d (%s) has no %r key"
+                             % (i, entry.get("kind"), exc.args[0])) from None
     return ForcingProgram(support, segments)
+
+
+def _segment_from_dict(entry: dict) -> Segment:
+    kind = entry["kind"]
+    dur = float(entry["duration"])
+    if kind == "zero":
+        return Zero(dur)
+    if kind == "constant":
+        values = {}
+        for key, (re, im) in entry["values"].items():
+            kx, ky = key.split(",")
+            values[(int(kx), int(ky))] = complex(float(re), float(im))
+        return Constant(dur, values)
+    if kind == "oscillatory":
+        comps = [(tuple(c["mode"]), int(c["harmonic"]),
+                  complex(float(c["coeff"][0]), float(c["coeff"][1])))
+                 for c in entry["components"]]
+        return Oscillatory(dur, float(entry["omega"]), comps)
+    raise ValueError("unknown segment kind %r" % kind)
 
 
 def program_to_json(program: ForcingProgram, indent: int | None = None) -> str:

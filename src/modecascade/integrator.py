@@ -27,17 +27,16 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .forcing import ForcingProgram
-from .spectral import (SimParams, SpectralState, _tables, energies,
-                       sobolev_norm, sobolev_norms)
+from .spectral import SimParams, SpectralState, _tables, energies, sobolev_norms
 
 __all__ = ["IntegratorConfig", "Trajectory", "BlowUpError", "StepBudgetError",
-           "step", "integrate", "convergence_order"]
+           "step", "integrate"]
 
 BLOWUP_LIMIT = 1e12
 MAX_STEPS = 2_000_000    # step budget of one integration; guards runaway frequencies
@@ -179,39 +178,42 @@ def _segment_dts(program: ForcingProgram, config: IntegratorConfig) -> np.ndarra
 
 
 def _integrating_factors(nu: float, tab, h: float):
-    """exp(-nu |k|^2 h), exp(-nu |k|^2 h / 2) and -nu |k|^2 per rep, complex
-    so the step multiplies without a cast; ones, ones and zeros at nu = 0."""
+    """The step's factors per rep, E = exp(-nu |k|^2 h / 2): exp(-nu |k|^2 h),
+    E, 2 E and h E; and -nu |k|^2.  Complex so the step multiplies without
+    a cast; ones, ones, twos, h and zeros at nu = 0."""
     lap = -nu * tab.norm_sq
-    return (np.exp(lap * h).astype(np.complex128),
-            np.exp(lap * h / 2.0).astype(np.complex128), lap.astype(np.complex128))
+    half_decay = np.exp(lap * h / 2.0).astype(np.complex128)
+    return ((np.exp(lap * h).astype(np.complex128), half_decay,
+             2.0 * half_decay, h * half_decay), lap.astype(np.complex128))
 
 
 def _lawson_rk4(q: np.ndarray, h: float, decay: np.ndarray, half_decay: np.ndarray,
-                lap: np.ndarray, nl, v0: np.ndarray, vm: np.ndarray,
-                v1: np.ndarray) -> np.ndarray:
+                two_half_decay: np.ndarray, h_half_decay: np.ndarray, nl,
+                v0: np.ndarray, vm: np.ndarray, v1: np.ndarray, lv0: np.ndarray,
+                lvm: np.ndarray, lv1: np.ndarray) -> np.ndarray:
     """One step of q = p + V from the primitive rows at its start (v0),
-    midpoint (vm, the V of stages 2 and 3) and end (v1)."""
-    def rhs(u, v):        # dp/dt less -nu |k|^2 p: N(u + V) - nu |k|^2 V
-        return nl(u + v) + lap * v
-
+    midpoint (vm, the V of stages 2 and 3) and end (v1), and their
+    products lv0, lvm, lv1 with -nu |k|^2.  A stage is dp/dt less
+    -nu |k|^2 p: N(u + V) - nu |k|^2 V."""
     p = q - v0
     dp = decay * p
-    k1 = rhs(p, v0)
-    k2 = rhs(half_decay * (p + 0.5 * h * k1), vm)
-    k3 = rhs(half_decay * p + 0.5 * h * k2, vm)
-    k4 = rhs(dp + h * half_decay * k3, v1)
-    return dp + (h / 6.0) * (decay * k1 + 2.0 * half_decay * (k2 + k3) + k4) + v1
+    k1 = nl(p + v0) + lv0
+    k2 = nl(half_decay * (p + 0.5 * h * k1) + vm) + lvm
+    k3 = nl(half_decay * p + 0.5 * h * k2 + vm) + lvm
+    k4 = nl(dp + h_half_decay * k3 + v1) + lv1
+    return dp + (h / 6.0) * (decay * k1 + two_half_decay * (k2 + k3) + k4) + v1
 
 
 def _steps(q: np.ndarray, ev, factors, nl, a: float, h: float, n: int):
     """n Lawson steps of size h from local time a, yielding each new state;
     one evaluator call reads V at the start, midpoint and end of up to
-    _BLOCK steps."""
+    _BLOCK steps, and one product gives -nu |k|^2 V on all those rows."""
+    step_factors, lap = factors
     for j in range(0, n, _BLOCK):
         starts = a + np.arange(j, min(j + _BLOCK, n)) * h
         v = ev(np.concatenate([starts, starts + 0.5 * h, starts + h]))
-        for v0, vm, v1 in zip(*np.split(v, 3)):
-            q = _lawson_rk4(q, h, *factors, nl, v0, vm, v1)
+        for rows in zip(*np.split(v, 3), *np.split(lap * v, 3)):
+            q = _lawson_rk4(q, h, *step_factors, nl, *rows)
             yield q
 
 
@@ -289,30 +291,3 @@ def integrate(state0: SpectralState, params: SimParams, program: ForcingProgram,
                     rows.append(q)
     return Trajectory(state0.radius, times, np.stack(rows))
 
-
-def convergence_order(state0: SpectralState, params: SimParams,
-                      program: ForcingProgram, dts: Sequence[float],
-                      config: IntegratorConfig = IntegratorConfig()
-                      ) -> tuple[float, np.ndarray]:
-    """Self-convergence estimate: least-squares slope of log error against
-    log dt, errors measured in the H0 norm of the final state against a
-    reference run at a quarter of the finest dt.
-
-    Returns (order, errors); the order is NaN when every error sits at
-    round-off, i.e. the problem is integrated exactly (linear-only runs).
-    """
-    dts = [float(d) for d in dts]
-    if len(dts) < 3 or any(b >= a for a, b in zip(dts, dts[1:])):
-        raise ValueError("insufficient dt ladder: need >= 3 strictly decreasing steps")
-
-    def run(dt: float) -> SpectralState:
-        cfg = replace(config, dt_base=dt, record_stride=10 ** 9)
-        return integrate(state0, params, program, cfg).final
-
-    ref = run(dts[-1] / 4.0)
-    errs = np.array([sobolev_norm(run(dt) - ref, 0) for dt in dts])
-    scale = 1.0 + sobolev_norm(ref, 0)
-    if errs.max() <= 1e-13 * scale:
-        return float("nan"), errs
-    slope = np.polyfit(np.log(dts), np.log(np.maximum(errs, 1e-300)), 1)[0]
-    return float(slope), errs

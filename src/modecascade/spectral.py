@@ -33,6 +33,8 @@ resolution radius alone (both agree to round-off):
   batched inverse real FFT, multiplied pointwise and brought back by
   one batched forward real FFT; N is gathered on the representatives.
   The cost is O(R^2 log R) per call and no triad table is built.
+  scipy.fft is imported when the first such table is built, so a process
+  that stays below ``FFT_RADIUS`` never loads it.
 
 The grid product is exact, not an approximation.  Every input mode has
 |k_x|, |k_y| <= R, so a product mode p has components in [-2R, 2R]; on
@@ -52,7 +54,6 @@ from functools import lru_cache
 from typing import Iterable, Mapping
 
 import numpy as np
-import scipy.fft
 
 from .lattice import (Mode, ball, canonical_rep, check_mode, fold_conjugate,
                       is_symmetric, neg, norm_sq, unfold_conjugate, wedge)
@@ -112,6 +113,8 @@ class _Tables:
             self._build_triads()
 
     def _build_grid(self):
+        import scipy.fft        # loaded by the first FFT-kernel table only
+        self.irfft2, self.rfft2 = scipy.fft.irfft2, scipy.fft.rfft2
         m = scipy.fft.next_fast_len(3 * self.radius + 1, real=True)
         width = m // 2 + 1                       # stored ky columns of a real field
         kx = self.kx.astype(np.intp)
@@ -178,8 +181,8 @@ class _Tables:
             spec = np.zeros((3, m * width), dtype=np.complex128)
             spec[:, self.grid_at] = fields
             spec[:, self.grid_axis_at] = np.conj(fields[:, self.grid_axis])
-            grid = scipy.fft.irfft2(spec.reshape(3, m, width), s=(m, m), norm="forward")
-            ab = scipy.fft.rfft2(grid[0] * grid[1:], norm="forward")
+            grid = self.irfft2(spec.reshape(3, m, width), s=(m, m), norm="forward")
+            ab = self.rfft2(grid[0] * grid[1:], norm="forward")
             a, b = ab.reshape(2, -1)[:, self.grid_at]
             return 1j * (self.ky * a - self.kx * b)
         f = np.concatenate([data, np.conj(data)])     # the full triad layout

@@ -234,8 +234,6 @@ def _synthesize_main(p: np.ndarray, chain: SaturationChain,
         return prog, level
     for depth, j in enumerate(range(level, 0, -1)):
         k_prev = symmetrize(chain.levels[j - 1])
-        if prog.support <= k_prev:
-            continue
         amplitude = config.gamma * max(prog.value_l1_bound(), 1e-9)
         cmap = ChannelMap(prog.support)
         slack = next((i for i in range(cmap.size)

@@ -8,13 +8,18 @@ through the program's compiled value read.  ``integrate`` splits the
 horizon as the package's integrator does (steps never cross segment
 boundaries; dt_base capped to ``resolution`` steps per period of a
 segment's fastest harmonic) and returns only the final state.
+
+``convergence_order`` estimates the package integrator's order of
+accuracy from its own runs over a dt ladder.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from modecascade.spectral import SpectralState, _tables
+from modecascade.integrator import IntegratorConfig, integrate as package_integrate
+from modecascade.spectral import SpectralState, _tables, sobolev_norm
 
 
 def segment_forcing(program, i, tab):
@@ -67,3 +72,29 @@ def integrate(state0, params, program, dt_base, resolution):
         for j in range(n):
             q = lawson_rk4(q, h, params.nu, tab, f0[j], fm[j], f1[j])
     return SpectralState(state0.radius, q)
+
+
+def convergence_order(state0, params, program, dts, config=IntegratorConfig()):
+    """Self-convergence estimate of ``modecascade.integrator.integrate``:
+    least-squares slope of log error against log dt, errors measured in the
+    H0 norm of the final state against a reference run at a quarter of the
+    finest dt.
+
+    Returns (order, errors); the order is NaN when every error sits at
+    round-off, i.e. the problem is integrated exactly (linear-only runs).
+    """
+    dts = [float(d) for d in dts]
+    if len(dts) < 3 or any(b >= a for a, b in zip(dts, dts[1:])):
+        raise ValueError("insufficient dt ladder: need >= 3 strictly decreasing steps")
+
+    def run(dt):
+        cfg = replace(config, dt_base=dt, record_stride=10 ** 9)
+        return package_integrate(state0, params, program, cfg).final
+
+    ref = run(dts[-1] / 4.0)
+    errs = np.array([sobolev_norm(run(dt) - ref, 0) for dt in dts])
+    scale = 1.0 + sobolev_norm(ref, 0)
+    if errs.max() <= 1e-13 * scale:
+        return float("nan"), errs
+    slope = np.polyfit(np.log(dts), np.log(np.maximum(errs, 1e-300)), 1)[0]
+    return float(slope), errs

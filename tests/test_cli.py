@@ -106,6 +106,22 @@ def test_non_finite_oscillatory_program_exits_1(tmp_path, capsys, value):
     assert not (out / "manifest.json").exists()
 
 
+def test_pairs_form_program_exits_1_naming_the_segment(tmp_path, capsys):
+    # the old pairs form of a packet; the writer emits components only
+    prog = tmp_path / "prog.json"
+    prog.write_text(json.dumps({"support": [[1, 0], [-1, 0]], "segments": [
+        {"kind": "zero", "duration": 0.05},
+        {"kind": "oscillatory", "duration": 0.1, "omega": 10.0, "phase": 0.1,
+         "pairs": [{"mode": [1, 0], "amp": 2.0}]}]}))
+    out = tmp_path / "sim"
+    cfg = write_config(tmp_path, "cfg.json", {
+        "radius": 3, "program": str(prog), "state": "rest", "output_dir": str(out)})
+    assert main(["simulate", "--config", cfg]) == 1
+    assert capsys.readouterr().err == (
+        "error: program segment 1 (oscillatory) has no 'components' key\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["NaN", "Infinity"])
 def test_non_finite_state_file_exits_1(tmp_path, capsys, value):
     # rejected while the state loads, not as a blow-up (exit 2) at the first step

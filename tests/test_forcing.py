@@ -372,7 +372,8 @@ def test_pairs_form_file_is_rejected():
     text = json.dumps({"support": [[1, 0], [-1, 0]], "segments": [
         {"kind": "oscillatory", "duration": 1.0, "omega": 10.0, "phase": 0.1,
          "pairs": [{"mode": [1, 0], "amp": 2.0}]}]})
-    with pytest.raises(KeyError, match="components"):
+    with pytest.raises(ValueError,
+                       match=r"program segment 0 \(oscillatory\) has no 'components' key"):
         program_from_json(text)
 
 

@@ -1,6 +1,11 @@
 """Spectral states, the quadratic term against a brute-force oracle, norms,
 velocity recovery and projections."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -175,6 +180,27 @@ def test_kernel_switches_at_the_crossover_radius():
     assert _tables(FFT_RADIUS - 1).kernel == "triad"
     assert _tables(FFT_RADIUS).kernel == "fft"
     assert not hasattr(_tables(FFT_RADIUS), "tri_k")     # no triad table built
+
+
+IMPORT_BOUNDARY = """
+import sys
+import modecascade, modecascade.cli
+from modecascade.spectral import FFT_RADIUS, SpectralState, _tables, nonlinear_term
+nonlinear_term(SpectralState.from_coeffs({(1, 0): 1.0, (1, 1): 0.5j}, FFT_RADIUS - 1))
+assert "scipy.fft" not in sys.modules, "scipy.fft loaded below FFT_RADIUS"
+_tables(FFT_RADIUS)
+assert "scipy.fft" in sys.modules, "scipy.fft not loaded by the FFT kernel"
+"""
+
+
+def test_scipy_fft_loads_with_the_first_fft_table_only():
+    # a fresh interpreter: this test process has long since loaded scipy.fft
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_BOUNDARY], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("radius", range(FFT_RADIUS - 2, FFT_RADIUS + 6))
