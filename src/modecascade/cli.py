@@ -109,6 +109,15 @@ def _existing_path(cfg: dict, field: str) -> Path:
     return p
 
 
+def _parsed(cfg: dict, field: str, parse):
+    """``parse`` of the file a field names; a malformed file fails naming the field."""
+    text = _existing_path(cfg, field).read_text()
+    try:
+        return parse(text)
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ConfigError("field '%s': %s" % (field, exc)) from None
+
+
 def _rng(cfg: dict) -> np.random.Generator:
     return np.random.default_rng(cfg["seed"])
 
@@ -120,9 +129,8 @@ def _load_state(cfg: dict, radius: int) -> SpectralState:
     if source == "random":
         return random_decaying_state(radius, _get(cfg, "amplitude", float, 0.3),
                                      _get(cfg, "decay", float, 3.0), _rng(cfg))
-    p = _existing_path(cfg, "state")
-    text = p.read_text()
-    state = state_from_json(text) if p.suffix == ".json" else state_from_csv(text)
+    parse = state_from_json if Path(source).suffix == ".json" else state_from_csv
+    state = _parsed(cfg, "state", parse)
     if state.radius < radius:
         state = resize(state, radius)
     return state
@@ -228,7 +236,7 @@ def _run_saturate(cfg: dict, em: _Emitter) -> int:
 def _run_simulate(cfg: dict, em: _Emitter) -> int:
     state0, params = _initial(cfg, em, _get(cfg, "radius", int))
     if cfg.get("program"):
-        program = program_from_json(_existing_path(cfg, "program").read_text())
+        program = _parsed(cfg, "program", program_from_json)
     else:
         program = zero_program(_get(cfg, "duration", float))
     traj = integrate(state0, params, program, _integrator_config(cfg))
@@ -287,7 +295,7 @@ def _run_average(cfg: dict, em: _Emitter) -> int:
 
 
 def _run_chatter(cfg: dict, em: _Emitter) -> int:
-    program = program_from_json(_existing_path(cfg, "program").read_text())
+    program = _parsed(cfg, "program", program_from_json)
     amplitude = _get(cfg, "amplitude", float)
     windows = _get(cfg, "windows", int)
     out = chattering_approximation(program, amplitude, windows,
@@ -374,8 +382,8 @@ def _run_rxprobe(cfg: dict, em: _Emitter) -> int:
 
 
 def _run_project(cfg: dict, em: _Emitter) -> int:
-    entries = json.loads(_existing_path(cfg, "basis").read_text())
-    basis = [state_from_json(json.dumps(e)) for e in entries]
+    basis = _parsed(cfg, "basis", lambda text: [state_from_json(json.dumps(e))
+                                                for e in json.loads(text)])
     observed_radius = max(s.radius for s in basis)
     state0, params = _initial(cfg, em, _get(cfg, "radius", int, max(observed_radius, 4)))
     proj, S = subspace_setup(basis, _get(cfg, "epsilon", float))
@@ -451,7 +459,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     em.manifest()
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

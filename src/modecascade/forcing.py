@@ -450,10 +450,9 @@ def cascade_packet(k: Mode, m: Mode, n: Mode, target: complex, omega: float,
     if coeff == 0.0:
         raise ValueError("inadmissible pair: collinear or equal-length modes")
     w = snap_omega(omega, duration)
-    target = complex(target)
-    if target == 0:
+    z = complex(target) / (2.0 * coeff)
+    if z == 0:          # a zero target, or one so small that its drive underflows
         return Zero(duration)
-    z = target / (2.0 * coeff)
     a = math.sqrt(abs(z)) * cmath.exp(1j * cmath.phase(z) / 2.0)
     return Oscillatory(duration, w, [
         (m, +1, a), (m, +2, -a),
@@ -539,9 +538,13 @@ def program_to_dict(program: ForcingProgram) -> dict:
 
 
 def program_from_dict(data: dict) -> ForcingProgram:
+    if not isinstance(data, dict) or not {"support", "segments"} <= data.keys():
+        raise ValueError("a program must be a JSON object with 'support' and 'segments' keys")
     support = frozenset(tuple(k) for k in data["support"])
     segments = []
     for i, entry in enumerate(data["segments"]):
+        if not isinstance(entry, dict):
+            raise ValueError("program segment %d is not a JSON object" % i)
         try:
             segments.append(_segment_from_dict(entry))
         except KeyError as exc:

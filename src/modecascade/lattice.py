@@ -32,11 +32,6 @@ import numpy as np
 
 Mode = tuple[int, int]
 
-_STATUS_COVERED = "covered"
-_STATUS_STATIONARY = "stationary"
-_STATUS_BUDGET = "budget"
-_STATUSES = (_STATUS_COVERED, _STATUS_STATIONARY, _STATUS_BUDGET)
-
 
 def check_mode(k: Mode) -> Mode:
     """Validate a lattice mode: integer components, not the zero mode."""
@@ -177,44 +172,21 @@ class SaturationChain:
     inconclusive).  ``covered_radius`` is the largest integer r not
     exceeding the requested radius with ball(r) inside the top level.
 
-    Stored compactly: ``modes`` (n, 2) is the top level and ``first_level``
-    the level each mode first appears in; ``levels`` rebuilds the nested
-    frozensets, which must be nested when given (else ValueError).
+    Built by ``saturation_chain`` from ``modes`` (n, 2), the top level with
+    each level's fresh modes in lexicographic order, level after level, and
+    ``counts``, the number each level adds.  ``first_level`` holds each
+    mode's level; ``levels`` rebuilds the nested frozensets.
     """
 
-    __slots__ = ("modes", "first_level", "depth", "status", "covered_radius",
-                 "requested_radius")
+    __slots__ = ("modes", "first_level", "depth", "status", "covered_radius")
 
-    def __init__(self, levels: Iterable[frozenset[Mode]], status: str,
-                 covered_radius: int, requested_radius: int):
-        if status not in _STATUSES:
-            raise ValueError("unknown chain status %r" % (status,))
-        fresh, prev = [], frozenset()
-        for j, level in enumerate(levels):
-            if not prev <= level:
-                raise ValueError("chain levels are not nested: level %d drops %s"
-                                 % (j, sorted(prev - level)))
-            fresh.append(sorted(level - prev))
-            prev = level
-        modes = np.array([k for new in fresh for k in new], dtype=np.int64).reshape(-1, 2)
-        self._set_arrays(modes, [len(new) for new in fresh], status, covered_radius,
-                         requested_radius)
-
-    @classmethod
-    def _of_arrays(cls, modes: np.ndarray, counts: list[int], status: str,
-                   covered_radius: int, requested_radius: int) -> "SaturationChain":
-        """Chain from its int64 modes (n, 2), fresh ones of each level in
-        lexicographic order, and the number of modes each level adds."""
-        chain = object.__new__(cls)
-        chain._set_arrays(modes, counts, status, covered_radius, requested_radius)
-        return chain
-
-    def _set_arrays(self, modes, counts, status, covered_radius, requested_radius):
-        self.modes = modes.astype(np.int32) if np.abs(modes).max(initial=0) < 2 ** 31 else modes
+    def __init__(self, modes: np.ndarray, counts: list[int], status: str,
+                 covered_radius: int):
+        # int32 holds any mode: saturation_chain allocates a (2W+1)^2 grid holding |k| <= W
+        self.modes = modes.astype(np.int32)
         self.first_level = np.repeat(np.arange(len(counts), dtype=np.min_scalar_type(len(counts))),
                                      counts)
-        self.depth, self.status = len(counts), status
-        self.covered_radius, self.requested_radius = covered_radius, requested_radius
+        self.depth, self.status, self.covered_radius = len(counts), status, covered_radius
 
     @property
     def levels(self) -> tuple[frozenset[Mode], ...]:
@@ -234,11 +206,6 @@ class SaturationChain:
                 return j
         raise ValueError("chain too shallow: modes %s not covered by any level"
                          % sorted(need - self.top))
-
-    def __eq__(self, other):
-        return isinstance(other, SaturationChain) and (
-            self.levels, self.status, self.covered_radius, self.requested_radius) == (
-            other.levels, other.status, other.covered_radius, other.requested_radius)
 
 
 def saturation_chain(k1: Iterable[Mode], radius: int, max_levels: int = 32) -> SaturationChain:
@@ -272,10 +239,10 @@ def saturation_chain(k1: Iterable[Mode], radius: int, max_levels: int = 32) -> S
     held = np.zeros(in_ball.shape, dtype=bool)
     held[fresh[:, 0] + w, fresh[:, 1] + w] = True
     modes, counts = [fresh], [len(fresh)]
-    status = _STATUS_BUDGET
+    status = "budget"
     for _ in range(max_levels):
         if not (in_target & ~held).any():
-            status = _STATUS_COVERED
+            status = "covered"
             break
         every = np.concatenate(modes)
         fx, fy, ax, ay = fresh[:, :1], fresh[:, 1:], every[:, 0], every[:, 1]
@@ -286,7 +253,7 @@ def saturation_chain(k1: Iterable[Mode], radius: int, max_levels: int = 32) -> S
         reached[sx[ok] + w, sy[ok] + w] = True
         new = reached & in_ball & ~held
         if not new.any():
-            status = _STATUS_STATIONARY
+            status = "stationary"
             break
         held |= new
         fresh = np.stack(np.nonzero(new), axis=1) - w     # lexicographic, like sorted()
@@ -294,9 +261,9 @@ def saturation_chain(k1: Iterable[Mode], radius: int, max_levels: int = 32) -> S
         counts.append(len(fresh))
     missing = r2[in_target & ~held]
     if not missing.size:
-        status = _STATUS_COVERED
+        status = "covered"
     covered = math.isqrt(int(missing.min(initial=radius * radius + 1)) - 1)
-    return SaturationChain._of_arrays(np.concatenate(modes), counts, status, covered, radius)
+    return SaturationChain(np.concatenate(modes), counts, status, covered)
 
 
 def _generates_full_lattice(members: list[Mode]) -> bool:
@@ -382,14 +349,3 @@ def chain_to_dict(chain: SaturationChain) -> dict:
 
 def chain_to_json(chain: SaturationChain, indent: int | None = None) -> str:
     return json.dumps(chain_to_dict(chain), indent=indent)
-
-
-def chain_from_dict(data: dict, requested_radius: int | None = None) -> SaturationChain:
-    levels = tuple(frozenset(tuple(k) for k in level) for level in data["levels"])
-    return SaturationChain(
-        levels=levels,
-        status=data["status"],
-        covered_radius=int(data["covered_radius"]),
-        requested_radius=int(requested_radius if requested_radius is not None
-                             else data["covered_radius"]),
-    )

@@ -455,6 +455,8 @@ def state_to_json(state: SpectralState) -> str:
 
 def state_from_json(text: str) -> SpectralState:
     data = json.loads(text)
+    if not isinstance(data, dict) or not {"radius", "coeffs"} <= data.keys():
+        raise ValueError("a state must be a JSON object with 'radius' and 'coeffs' keys")
     coeffs = {}
     for key, (re, im) in data["coeffs"].items():
         kx, ky = key.split(",")

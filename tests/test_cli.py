@@ -118,8 +118,57 @@ def test_pairs_form_program_exits_1_naming_the_segment(tmp_path, capsys):
         "radius": 3, "program": str(prog), "state": "rest", "output_dir": str(out)})
     assert main(["simulate", "--config", cfg]) == 1
     assert capsys.readouterr().err == (
-        "error: program segment 1 (oscillatory) has no 'components' key\n")
+        "error: field 'program': program segment 1 (oscillatory) has no 'components' key\n")
     assert not out.exists()
+
+
+NOT_A_PROGRAM = "a program must be a JSON object with 'support' and 'segments' keys"
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"support": [[1, 0], [-1, 0]]}', NOT_A_PROGRAM),
+    ('{"support": [[1, 0], [-1, 0]], "segments": [[1, 2]]}',
+     "program segment 0 is not a JSON object"),
+    ("[1, 2]", NOT_A_PROGRAM),
+    ('{"support": [[1, 0], [-1, 0]], "segments": 5}', "'int' object is not iterable")])
+def test_malformed_program_file_exits_1_naming_the_field(tmp_path, capsys, text, message):
+    prog = tmp_path / "prog.json"
+    prog.write_text(text)
+    out = tmp_path / "sim"
+    cfg = write_config(tmp_path, "cfg.json", {
+        "radius": 3, "program": str(prog), "state": "rest", "output_dir": str(out)})
+    assert main(["simulate", "--config", cfg]) == 1
+    assert capsys.readouterr().err == "error: field 'program': %s\n" % message
+    assert not (out / "manifest.json").exists()
+
+
+NOT_A_STATE = "a state must be a JSON object with 'radius' and 'coeffs' keys"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[1, 2]", NOT_A_STATE), ('{"radius": 3}', NOT_A_STATE),
+    ('{"radius": 3, "coeffs": [1]}', "'list' object has no attribute 'items'")])
+def test_malformed_state_file_exits_1_naming_the_field(tmp_path, capsys, text, message):
+    state = tmp_path / "state.json"
+    state.write_text(text)
+    out = tmp_path / "sim"
+    cfg = write_config(tmp_path, "cfg.json", {
+        "radius": 3, "duration": 0.01, "state": str(state), "output_dir": str(out)})
+    assert main(["simulate", "--config", cfg]) == 1
+    assert capsys.readouterr().err == "error: field 'state': %s\n" % message
+    assert not (out / "manifest.json").exists()
+
+
+def test_malformed_basis_file_exits_1_naming_the_field(tmp_path, mode_file, capsys):
+    basis = tmp_path / "basis.json"
+    basis.write_text("[1, 2]")
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, "cfg.json", {
+        "mode_set": mode_file, "basis": str(basis), "epsilon": 0.05, "target": [0.2],
+        "output_dir": str(out)})
+    assert main(["project", "--config", cfg]) == 1
+    assert capsys.readouterr().err == "error: field 'basis': %s\n" % NOT_A_STATE
+    assert not (out / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("value", ["NaN", "Infinity"])
@@ -131,7 +180,8 @@ def test_non_finite_state_file_exits_1(tmp_path, capsys, value):
     cfg = write_config(tmp_path, "cfg.json", {
         "radius": 3, "duration": 0.01, "state": str(state), "output_dir": str(out)})
     assert main(["simulate", "--config", cfg]) == 1
-    assert capsys.readouterr().err == "error: state coefficients must be finite\n"
+    assert capsys.readouterr().err == (
+        "error: field 'state': state coefficients must be finite\n")
     assert not out.exists()
 
 

@@ -8,7 +8,7 @@ import cmath
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 from scipy.integrate import quad
@@ -409,6 +409,37 @@ def test_program_json_unknown_kind_rejected():
                                                     "duration": 1.0}]}))
 
 
+ONE_CONSTANT = constant_program(SINGLE, {(1, 0): 0.5}, 1.0)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: ChannelMap(SINGLE).vector_to_rep_coeffs(np.zeros(3)),
+     "channel vector must have length 2"),
+    (lambda: ChannelMap(SINGLE).coeffs_to_vector({(2, 0): 1.0}),
+     r"mode \(2, 0\) outside the channel support"),
+    (lambda: Oscillatory(1.0, 10.0, [((1, 0), 0, 1.0)]), "harmonic index must be nonzero"),
+    (lambda: ForcingProgram(SINGLE, []), "a program needs at least one segment"),
+    (lambda: ForcingProgram(SINGLE, [Constant(1.0, {(2, 0): 1.0})]),
+     "escape the program support"),
+    (lambda: cascade_packet((2, 1), (1, 0), (1, 0), 1.0, 10.0, 1.0),
+     "pair does not sum to the target mode"),
+    (lambda: chattering_approximation(ONE_CONSTANT, 1.0, 0), "window count must be >= 1"),
+    (lambda: chattering_approximation(zero_program(1.0), 1.0, 4),
+     "cannot chatter a program with empty support"),
+    (lambda: chattering_approximation(ONE_CONSTANT, 1.0, 4, slack_channel=2),
+     "slack channel out of range"),
+    (lambda: program_from_json("[1, 2]"), "must be a JSON object with 'support'"),
+    (lambda: program_from_json('{"segments": []}'), "must be a JSON object with 'support'"),
+    (lambda: program_from_json('{"support": [], "segments": [[1, 2]]}'),
+     "program segment 0 is not a JSON object"),
+], ids=["vector_length", "coeffs_support", "harmonic", "no_segments", "segment_support",
+        "packet_pair", "windows", "empty_support", "slack_channel", "json_not_object",
+        "json_missing_key", "json_segment_not_object"])
+def test_forcing_rejects_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_extreme_set_validation():
     prog = constant_program(PAIR_SUPPORT, {(1, 0): 0.5}, 1.0)
     with pytest.raises(ValueError, match="extreme amplitude must be positive"):
@@ -763,6 +794,7 @@ def test_batched_refinement_never_below_bounded_search(prog, re, im):
 
 
 @given(generating_pairs, unit, unit, st.floats(1.0, 1e4), st.floats(0.05, 2.0))
+@example(((0, 1), (2, 0)), 0.0, 5e-324, 1.0, 1.0)     # the drive underflows to zero
 @settings(max_examples=100, deadline=None)
 def test_cascade_packet_primitives_close_at_segment_end(pair, re, im, omega, duration):
     m, n = pair

@@ -34,6 +34,17 @@ def test_integrator_config_rejects_a_bad_dt_base(dt_base):
         IntegratorConfig(dt_base=dt_base)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: IntegratorConfig(oscillation_resolution=0), "oscillation_resolution must be >= 1"),
+    (lambda: IntegratorConfig(record_stride=0), "record_stride must be >= 1"),
+    (lambda: integrate(SpectralState.zeros(3), SimParams(nu=0.0), zero_program(1.0),
+                       sample_times=[0.5, 1.5]), "sample times escape the program horizon"),
+], ids=["oscillation_resolution", "record_stride", "sample_times"])
+def test_integrator_rejects_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_single_step_linear_decay_exact():
     s = SpectralState.from_coeffs({(1, 0): 1.0}, 3)
     out = step(s, 0.0, 0.1, SimParams(nu=1.0), zero_program(1.0))

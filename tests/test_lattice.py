@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modecascade.lattice import (SaturationChain, admissible_pair, ball,
-                                 chain_from_dict, chain_to_dict, chain_to_json, check_mode,
+from modecascade.lattice import (admissible_pair, ball, chain_to_dict, chain_to_json, check_mode,
                                  find_generating_pair, format_mode_set,
                                  is_saturating_symmetric, is_symmetric,
                                  next_level, norm_sq, parse_mode_set,
@@ -199,15 +198,23 @@ def test_mode_set_parse_errors():
         parse_mode_set("0 0\n")
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: saturation_chain(FOUR_MODES, radius=0), "radius must be >= 1"),
+    (lambda: saturation_chain(FOUR_MODES, radius=3, max_levels=0), "max_levels must be >= 1"),
+    (lambda: parse_mode_set("1 x\n"), "line 1: non-integer component in '1 x'"),
+], ids=["radius", "max_levels", "component"])
+def test_lattice_rejects_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_chain_json_schema_and_round_trip():
     chain = saturation_chain(FOUR_MODES, radius=3, max_levels=10)
     data = json.loads(chain_to_json(chain))
     assert set(data) == {"levels", "covered_radius", "status"}
-    assert data["status"] == "covered"
-    back = chain_from_dict(data, requested_radius=3)
-    assert back.levels == chain.levels
-    assert back.status == chain.status
-    assert chain_to_dict(back) == data
+    assert (data["status"], data["covered_radius"]) == ("covered", 3)
+    assert data["levels"] == [sorted(map(list, level)) for level in chain.levels]
+    assert data == chain_to_dict(chain)           # the JSON text round-trips the dict
 
 
 # the single vectorized path on sets larger than the strategy above draws
@@ -235,7 +242,7 @@ def test_next_level_exact_at_the_largest_components():
 
 
 # ---------------------------------------------------------------------------
-# compact chains and chain JSON validation
+# compact chains
 
 
 def plain_chain(seed, radius, max_levels):
@@ -266,14 +273,12 @@ def assert_compact_chain_matches_plain_iteration(k, radius, max_levels):
     assert chain.top == levels[-1]
     for j, level in enumerate(levels):
         assert chain.level_containing(level) == j
-    built = SaturationChain(levels, status, covered, radius)
-    for got, want in ((chain.modes, built.modes), (chain.first_level, built.first_level)):
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
-    back = chain_from_dict(chain_to_dict(chain), requested_radius=radius)
-    assert back == chain
-    assert back.levels == chain.levels
-    assert chain_to_dict(back) == chain_to_dict(chain)
+    fresh = [sorted(level - prev) for prev, level in zip([frozenset()] + levels, levels)]
+    modes = np.array([k for new in fresh for k in new]).reshape(-1, 2)
+    first = np.repeat(np.arange(len(fresh)), [len(new) for new in fresh])
+    assert (chain.modes.dtype, chain.first_level.dtype) == (np.int32, np.uint8)
+    assert np.array_equal(chain.modes, modes)
+    assert np.array_equal(chain.first_level, first)
 
 
 @given(modes_strategy, st.integers(1, 5), st.integers(1, 6))
@@ -297,17 +302,3 @@ def test_compact_chain_matches_plain_iteration_on_bench_pairs(radius):
         assert_compact_chain_matches_plain_iteration(symmetrize(pair), radius, 32)
         statuses.add(saturation_chain(symmetrize(pair), radius, 32).status)
     assert statuses == {"covered", "stationary"}
-
-
-def test_chain_json_rejects_levels_that_are_not_nested():
-    data = {"levels": [[[1, 0], [-1, 0], [1, 1], [-1, -1]], [[1, 0], [-1, 0]]],
-            "covered_radius": 1, "status": "covered"}
-    with pytest.raises(ValueError, match=r"level 1 drops \[\(-1, -1\), \(1, 1\)\]"):
-        chain_from_dict(data)
-
-
-def test_chain_json_rejects_unknown_status():
-    data = chain_to_dict(saturation_chain(FOUR_MODES, radius=2, max_levels=10))
-    data["status"] = "bogus"
-    with pytest.raises(ValueError, match="unknown chain status 'bogus'"):
-        chain_from_dict(data)

@@ -15,7 +15,7 @@ from modecascade.lattice import norm_sq, wedge
 from modecascade.spectral import (SimParams, SpectralState, energy, enstrophy,
                                   inner0, nonlinear_term, project,
                                   project_complement, random_decaying_state,
-                                  resize, sobolev_norm, state_from_csv,
+                                  resize, sobolev_norm, sobolev_norms, state_from_csv,
                                   state_from_json, state_to_csv, state_to_json,
                                   velocity_from_vorticity, _tables)
 from modecascade.forcing import zero_program
@@ -77,10 +77,40 @@ def test_state_readers_reject_non_finite_coefficients(value):
         state_from_csv(text.replace("0.25", value.lower().replace("infinity", "inf")))
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: SpectralState.zeros(0), "resolution radius must be >= 1"),
+    (lambda: SpectralState(3, np.zeros(2)), "wrong length for radius 3"),
+    (lambda: sobolev_norms(3, np.zeros(14), order=3), "Sobolev order must be 0, 1 or 2"),
+    (lambda: inner0(SpectralState.zeros(3), SpectralState.zeros(4)),
+     "states must share a resolution radius"),
+    (lambda: state_from_csv("kx,ky,re,im\n1,0,0.5,0.0\n"), "missing '# radius=R'"),
+    (lambda: state_from_csv("# radius=3\nkx,ky,value\n"), "unexpected CSV header"),
+    (lambda: state_from_json("[1, 2]"), "must be a JSON object with 'radius'"),
+    (lambda: state_from_json('{"coeffs": {}}'), "must be a JSON object with 'radius'"),
+], ids=["radius", "vector_length", "sobolev_order", "inner0_radii", "csv_radius_row",
+        "csv_header", "json_not_object", "json_missing_key"])
+def test_spectral_rejects_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_random_state_without_a_generator_draws_from_seed_0():
+    want = random_decaying_state(3, rng=np.random.default_rng(0))
+    assert np.array_equal(random_decaying_state(3).data, want.data)
+
+
+def test_state_csv_reader_skips_blank_rows():
+    s = SpectralState.from_coeffs({(1, 0): 0.25, (2, 1): -0.5j}, 3)
+    text = state_to_csv(s).replace("\r\n", "\r\n\r\n")
+    assert np.array_equal(state_from_csv(text).data, s.data)
+
+
 def test_states_are_immutable():
     s = SpectralState.zeros(3)
     with pytest.raises((AttributeError, ValueError)):
         s.data[0] = 1.0
+    with pytest.raises(AttributeError, match="SpectralState is immutable"):
+        s.radius = 4
 
 
 # ---------------------------------------------------------------------------

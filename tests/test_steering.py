@@ -197,6 +197,28 @@ def test_cascade_rejects_unreachable_modes():
         cascade_program(prog, symmetrize({(1, 0)}), omega=100.0)
 
 
+BASIS = [SpectralState.from_coeffs({(1, 0): 0.8, (2, 1): 0.6 + 0.2j}, 6),
+         SpectralState.from_coeffs({(0, 1): 0.7j, (1, 1): -0.5}, 6)]
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: cascade_program(ForcingProgram(K2, [Oscillatory(0.5, 10.0, [((1, 0), 1, 0.5)])]),
+                             K1, omega=100.0), "not extreme-valued: chatter oscillatory"),
+    (lambda: steer_to_target(np.zeros(3), CHAIN, K1, SpectralState.zeros(3),
+                             SimParams(nu=0.01), quick_config()),
+     r"target must have one entry per observed channel \(4\)"),
+    (lambda: averaging_experiment((2, 1), ((1, 0), (1, 0)), 1.0, [50.0], 1.0,
+                                  SpectralState.zeros(3), SimParams(nu=0.01)),
+     "pair does not sum to the target mode"),
+    (lambda: steer_in_projection(*subspace_setup(BASIS, epsilon=0.05), np.zeros(3), CHAIN,
+                                 SpectralState.zeros(6), SimParams(nu=0.01), quick_config()),
+     "target must have one coordinate per basis vector"),
+], ids=["cascade_oscillatory", "steer_target", "averaging_pair", "projection_target"])
+def test_steering_rejects_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 @st.composite
 def k2_programs(draw):
     """Piecewise-constant programs on K2."""
@@ -536,9 +558,7 @@ def test_one_refinement_pass_is_the_identity_up_to_a_contraction(seed, nu, pertu
 def test_one_projection_pass_is_the_identity_up_to_a_contraction(nu):
     # subspace coordinates read through the observation subspace_setup
     # returns: the truncation to S moves them by O(epsilon^2) only
-    raw = [SpectralState.from_coeffs({(1, 0): 0.8, (2, 1): 0.6 + 0.2j}, 6),
-           SpectralState.from_coeffs({(0, 1): 0.7j, (1, 1): -0.5}, 6)]
-    proj, S = subspace_setup(raw, epsilon=0.05)
+    proj, S = subspace_setup(BASIS, epsilon=0.05)
     rng = np.random.default_rng([16, int(nu * 100)])
     s0 = random_decaying_state(6, amplitude=0.2, rng=rng)
     a, b = l1_ball_aim(rng, 2, 0.3), l1_ball_aim(rng, 2, 0.3)
@@ -553,9 +573,7 @@ def test_one_projection_pass_is_the_identity_up_to_a_contraction(nu):
 
 def test_projection_steering_that_does_not_converge_raises_its_report():
     # the report carries the subspace coordinates, not the inner ones over S
-    raw = [SpectralState.from_coeffs({(1, 0): 0.8, (2, 1): 0.6 + 0.2j}, 6),
-           SpectralState.from_coeffs({(0, 1): 0.7j, (1, 1): -0.5}, 6)]
-    proj, S = subspace_setup(raw, epsilon=0.05)
+    proj, S = subspace_setup(BASIS, epsilon=0.05)
     target = np.array([0.2, -0.1])
     with pytest.raises(ConvergenceError) as info:
         steer_in_projection(proj, S, target, CHAIN, SpectralState.zeros(6),
