@@ -144,8 +144,7 @@ def _initial(cfg: dict, em: _Emitter, radius: int) -> tuple[SpectralState, SimPa
     return state0, SimParams(nu=_get(cfg, "nu", float, 0.0))
 
 
-_INTEGRATOR_FIELDS = {"dt_base": float, "oscillation_resolution": int,
-                      "record_stride": int}
+_INTEGRATOR_FIELDS = {"dt_base": float, "record_stride": int}
 _STEERING_FIELDS = {"tau": float, "gamma": float, "omega": float,
                     "max_fp_iters": int, "fp_tol": float, "chatter_windows": int}
 

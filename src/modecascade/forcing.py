@@ -26,16 +26,17 @@ drive at all.  See :func:`cascade_packet`.
 
 Array form: a program's state is arrays over its sorted support reps
 (durations, constant values, primitive offsets at segment starts, flat
-oscillatory components; see :class:`ForcingProgram`).  One compiled read,
-``ForcingProgram._read_at`` (segment index and local time per row), is
-the only code that computes the forcing or its primitive: ``evaluate``,
-``primitive``, ``channel_primitive``, the metrics and chattering go
-through it, the integrator's per-segment evaluator is a view of it, and
-the cascade reads the arrays.  The segment classes are builders and a
-view: JSON, the CLI and the demos read ``segments``; chattering output is
-built from arrays, its ``segments`` made only when read.  The scalar
-``cmath`` closed forms, one segment and mode at a time, live in the tests
-(``tests/forcing_oracle.py``) as the oracle of the compiled read.
+oscillatory components; see :class:`ForcingProgram`).  A program is read
+only through its primitive, as the method sees a control: one compiled
+read, ``ForcingProgram._read_at`` (segment index and local time per row),
+is the only code that computes it.  ``channel_primitive``, the metrics
+and chattering go through it, the integrator's per-segment evaluator is
+a view of it, and the cascade reads the arrays.  The segment classes are
+builders and a view: JSON, the CLI and the demos read ``segments``;
+chattering output is built from arrays, its ``segments`` made only when
+read.  The scalar ``cmath`` closed forms, one segment and mode at a time,
+live in the tests (``tests/forcing_oracle.py``) as the oracle of the
+compiled read.
 """
 
 from __future__ import annotations
@@ -94,16 +95,6 @@ class ChannelMap:
         return {r: complex(vec[2 * i], vec[2 * i + 1])
                 for i, r in enumerate(self.reps)
                 if vec[2 * i] != 0 or vec[2 * i + 1] != 0}
-
-    def coeffs_to_vector(self, values: Mapping[Mode, complex]) -> np.ndarray:
-        vec = np.zeros(self.size)
-        for r, v in fold_conjugate(values, 1e-9, "forcing").items():
-            if r not in self._rep_pos:
-                raise ValueError("mode %s outside the channel support" % (r,))
-            i = self._rep_pos[r]
-            vec[2 * i] = v.real
-            vec[2 * i + 1] = v.imag
-        return vec
 
     def complex_to_vector(self, arr: np.ndarray) -> np.ndarray:
         """Channels (Re, Im interleaved) of rep values along the last axis."""
@@ -278,43 +269,24 @@ class ForcingProgram:
         idx = np.searchsorted(self.starts[1:-1], clipped, side="right")
         return idx, clipped - self.starts[idx]
 
-    def _read(self, times: np.ndarray, value: bool) -> np.ndarray:
-        """Forcing (``value``) or its primitive at each time, complex
-        (len(times), n_rep)."""
-        return self._read_at(*self._locate(times), value)
-
-    def _read_at(self, idx: np.ndarray, tloc: np.ndarray, value: bool) -> np.ndarray:
-        """Forcing (``value``) or its primitive at segment idx[r] and local
-        time tloc[r] of each row r, complex (len(idx), n_rep): the closed
-        form of the program, read by every caller."""
+    def _read_at(self, idx: np.ndarray, tloc: np.ndarray) -> np.ndarray:
+        """Primitive at segment idx[r] and local time tloc[r] of each row r,
+        complex (len(idx), n_rep): the closed form of the program, read by
+        every caller."""
         seg, col, freq, coef = self.comp_seg, self.comp_col, self.freq, self.coef
-        out = self.const[idx] if value else self.offsets[idx] + self.const[idx] * tloc[:, None]
+        out = self.offsets[idx] + self.const[idx] * tloc[:, None]
         # rows grouped by segment; each component, in stored order, adds its
         # term to its segment's rows, so every row sums its terms in order
         order = np.argsort(idx, kind="stable")
         lo, hi = np.searchsorted(idx[order], [seg, seg + 1])
         for c in np.flatnonzero(hi > lo).tolist():
             rows = order[lo[c]:hi[c]]
-            phase = np.exp(1j * freq[c] * tloc[rows])
-            out[rows, col[c]] += (1j * freq[c] * coef[c] * phase if value
-                                  else coef[c] * (phase - 1.0))
+            out[rows, col[c]] += coef[c] * (np.exp(1j * freq[c] * tloc[rows]) - 1.0)
         return out
-
-    def _unfolded_row(self, t: float, value: bool) -> dict[Mode, complex]:
-        row = self._read(np.array([t]), value)[0].tolist()
-        return unfold_conjugate({r: v for r, v in zip(self.reps, row) if v})
-
-    def evaluate(self, t: float) -> dict[Mode, complex]:
-        """Forcing vector at time t, over the full symmetric support."""
-        return self._unfolded_row(t, value=True)
-
-    def primitive(self, t: float) -> dict[Mode, complex]:
-        """Exact closed-form primitive of the forcing at time t."""
-        return self._unfolded_row(t, value=False)
 
     def _rep_matrix(self, times: np.ndarray, cmap: ChannelMap) -> np.ndarray:
         """Complex (len(times), len(cmap.reps)) matrix of primitive values."""
-        read = self._read(times, False)
+        read = self._read_at(*self._locate(times))
         if cmap.reps == self.reps:
             return read
         out = np.zeros((read.shape[0], len(cmap.reps)), dtype=np.complex128)

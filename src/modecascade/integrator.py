@@ -9,8 +9,8 @@ and Sarychev's change of variables by the control's primitive).  p is
 advanced by integrating-factor (Lawson) RK4: exp(-nu |k|^2 t) propagates
 -nu |k|^2 p exactly and -nu |k|^2 V is a known stage term; for nu = 0
 the factors are 1 and this is plain RK4, and a segment that forces
-nothing reads V = 0.  On oscillatory segments the step is capped to a
-fixed number of steps per period of the fastest harmonic; steps never
+nothing reads V = 0.  On oscillatory segments a step is at most a period
+of the fastest harmonic over ``OSCILLATION_RESOLUTION``; steps never
 cross segment boundaries.  Recorded states and the blow-up guard see q.
 
 V is read, never recomputed, here: a segment's evaluator is a view of
@@ -41,6 +41,9 @@ __all__ = ["IntegratorConfig", "Trajectory", "BlowUpError", "StepBudgetError",
 BLOWUP_LIMIT = 1e12
 MAX_STEPS = 2_000_000    # step budget of one integration; guards runaway frequencies
 _BLOCK = 64        # steps whose stage primitives one evaluator read tabulates
+# steps per period of the fastest harmonic; 8 keeps the seed-7 cover_r6 main
+# intervals within 1e-8 of a 320-steps-per-period run
+OSCILLATION_RESOLUTION = 8
 
 
 class BlowUpError(RuntimeError):
@@ -59,17 +62,13 @@ class StepBudgetError(RuntimeError):
 @dataclass(frozen=True)
 class IntegratorConfig:
     dt_base: float = 1e-3
-    # steps per period of the fastest harmonic; 8 keeps the seed-7 cover_r6
-    # main intervals within 1e-8 of a 320-steps-per-period run
-    oscillation_resolution: int = 8
     record_stride: int = 1
 
     def __post_init__(self):
         if not 0 < self.dt_base < math.inf:
             raise ValueError("dt_base must be positive")
-        for name in ("oscillation_resolution", "record_stride"):
-            if getattr(self, name) < 1:
-                raise ValueError("%s must be >= 1" % name)
+        if self.record_stride < 1:
+            raise ValueError("record_stride must be >= 1")
 
 
 class Trajectory:
@@ -160,7 +159,7 @@ def _segment_evaluator(program: ForcingProgram, i: int, tab
     def ev(times: np.ndarray) -> np.ndarray:
         out = np.zeros((times.size, tab.n_reps), dtype=np.complex128)
         if cols.size:
-            rows = program._read_at(np.full(times.size, i), times, value=False)
+            rows = program._read_at(np.full(times.size, i), times)
             out[:, pos] = rows[:, cols] - start
         return out
 
@@ -168,13 +167,13 @@ def _segment_evaluator(program: ForcingProgram, i: int, tab
 
 
 def _segment_dts(program: ForcingProgram, config: IntegratorConfig) -> np.ndarray:
-    """Step size of each segment: dt_base, capped to oscillation_resolution
+    """Step size of each segment: dt_base, capped to OSCILLATION_RESOLUTION
     steps per period of the segment's fastest harmonic."""
     fastest = np.zeros(len(program.durations))
     np.maximum.at(fastest, program.comp_seg, np.abs(program.freq))
     with np.errstate(divide="ignore"):
         return np.minimum(config.dt_base,
-                          2.0 * math.pi / fastest / config.oscillation_resolution)
+                          2.0 * math.pi / fastest / OSCILLATION_RESOLUTION)
 
 
 def _integrating_factors(nu: float, tab, h: float):

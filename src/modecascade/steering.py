@@ -444,12 +444,11 @@ def subspace_setup(basis_raw: Sequence[SpectralState], epsilon: float
     proj = Observation.of_basis(basis)
     S: set[Mode] = set()
     for e in proj.weights:
-        # the heaviest modes, until the H0 norm left out is within epsilon
+        # the heaviest modes, until the H0 norm left out is within epsilon;
+        # as tail sums, that norm is exactly 0 after the last weighted mode
         w = 2.0 * np.abs(e) ** 2
         order = np.argsort(w, kind="stable")[::-1]
-        left = np.sqrt(np.maximum(w.sum() - np.cumsum(np.r_[0.0, w[order]]), 0.0))
-        if left[-1] > epsilon:
-            raise ValueError("epsilon unattainable at resolution")
+        left = np.sqrt(np.r_[np.cumsum(w[order][::-1])[::-1], 0.0])
         S.update(_tables(radius).reps[i] for i in order[left[:-1] > epsilon])
     if not S:
         raise ValueError("epsilon %g keeps no coordinate mode: the basis vectors "

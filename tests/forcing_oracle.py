@@ -1,6 +1,7 @@
 """Scalar closed forms of forcing programs, one segment and one mode at a
-time with ``cmath``: the reference the compiled array reads are tested
-against.  Reads only the ``segments`` view and ``starts`` of a program.
+time with ``cmath``: the reference the compiled primitive read is tested
+against, directly and, through the forcing, by quadrature and differences.
+Reads only the ``segments`` view and ``starts`` of a program.
 
 A ``Constant`` segment holds its values; a component ``(k, h, c)`` of an
 ``Oscillatory`` segment contributes c i h w exp(i h w t) to the forcing
@@ -10,6 +11,8 @@ clock; a ``Zero`` segment contributes nothing.
 
 import bisect
 import cmath
+
+import numpy as np
 
 from modecascade.forcing import Constant, Oscillatory
 from modecascade.lattice import unfold_conjugate
@@ -73,3 +76,8 @@ def primitive(program, t):
     for r in segment_reps(seg):
         out[r] = out.get(r, 0j) + segment_primitive(seg, r, tloc)
     return unfold_conjugate({r: v for r, v in out.items() if v != 0})
+
+
+def channels(values, cmap):
+    """Channel vector of a mode map: Re, Im of each of ``cmap.reps``."""
+    return cmap.complex_to_vector(np.array([values.get(r, 0j) for r in cmap.reps]))

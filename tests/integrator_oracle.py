@@ -4,10 +4,10 @@ against, as ``forcing_oracle`` keeps the scalar closed forms.
 
 A step of size h from q solves dq/dt = N(q) - nu |k|^2 q + f(t) by Lawson
 RK4 on q, reading the forcing f at the step's start, midpoint and end
-through the program's compiled value read.  ``integrate`` splits the
-horizon as the package's integrator does (steps never cross segment
-boundaries; dt_base capped to ``resolution`` steps per period of a
-segment's fastest harmonic) and returns only the final state.
+from the program's arrays (the package reads only primitives).
+``integrate`` splits the horizon as the package's integrator does (steps
+never cross segment boundaries; dt_base capped to ``resolution`` steps per
+period of a segment's fastest harmonic) and returns only the final state.
 
 ``convergence_order`` estimates the package integrator's order of
 accuracy from its own runs over a dt ladder.
@@ -23,15 +23,19 @@ from modecascade.spectral import SpectralState, _tables, sobolev_norm
 
 
 def segment_forcing(program, i, tab):
-    """Forcing of segment i at local times, in the state's layout."""
-    cols = np.flatnonzero(program.const[i]).tolist()
-    cols += program.comp_col[program.comp_seg == i].tolist()
-    cols = sorted(set(cols))
+    """Forcing of segment i at local times, in the state's layout: const[i]
+    plus 1j*freq*coef*exp(1j*freq*t) over the segment's components."""
+    comps = np.flatnonzero(program.comp_seg == i).tolist()
+    cols = sorted(set(np.flatnonzero(program.const[i]).tolist()
+                      + program.comp_col[comps].tolist()))
     pos = tab.positions(program.reps[j] for j in cols)
 
     def ev(times):
         times = np.asarray(times, dtype=float).reshape(-1)
-        rows = program._read_at(np.full(times.size, i), times, value=True)
+        rows = np.tile(program.const[i], (times.size, 1))
+        for c in comps:
+            w = program.freq[c]
+            rows[:, program.comp_col[c]] += 1j * w * program.coef[c] * np.exp(1j * w * times)
         out = np.zeros((times.size, tab.n_reps), dtype=np.complex128)
         out[:, pos] = rows[:, cols]
         return out

@@ -522,6 +522,17 @@ def test_average_rejects_a_frequency_that_is_not_positive(tmp_path, capsys, omeg
     assert not out.exists()
 
 
+def test_oscillation_resolution_field_exits_1(tmp_path, capsys):
+    # the steps-per-period cap is a constant of the integrator, not a field
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, "cfg.json", {
+        "radius": 3, "duration": 0.02, "oscillation_resolution": 8, "output_dir": str(out)})
+    assert main(["simulate", "--config", cfg]) == 1
+    assert (capsys.readouterr().err
+            == "error: unknown field 'oscillation_resolution' for 'simulate'\n")
+    assert not out.exists()
+
+
 def test_misspelt_field_exits_1_without_manifest(tmp_path, mode_file, capsys):
     out = tmp_path / "o"
     cfg = write_config(tmp_path, "cfg.json", {
@@ -583,7 +594,6 @@ def test_steer_zero_fixed_point_iterations_exits_1(tmp_path, mode_file, capsys):
     ("saturate", "--radius", "Infinity", "radius"),
     ("saturate", "--seed", "Infinity", "seed"),
     ("simulate", "--record-stride", "NaN", "record_stride"),
-    ("simulate", "--oscillation-resolution", "Infinity", "oscillation_resolution"),
     ("chatter", "--windows", "NaN", "windows"),
     ("simulate", "--duration", "NaN", "duration"),
 ])

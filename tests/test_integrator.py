@@ -35,11 +35,10 @@ def test_integrator_config_rejects_a_bad_dt_base(dt_base):
 
 
 @pytest.mark.parametrize("call,message", [
-    (lambda: IntegratorConfig(oscillation_resolution=0), "oscillation_resolution must be >= 1"),
     (lambda: IntegratorConfig(record_stride=0), "record_stride must be >= 1"),
     (lambda: integrate(SpectralState.zeros(3), SimParams(nu=0.0), zero_program(1.0),
                        sample_times=[0.5, 1.5]), "sample times escape the program horizon"),
-], ids=["oscillation_resolution", "record_stride", "sample_times"])
+], ids=["record_stride", "sample_times"])
 def test_integrator_rejects_bad_input(call, message):
     with pytest.raises(ValueError, match=message):
         call()
@@ -136,13 +135,13 @@ def test_convergence_order_oscillatory():
 
 
 @pytest.mark.parametrize("nu", [0.0, 0.01])
-def test_convergence_order_of_a_forced_packet_from_a_random_state(nu):
+def test_convergence_order_of_a_forced_packet_from_a_random_state(monkeypatch, nu):
     # the ladder sets the step (one step per period caps nothing here)
+    monkeypatch.setattr(integrator, "OSCILLATION_RESOLUTION", 1)
     s0 = random_decaying_state(4, amplitude=0.3, rng=np.random.default_rng(8))
     prog = ForcingProgram(symmetrize({(1, 0), (1, 1)}),
                           [cascade_packet((2, 1), (1, 0), (1, 1), 0.5, 200.0, 0.3)])
-    order, errs = convergence_order(s0, SimParams(nu=nu), prog, [4e-3, 2e-3, 1e-3],
-                                    IntegratorConfig(oscillation_resolution=1))
+    order, errs = convergence_order(s0, SimParams(nu=nu), prog, [4e-3, 2e-3, 1e-3])
     assert 3.5 <= order <= 4.5
     assert errs[-1] < 1e-7
 
@@ -184,13 +183,13 @@ def test_blow_up_detection_carries_time():
     assert 0 < info.value.time <= 1.0
 
 
-def test_oscillation_resolution_caps_dt():
+def test_oscillation_resolution_caps_dt(monkeypatch):
     # 40 steps per period of the fastest harmonic
+    monkeypatch.setattr(integrator, "OSCILLATION_RESOLUTION", 40)
     seg = Oscillatory.from_cos_pairs(0.1, 500.0, [((1, 0), 0.5)])
     prog = ForcingProgram(SINGLE, [seg])
     traj = integrate(SpectralState.zeros(3), SimParams(), prog,
-                     IntegratorConfig(dt_base=1e-2, oscillation_resolution=40,
-                                      record_stride=1))
+                     IntegratorConfig(dt_base=1e-2, record_stride=1))
     expected_dt = (2 * math.pi / 500.0) / 40.0
     assert np.diff(traj.times).max() <= expected_dt * (1 + 1e-9)
 
@@ -200,7 +199,7 @@ def test_default_resolution_is_eight_steps_per_period():
     seg = Oscillatory(0.1, 500.0, [((1, 0), 1, 0.2), ((1, 0), 2, -0.2)])
     traj = integrate(SpectralState.zeros(3), SimParams(), ForcingProgram(SINGLE, [seg]),
                      IntegratorConfig(dt_base=1e-2))
-    assert IntegratorConfig().oscillation_resolution == 8
+    assert integrator.OSCILLATION_RESOLUTION == 8
     assert len(traj) - 1 == math.ceil(0.1 / (2 * math.pi / 1000.0 / 8))
 
 

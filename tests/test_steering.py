@@ -121,7 +121,7 @@ def test_base_step_primitive_reaches_p():
     p = np.array([0.5, -0.2, 0.1, 0.3])
     prog = base_step_program(K1, p, 0.01)
     assert prog.total_duration == pytest.approx(0.01)
-    end = cmap.coeffs_to_vector(prog.primitive(0.01))
+    end = prog.channel_primitive(np.array([0.01]), cmap)[0]
     assert np.allclose(end, p)
 
 
@@ -746,6 +746,22 @@ def test_subspace_setup_mixed_vector():
     assert symmetrize({(1, 0), (3, 2)}) <= S
     e = SpectralState(proj.radius, proj.weights[0])
     assert inner0(e, e) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("epsilon", [1e-9, 1e-12])
+def test_subspace_setup_keeps_every_weighted_mode_at_a_tiny_epsilon(epsilon):
+    # a dense basis: S is every mode of nonzero weight, after which the
+    # norm left out is exactly 0, not a rounding error above epsilon
+    rng = np.random.default_rng(0)
+    basis = [random_decaying_state(6, 0.3, 1.0, rng=rng) for _ in range(3)]
+    proj, S = subspace_setup(basis, epsilon)
+    weighted = np.flatnonzero(np.abs(proj.weights).max(axis=0))
+    assert S == symmetrize(_tables(6).reps[i] for i in weighted)
+    es = [SpectralState(6, row) for row in proj.weights]
+    for e in es:
+        t = project(e, S)
+        onto = sum((inner0(t, f) * f for f in es[1:]), inner0(t, es[0]) * es[0])
+        assert sobolev_norm(onto - t, 0) <= (len(es) + 1) * epsilon
 
 
 def test_subspace_setup_dependent_basis():
