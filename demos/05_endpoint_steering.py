@@ -50,13 +50,12 @@ cmap = mc.ChannelMap(K2)
 target = np.zeros(8)
 target[cmap.index((2, 1), "re")] = 0.2
 target[cmap.index((0, 1), "im")] = -0.15
-prog = mc.synthesize(target, CHAIN, K2, s0, params, cfg2)
+rep = mc.steer_to_target(target, CHAIN, K2, s0, params, cfg2)
+prog = rep.program
 print("synthesized program: %d segments over T=%.2f, support %s"
-      % (len(prog.segments), prog.total_duration,
-         sorted({k for k in prog.support})))
+      % (len(prog.segments), prog.total_duration, sorted(prog.support)))
 for seg in prog.segments[:6]:
     print("   ", seg)
-rep = mc.steer_to_target(target, CHAIN, K2, s0, params, cfg2)
 print("achieved:", np.round(rep.achieved, 4))
 print("error %.2e in %d iteration(s), off-observed tail growth %.3g"
       % (rep.error_norm, rep.iterations, rep.q_tail_growth))

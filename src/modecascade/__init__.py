@@ -23,10 +23,10 @@ from .forcing import (ChannelMap, Constant, ForcingProgram, Oscillatory,
                       constant_program, program_from_json, program_to_json,
                       relaxation_distance, zero_program)
 from .integrator import (BlowUpError, IntegratorConfig, StepBudgetError,
-                         Trajectory, integrate, step)
+                         Trajectory, integrate)
 from .steering import (ConvergenceError, CoverageResult, EndpointReport,
                        Observation, SteeringConfig,
                        averaging_experiment, base_step_program,
                        cascade_program, coverage_check, coverage_grid,
                        near_identity_gap, steer_in_projection, steer_to_target,
-                       subspace_setup, synthesize)
+                       subspace_setup)

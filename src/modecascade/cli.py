@@ -249,7 +249,10 @@ def _run_simulate(cfg: dict, em: _Emitter) -> int:
 
 def _observed_set(cfg: dict) -> frozenset:
     field = "mode_set" if cfg.get("observed") is None else "observed"
-    return symmetrize(parse_mode_set(_existing_path(cfg, field).read_text()))
+    observed = symmetrize(parse_mode_set(_existing_path(cfg, field).read_text()))
+    if not observed:
+        raise ConfigError("field '%s': the file lists no mode" % field)
+    return observed
 
 
 def _steer_and_report(em: _Emitter, run):
@@ -383,6 +386,8 @@ def _run_rxprobe(cfg: dict, em: _Emitter) -> int:
 def _run_project(cfg: dict, em: _Emitter) -> int:
     basis = _parsed(cfg, "basis", lambda text: [state_from_json(json.dumps(e))
                                                 for e in json.loads(text)])
+    if not basis:
+        raise ConfigError("field 'basis': the file lists no basis vector")
     observed_radius = max(s.radius for s in basis)
     state0, params = _initial(cfg, em, _get(cfg, "radius", int, max(observed_radius, 4)))
     proj, S = subspace_setup(basis, _get(cfg, "epsilon", float))

@@ -15,11 +15,11 @@ cross segment boundaries.  Recorded states and the blow-up guard see q.
 
 V is read, never recomputed, here: a segment's evaluator is a view of
 the program's compiled read (``ForcingProgram._read_at``) that positions
-the modes the segment forces in the state's layout.  ``step`` and
-``integrate`` advance through one stepper that tabulates V for a run of
-equal steps in blocks of at most _BLOCK steps: one array read of the
-segment's evaluator gives V at the start, midpoint and end of every step
-in the block, so the RK4 step itself only adds rows.
+the modes the segment forces in the state's layout.  ``integrate``
+advances through one stepper that tabulates V for a run of equal steps
+in blocks of at most _BLOCK steps: one array read of the segment's
+evaluator gives V at the start, midpoint and end of every step in the
+block, so the RK4 step itself only adds rows.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .forcing import ForcingProgram
 from .spectral import SimParams, SpectralState, _tables, energies, sobolev_norms
 
 __all__ = ["IntegratorConfig", "Trajectory", "BlowUpError", "StepBudgetError",
-           "step", "integrate"]
+           "integrate"]
 
 BLOWUP_LIMIT = 1e12
 MAX_STEPS = 2_000_000    # step budget of one integration; guards runaway frequencies
@@ -221,22 +221,6 @@ def _check_finite(q: np.ndarray, t: float):
     m = np.maximum.reduce(np.abs(q))
     if not m <= BLOWUP_LIMIT:
         raise BlowUpError(t)
-
-
-def step(state: SpectralState, t: float, dt: float, params: SimParams,
-         program: ForcingProgram) -> SpectralState:
-    """One interaction-picture Lawson RK4 step; [t, t+dt] must sit inside a
-    single forcing segment (callers split at boundaries)."""
-    if not 0 < dt < math.inf:
-        raise ValueError("dt must be positive")
-    (i,), (tloc,) = program._locate([t])
-    if tloc + dt > program.durations[i] * (1 + 1e-12) + 1e-15:
-        raise ValueError("step crosses a forcing segment boundary; split the step")
-    tab = _tables(state.radius)
-    (q,) = _steps(state.data, _segment_evaluator(program, i, tab),
-                  _integrating_factors(params.nu, tab, dt), tab.nonlinear, tloc, dt, 1)
-    _check_finite(q, t + dt)
-    return SpectralState(state.radius, q, _copy=False)
 
 
 def integrate(state0: SpectralState, params: SimParams, program: ForcingProgram,

@@ -335,10 +335,6 @@ def parse_mode_set(text: str) -> frozenset[Mode]:
     return frozenset(out)
 
 
-def format_mode_set(modes: Iterable[Mode]) -> str:
-    return "\n".join("%d %d" % k for k in sorted(frozenset(modes))) + "\n"
-
-
 def chain_to_dict(chain: SaturationChain) -> dict:
     return {
         "levels": [[list(k) for k in sorted(level)] for level in chain.levels],

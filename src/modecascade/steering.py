@@ -35,7 +35,7 @@ __all__ = [
     "SteeringConfig", "Observation",
     "EndpointReport", "ConvergenceError",
     "base_step_program", "cascade_program",
-    "synthesize", "steer_to_target", "near_identity_gap",
+    "steer_to_target", "near_identity_gap",
     "averaging_experiment", "subspace_setup", "steer_in_projection",
     "coverage_grid", "coverage_check", "CoverageResult",
     "report_to_dict",
@@ -290,21 +290,6 @@ def _synthesize_pieces(aim: np.ndarray, chain: SaturationChain,
     return full, [traj_main, traj_corr]
 
 
-def synthesize(target: np.ndarray, chain: SaturationChain, k_obs,
-               state0: SpectralState, params: SimParams,
-               config: SteeringConfig) -> ForcingProgram:
-    """Build the full cascade program for one observed target vector.
-
-    This is the first pass of :func:`steer_to_target`, its ramp aimed by
-    the same defect prediction.  The terminal correction needs the
-    simulated end state of the main interval, so this runs one
-    integration internally.
-    """
-    program, _ = _synthesize_pieces(np.asarray(target, dtype=float), chain,
-                                    symmetrize(k_obs), state0, params, config)
-    return program
-
-
 def _tail_growth(trajs: Sequence[Trajectory], obs: frozenset[Mode],
                  state0: SpectralState) -> tuple[float, int]:
     """Unobserved H0 norm growth over the recorded states (the first is
@@ -455,10 +440,11 @@ def subspace_setup(basis_raw: Sequence[SpectralState], epsilon: float
                          "have unit norm, so epsilon must be below 1" % epsilon)
     S_sym = symmetrize(S)
     truncated = np.where(_rep_mask(_tables(radius), S_sym), proj.weights, 0.0)
-    # each truncated vector's projection onto the subspace, less the vector
+    # each truncated vector's projection onto the subspace, less the vector:
+    # at most epsilon in exact arithmetic, so the bound only adds rounding room
     defects = sobolev_norms(radius, 2.0 * (truncated @ proj.weights.conj().T).real
                             @ proj.weights - truncated)
-    if defects.max() > (len(basis) + 1) * epsilon * (1 + 1e-9):
+    if defects.max() > (len(basis) + 1) * (epsilon + 16 * np.finfo(float).eps):
         raise RuntimeError("truncation defect %.3g exceeds the (l+1)*eps bound"
                            % defects.max())
     return proj, S_sym

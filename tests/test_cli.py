@@ -8,7 +8,7 @@ import pytest
 from modecascade.cli import (_integrator_config, _steering_config, build_parser,
                              main)
 from modecascade.forcing import constant_program, program_to_json
-from modecascade.lattice import format_mode_set, symmetrize
+from modecascade.lattice import symmetrize
 from modecascade.spectral import (SpectralState, random_decaying_state, resize,
                                   state_to_csv, state_to_json)
 from modecascade.forcing import ForcingProgram, Oscillatory
@@ -17,6 +17,11 @@ from modecascade.integrator import IntegratorConfig
 from modecascade.steering import SteeringConfig
 
 FOUR_MODES = symmetrize({(1, 0), (1, 1)})
+
+
+def mode_lines(modes) -> str:
+    """A mode-set file: one "kx ky" line per mode."""
+    return "".join("%d %d\n" % k for k in sorted(modes))
 
 
 def write_config(tmp_path, name, payload):
@@ -28,7 +33,7 @@ def write_config(tmp_path, name, payload):
 @pytest.fixture
 def mode_file(tmp_path):
     path = tmp_path / "k1.txt"
-    path.write_text(format_mode_set(FOUR_MODES))
+    path.write_text(mode_lines(FOUR_MODES))
     return str(path)
 
 
@@ -171,6 +176,51 @@ def test_malformed_basis_file_exits_1_naming_the_field(tmp_path, mode_file, caps
     assert not (out / "manifest.json").exists()
 
 
+def test_empty_basis_file_exits_1_naming_the_field(tmp_path, mode_file, capsys):
+    basis = tmp_path / "basis.json"
+    basis.write_text("[]")
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, "cfg.json", {
+        "mode_set": mode_file, "basis": str(basis), "epsilon": 0.05, "target": [0.2],
+        "output_dir": str(out)})
+    assert main(["project", "--config", cfg]) == 1
+    assert capsys.readouterr().err == "error: field 'basis': the file lists no basis vector\n"
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("field", ["observed", "mode_set"])
+@pytest.mark.parametrize("command,fields", [("steer", {"target": [0.1]}),
+                                            ("cover", {"target_radius": 0.1})])
+def test_empty_mode_set_file_exits_1_naming_the_field(tmp_path, mode_file, capsys,
+                                                      field, command, fields):
+    # without 'observed', the observed modes are those of 'mode_set'
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# no modes\n")
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, "cfg.json", {
+        "mode_set": mode_file, "radius": 4, "output_dir": str(out), **fields,
+        field: str(empty)})
+    assert main([command, "--config", cfg]) == 1
+    assert capsys.readouterr().err == "error: field '%s': the file lists no mode\n" % field
+    assert not (out / "manifest.json").exists()
+
+
+def test_project_at_epsilon_1e_16_exits_without_a_traceback(tmp_path, mode_file):
+    # the truncation defect of this basis is a few ulps, above (l+1) * 1e-16
+    rng = np.random.default_rng(0)
+    basis = tmp_path / "basis.json"
+    basis.write_text(json.dumps([json.loads(state_to_json(random_decaying_state(
+        6, 0.3, 1.0, rng=rng))) for _ in range(3)]))
+    out = tmp_path / "proj"
+    cfg = write_config(tmp_path, "cfg.json", {
+        "mode_set": mode_file, "basis": str(basis), "epsilon": 1e-16, "radius": 6,
+        "nu": 0.01, "target": [0.0, 0.0, 0.0], "tau": 0.01, "fp_tol": 1.0,
+        "max_fp_iters": 1, "chatter_windows": 1, "dt_base": 1e-2, "state": "rest",
+        "output_dir": str(out)})
+    assert main(["project", "--config", cfg]) == 0
+    assert (out / "report.json").exists() and (out / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("value", ["NaN", "Infinity"])
 def test_non_finite_state_file_exits_1(tmp_path, capsys, value):
     # rejected while the state loads, not as a blow-up (exit 2) at the first step
@@ -273,7 +323,7 @@ def test_steer_nonconvergence_exit_2_with_partial_report(tmp_path, mode_file):
     # observed: the second saturation level, whose cascade channel (0, 1)
     # the first pass misses (a directly forced K1 ramp is exact)
     observed = tmp_path / "k2.txt"
-    observed.write_text(format_mode_set(symmetrize({(0, 1), (1, 0), (1, 1), (2, 1)})))
+    observed.write_text(mode_lines(symmetrize({(0, 1), (1, 0), (1, 1), (2, 1)})))
     out = tmp_path / "steer2"
     cfg = write_config(tmp_path, "cfg.json", {
         "mode_set": mode_file, "observed": str(observed), "radius": 4, "nu": 0.05,

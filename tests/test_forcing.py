@@ -42,6 +42,15 @@ def primitive_at(prog, t, cmap=ChannelMap(SINGLE)):
 # primitive
 
 
+def test_reprs_name_the_kind_and_size():
+    prog = ForcingProgram(SINGLE, [Constant(0.5, {(1, 0): 1.0}), Zero(0.25),
+                                   Oscillatory.from_cos_pairs(0.25, 40.0, [((1, 0), 1.0)])])
+    assert [repr(s) for s in prog.segments] == [
+        "Constant(duration=0.5, modes=[(1, 0)])", "Zero(duration=0.25)",
+        "Oscillatory(duration=0.25, omega=40, components=2)"]
+    assert repr(prog) == "ForcingProgram(support=2 modes, segments=3, T=1)"
+
+
 def test_relaxation_distance_within_the_duration_tolerance():
     # durations 1 and 1 + 1e-10 agree to the 1e-9 tolerance; the sliver
     # past the shorter horizon is not read

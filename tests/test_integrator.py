@@ -9,7 +9,7 @@ import pytest
 from modecascade.forcing import (ForcingProgram, Oscillatory, constant_program,
                                  zero_program)
 from modecascade.integrator import (BlowUpError, IntegratorConfig, Trajectory,
-                                    integrate, step)
+                                    integrate)
 from modecascade import integrator
 from modecascade.integrator import BLOWUP_LIMIT, StepBudgetError, _check_finite
 from modecascade.integrator import (_integrating_factors, _lawson_rk4,
@@ -46,8 +46,9 @@ def test_integrator_rejects_bad_input(call, message):
 
 def test_single_step_linear_decay_exact():
     s = SpectralState.from_coeffs({(1, 0): 1.0}, 3)
-    out = step(s, 0.0, 0.1, SimParams(nu=1.0), zero_program(1.0))
-    assert out.coeff((1, 0)) == pytest.approx(math.exp(-0.1), abs=1e-15)
+    traj = integrate(s, SimParams(nu=1.0), zero_program(0.1), IntegratorConfig(dt_base=0.1))
+    assert len(traj) == 2
+    assert traj.final.coeff((1, 0)) == pytest.approx(math.exp(-0.1), abs=1e-15)
 
 
 def test_full_run_linear_decay_exact():
@@ -59,24 +60,11 @@ def test_full_run_linear_decay_exact():
 
 def test_constant_forcing_from_rest():
     c, dt = 0.4 - 0.3j, 0.05
-    prog = constant_program(SINGLE, {(1, 0): c}, 1.0)
-    out = step(SpectralState.zeros(3), 0.0, dt, SimParams(), prog)
+    prog = constant_program(SINGLE, {(1, 0): c}, dt)
+    traj = integrate(SpectralState.zeros(3), SimParams(), prog, IntegratorConfig(dt_base=dt))
+    assert len(traj) == 2
     # forcing is constant and the nonlinearity is third-order small
-    assert out.coeff((1, 0)) == pytest.approx(c * dt, abs=1e-8)
-
-
-def test_step_crossing_segment_boundary_rejected():
-    prog = ForcingProgram(SINGLE, [zero_program(0.5, SINGLE).segments[0],
-                                   zero_program(0.5, SINGLE).segments[0]])
-    s = SpectralState.zeros(3)
-    with pytest.raises(ValueError, match="crosses"):
-        step(s, 0.4, 0.2, SimParams(), prog)
-
-
-@pytest.mark.parametrize("dt", [0.0, math.nan, math.inf])
-def test_step_rejects_a_non_finite_dt(dt):
-    with pytest.raises(ValueError, match="dt must be positive"):
-        step(SpectralState.zeros(3), 0.0, dt, SimParams(), zero_program(1.0, SINGLE))
+    assert traj.final.coeff((1, 0)) == pytest.approx(c * dt, abs=1e-8)
 
 
 def test_euler_conservation_drift():
@@ -290,10 +278,10 @@ def test_summary_rows_match_the_per_state_norms_bitwise():
 def test_public_step_through_oscillatory_segment():
     seg = Oscillatory.from_cos_pairs(0.5, 80.0, [((1, 0), 1.0)])
     prog = ForcingProgram(SINGLE, [zero_program(0.5, SINGLE).segments[0], seg])
-    s = SpectralState.zeros(3)
-    out = step(s, 0.6, 1e-3, SimParams(), prog)     # inside the second segment
-    # one small step under v ~ A*omega*cos(omega*(t-0.5)) from rest
-    assert abs(out.coeff((1, 0))) > 0
+    traj = integrate(SpectralState.zeros(3), SimParams(), prog, sample_times=[0.6])
+    # at rest through the zero segment, then driven by v ~ A*omega*cos(omega*(t-0.5))
+    assert traj.at(0.5).coeff((1, 0)) == 0
+    assert abs(traj.at(0.6).coeff((1, 0))) > 0
 
 
 def test_step_budget_guard():
@@ -419,10 +407,6 @@ def test_blocked_integrate_matches_scalar_step_loop(nu):
         v = ev(np.array([tloc, tloc + 0.5 * h, tloc + h]))
         q = _lawson_rk4(q, h, *factors, tab.nonlinear, *v, *(lap * v))
     assert traj.final.data.tobytes() == q.tobytes()
-    state = state0
-    for j in range(n):
-        state = step(state, j * h, h, params, prog)
-    assert state.data.tobytes() == q.tobytes()
 
 
 def test_segment_evaluator_rejects_modes_outside_the_radius():

@@ -51,6 +51,11 @@ def test_conjugate_symmetry_is_structural():
     assert s.coeff((5, 5)) == 0          # outside the ball
 
 
+def test_state_repr_names_the_radius_and_h0_norm():
+    s = SpectralState.from_coeffs({(1, 0): 0.5}, 2)
+    assert repr(s) == "SpectralState(radius=2, modes=12, |w|_0=0.707)"
+
+
 def test_conflicting_conjugate_entries_rejected():
     with pytest.raises(ValueError, match="conjugate"):
         SpectralState.from_coeffs({(1, 0): 1.0, (-1, 0): 2.0}, 3)

@@ -24,7 +24,7 @@ from modecascade.steering import (ConvergenceError, Observation,
                                   coverage_check, coverage_grid,
                                   near_identity_gap,
                                   steer_in_projection, steer_to_target,
-                                  subspace_setup, synthesize)
+                                  subspace_setup)
 import modecascade.steering as steering_module
 import integrator_oracle
 from modecascade.integrator import BlowUpError, StepBudgetError
@@ -252,8 +252,8 @@ def test_cascade_of_chattering_needs_no_run_merge(data):
 
 def test_synthesize_m1_is_single_ramp():
     cfg = quick_config(tau=0.02)
-    prog = synthesize(np.array([0.5, 0, 0, 0]), CHAIN, K1,
-                      SpectralState.zeros(4), SimParams(), cfg)
+    prog = steering_module._synthesize_pieces(np.array([0.5, 0, 0, 0]), CHAIN, K1,
+                                              SpectralState.zeros(4), SimParams(), cfg)[0]
     assert len(prog.segments) == 1
     assert isinstance(prog.segments[0], Constant)
     assert prog.total_duration == pytest.approx(0.02)
@@ -271,8 +271,8 @@ def test_synthesize_recursion_reaches_depth_two():
                        integrator=IntegratorConfig(dt_base=1e-3,
                                                    record_stride=50))
     target = np.array([0.05, 0.0])
-    prog = synthesize(target, chain3, obs, SpectralState.zeros(6), SimParams(),
-                      cfg)
+    prog = steering_module._synthesize_pieces(target, chain3, obs, SpectralState.zeros(6),
+                                              SimParams(), cfg)[0]
     assert prog.support <= symmetrize(chain3.levels[0]) | obs
     # no controlled channel is observed here, so no terminal correction
     assert prog.total_duration == pytest.approx(cfg.tau)
@@ -283,7 +283,8 @@ def test_synthesize_m2_contains_packets_and_correction():
     cfg = quick_config()
     target = np.zeros(8)
     target[ChannelMap(K2).index((2, 1), "re")] = 0.25
-    prog = synthesize(target, CHAIN, K2, SpectralState.zeros(6), SimParams(), cfg)
+    prog = steering_module._synthesize_pieces(target, CHAIN, K2, SpectralState.zeros(6),
+                                              SimParams(), cfg)[0]
     kinds = [type(s).__name__ for s in prog.segments]
     assert "Oscillatory" in kinds
     assert prog.support <= K1 | K2
@@ -387,7 +388,8 @@ def test_steer_error_sequence_monotone_m1():
     p = target.copy()
     s0 = SpectralState.zeros(4)
     for _ in range(4):
-        prog = synthesize(p, CHAIN, K1, s0, SimParams(nu=0.05), cfg)
+        prog = steering_module._synthesize_pieces(p, CHAIN, K1, s0, SimParams(nu=0.05),
+                                                  cfg)[0]
         achieved = orig.observe(integrate(s0, SimParams(nu=0.05), prog, FAST).final)
         errors.append(np.linalg.norm(target - achieved))
         p = p + (target - achieved)
@@ -489,7 +491,8 @@ def test_synthesize_is_the_first_refinement_pass(nu):
     cfg = quick_config(max_fp_iters=1, fp_tol=1.0)
     s0 = random_decaying_state(6, amplitude=0.2, rng=np.random.default_rng(3))
     target = ball_target(np.random.default_rng([7, 1]))
-    prog = synthesize(target, CHAIN, K2, s0, SimParams(nu=nu), cfg)
+    prog = steering_module._synthesize_pieces(target, CHAIN, K2, s0, SimParams(nu=nu),
+                                              cfg)[0]
     rep = steer_to_target(target, CHAIN, K2, s0, SimParams(nu=nu), cfg)
     assert rep.iterations == 1
     assert program_to_json(prog) == program_to_json(rep.program)
@@ -762,6 +765,18 @@ def test_subspace_setup_keeps_every_weighted_mode_at_a_tiny_epsilon(epsilon):
         t = project(e, S)
         onto = sum((inner0(t, f) * f for f in es[1:]), inner0(t, es[0]) * es[0])
         assert sobolev_norm(onto - t, 0) <= (len(es) + 1) * epsilon
+
+
+@pytest.mark.parametrize("epsilon", [1e-16, 1e-17])
+def test_subspace_setup_self_check_allows_rounding(epsilon):
+    # below float64 resolution every weighted mode is kept, and the
+    # truncation defect is a few ulps of a unit vector, not a fault
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        basis = [random_decaying_state(6, 0.3, 1.0, rng=rng) for _ in range(3)]
+        proj, S = subspace_setup(basis, epsilon)
+        weighted = np.flatnonzero(np.abs(proj.weights).max(axis=0))
+        assert S == symmetrize(_tables(6).reps[i] for i in weighted)
 
 
 def test_subspace_setup_dependent_basis():

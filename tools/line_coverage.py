@@ -62,15 +62,22 @@ class LineTracer:
 
         return local
 
+    def report(self) -> list[str]:
+        """Per module, the executable lines never reached, as ranges."""
+        out = []
+        for path in sorted(self.package.glob("*.py")):
+            lines = executable_lines(path)
+            missed = sorted(lines - self.hits[str(path)])
+            out.append("%s: %d of %d unexecuted%s" % (
+                path.name, len(missed), len(lines), ": " + _ranges(missed) if missed else ""))
+        return out
+
     def pytest_terminal_summary(self, terminalreporter):
         sys.settrace(None)
         threading.settrace(None)
         terminalreporter.section("modecascade lines no test ran")
-        for path in sorted(self.package.glob("*.py")):
-            lines = executable_lines(path)
-            missed = sorted(lines - self.hits[str(path)])
-            terminalreporter.write_line("%s: %d of %d unexecuted%s" % (
-                path.name, len(missed), len(lines), ": " + _ranges(missed) if missed else ""))
+        for line in self.report():
+            terminalreporter.write_line(line)
 
 
 def pytest_configure(config):

@@ -17,11 +17,10 @@ line:
   (chattering and packets);
 - the state after each of six seed-7 ``euler_r24`` operations (nu = 0,
   zero program, FFT kernel);
-- ``integrate`` with sample times (record times and states) and a chained
-  ``step()`` over one program mixing the four segment kinds (constant,
-  zero, cosine bundle, multi-harmonic packet), at R = 5 (triad kernel) and
-  R = 12 (FFT kernel), each at nu = 0 and nu = 0.01, and that program's
-  JSON;
+- ``integrate`` with sample times (record times and states) over one
+  program mixing the four segment kinds (constant, zero, cosine bundle,
+  multi-harmonic packet), at R = 5 (triad kernel) and R = 12 (FFT
+  kernel), each at nu = 0 and nu = 0.01, and that program's JSON;
 - the ``BlowUpError.time`` of that ``integrate`` run at R = 5 from a
   state large enough to blow up inside the forced first segment, at
   nu = 0 and nu = 0.01;
@@ -33,9 +32,7 @@ relative paths so that two checkouts write the same manifests: a fixed
 ``steer``, ``project`` (a two-vector basis mixing four mode pairs) and
 ``cover`` (with a ``tau_ladder``, so the near-identity gap too) run, one
 line for each exit code and one for each file the run wrote
-(``manifest.json`` included).  Then comes the program JSON of
-``synthesize`` from rest for the first seed-7 ``cover_r6`` target, and
-last, in the same form as the command-line runs above, an ``average``
+(``manifest.json`` included).  Then, in the same form, come an ``average``
 run (rest state, two omegas) and an ``rxprobe`` run in trajectory mode
 (random state), whose deviations reduce recorded trajectories.  Last of
 all comes one line for each of the six seed-7 ``control_algebra`` rounds
@@ -155,16 +152,10 @@ def integrator_lines(mc):
     for radius in (5, 12):
         state0 = mc.random_decaying_state(radius, rng=np.random.default_rng(SEED))
         for nu in (0.0, 0.01):
-            params = mc.SimParams(nu=nu)
-            traj = mc.integrate(state0, params, program, config, sample_times=samples)
+            traj = mc.integrate(state0, mc.SimParams(nu=nu), program, config,
+                                sample_times=samples)
             yield "integrate R=%d nu=%g" % (radius, nu), digest(
                 floats(traj.times), [floats(s.data) for s in traj.states])
-            state = state0
-            for t0, duration in zip(program.starts.tolist(), program.durations.tolist()):
-                h = duration / 10
-                for j in range(10):
-                    state = mc.step(state, t0 + j * h, h, params, program)
-            yield "step chain R=%d nu=%g" % (radius, nu), digest(floats(state.data))
     state0 = mc.random_decaying_state(5, BLOWUP_AMPLITUDE, rng=np.random.default_rng(SEED))
     blowups = []
     for nu in (0.0, 0.01):
@@ -235,19 +226,11 @@ def cli_lines(mc, runs):
             os.chdir(home)
 
 
-def synthesize_lines(mc, workloads):
-    wl = workloads.CoverR6(SEED)
-    ctx = wl.setup()
-    program = mc.synthesize(wl.inputs(ctx, 0), ctx.chain, ctx.observed, ctx.state0,
-                            ctx.params, ctx.config)
-    yield "synthesize cover_r6 target 0 program_json", digest(mc.program_to_json(program))
-
-
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, required=True,
                         help="source directory holding the modecascade package")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     src = args.src.resolve()
     if not (src / "modecascade" / "__init__.py").is_file():
         print("error: no modecascade package under %s" % src, file=sys.stderr)
@@ -263,8 +246,8 @@ def main() -> int:
             print("%s %s" % (value, name), flush=True)
             total.update(value.encode())
     print("%s all" % total.hexdigest())
-    for lines in (cli_lines(mc, CLI_RUNS), synthesize_lines(mc, workloads),
-                  cli_lines(mc, DEVIATION_RUNS), chain_lines(mc, workloads)):
+    for lines in (cli_lines(mc, CLI_RUNS), cli_lines(mc, DEVIATION_RUNS),
+                  chain_lines(mc, workloads)):
         for name, value in lines:
             print("%s %s" % (value, name), flush=True)
     return 0
