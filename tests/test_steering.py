@@ -768,15 +768,18 @@ def test_subspace_setup_keeps_every_weighted_mode_at_a_tiny_epsilon(epsilon):
 
 
 @pytest.mark.parametrize("epsilon", [1e-16, 1e-17])
-def test_subspace_setup_self_check_allows_rounding(epsilon):
+@pytest.mark.parametrize("radius,count", [(6, 300), (24, 20)])
+def test_subspace_setup_self_check_allows_rounding(radius, count, epsilon):
     # below float64 resolution every weighted mode is kept, and the
-    # truncation defect is a few ulps of a unit vector, not a fault
+    # truncation defect is a few ulps of a unit vector, not a fault; each
+    # entry rounds relative to its own size, so the defect does not grow
+    # with the 56 modes of R=6 or the 896 of R=24
     rng = np.random.default_rng(0)
-    for _ in range(300):
-        basis = [random_decaying_state(6, 0.3, 1.0, rng=rng) for _ in range(3)]
+    for _ in range(count):
+        basis = [random_decaying_state(radius, 0.3, 1.0, rng=rng) for _ in range(3)]
         proj, S = subspace_setup(basis, epsilon)
         weighted = np.flatnonzero(np.abs(proj.weights).max(axis=0))
-        assert S == symmetrize(_tables(6).reps[i] for i in weighted)
+        assert S == symmetrize(_tables(radius).reps[i] for i in weighted)
 
 
 def test_subspace_setup_dependent_basis():

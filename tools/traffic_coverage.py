@@ -1,11 +1,10 @@
 """List the lines of ``modecascade`` that no traffic outside the tests runs.
 
-    python3 tools/traffic_coverage.py [--ops N]
+    python3 tools/traffic_coverage.py
 
-The traffic is ``--ops`` operations (default 2) of each benchmark
-workload, run through ``harness.measure`` and checked by the workload's
-``checks``; every script in ``demos/``; and the runs of
-``tools/output_digest.py``.  ``line_coverage.LineTracer`` records the
+The traffic is ``OPS`` operations of each benchmark workload, run
+through ``harness.measure`` and checked by the workload's ``checks``;
+every script in ``demos/``; and the runs of ``tools/output_digest.py``.  ``line_coverage.LineTracer`` records the
 lines from before the package is imported, and the report has the form
 of ``line_coverage``'s: per module, the executable lines never reached,
 as ranges.  A public name whose body is listed is reached only by tests.
@@ -19,7 +18,6 @@ traffic imports; tracing slows the traffic several times over.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import importlib.util
 import io
@@ -30,9 +28,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1                  # perfbench/run.py's default
+OPS = 2                   # operations of each workload
 
 
-def run_traffic(ops: int) -> list[str]:
+def run_traffic() -> list[str]:
     """Runs the traffic; returns the labels of failed workload checks."""
     import harness
     import output_digest
@@ -41,7 +40,7 @@ def run_traffic(ops: int) -> list[str]:
     for name, workload in workloads.WORKLOADS.items():
         wl = workload(SEED)
         ctx = wl.setup()
-        outputs, _, _ = harness.measure(wl, ctx, count=ops)
+        outputs, _, _ = harness.measure(wl, ctx, count=OPS)
         failed += ["%s: %s" % (name, label) for label, ok in wl.checks(ctx, outputs) if not ok]
     for demo in sorted((ROOT / "demos").glob("*.py")):
         runpy.run_path(str(demo), run_name="__main__")
@@ -50,10 +49,6 @@ def run_traffic(ops: int) -> list[str]:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--ops", type=int, default=2,
-                        help="operations of each benchmark workload")
-    args = parser.parse_args()
     sys.dont_write_bytecode = True
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tools")]
     import line_coverage
@@ -63,7 +58,7 @@ def main() -> int:
     sys.settrace(tracer.trace)
     try:
         with contextlib.redirect_stdout(io.StringIO()):
-            failed = run_traffic(args.ops)
+            failed = run_traffic()
     finally:
         sys.settrace(None)
         threading.settrace(None)
