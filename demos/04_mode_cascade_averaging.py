@@ -30,9 +30,8 @@ print("difference mode %s is the potential casualty" % (DIFF,))
 print()
 
 print("=== counter-rotating packets ===")
-on_pair = []
-devs = mc.averaging_experiment(K, (M, N), 1.0, omegas, 0.5, s0, mc.SimParams(),
-                               icfg, pair_deviation=on_pair)
+devs, on_pair = mc.averaging_experiment(K, (M, N), 1.0, omegas, 0.5, s0,
+                                        mc.SimParams(), icfg)
 for w, d, p in zip(omegas, devs, on_pair):
     print("  omega=%4d  off-pair D = %.4f   on-pair mismatch = %.4f" % (w, d, p))
 print("  (the on-pair mismatch is where the oscillation rides; the")

@@ -127,8 +127,8 @@ def _load_state(cfg: dict, radius: int) -> SpectralState:
     if source == "rest":
         return SpectralState.zeros(radius)
     if source == "random":
-        return random_decaying_state(radius, _get(cfg, "amplitude", float, 0.3),
-                                     _get(cfg, "decay", float, 3.0), _rng(cfg))
+        return random_decaying_state(radius, rng=_rng(cfg), **_given(
+            cfg, {"amplitude": float, "decay": float}))
     parse = state_from_json if Path(source).suffix == ".json" else state_from_csv
     state = _parsed(cfg, "state", parse)
     if state.radius < radius:
@@ -141,7 +141,7 @@ def _initial(cfg: dict, em: _Emitter, radius: int) -> tuple[SpectralState, SimPa
     records the state's resolution for the manifest."""
     state0 = _load_state(cfg, radius)
     em.radius = state0.radius
-    return state0, SimParams(nu=_get(cfg, "nu", float, 0.0))
+    return state0, SimParams(**_given(cfg, {"nu": float}))
 
 
 _INTEGRATOR_FIELDS = {"dt_base": float, "record_stride": int}
@@ -150,7 +150,7 @@ _STEERING_FIELDS = {"tau": float, "gamma": float, "omega": float,
 
 
 def _given(cfg: dict, fields: dict) -> dict:
-    """The fields set in cfg, converted; the dataclass defaults fill the rest."""
+    """The fields set in cfg, converted; the library's defaults fill the rest."""
     return {name: _get(cfg, name, convert) for name, convert in fields.items()
             if cfg.get(name) is not None}
 
@@ -165,9 +165,9 @@ def _steering_config(cfg: dict) -> SteeringConfig:
 
 
 def _chain_for(cfg: dict, observed: frozenset):
-    k1 = symmetrize(parse_mode_set(_existing_path(cfg, "mode_set").read_text()))
+    k1 = symmetrize(_parsed(cfg, "mode_set", parse_mode_set))
     need = max(1, int(np.ceil(np.sqrt(max(norm_sq(k) for k in observed)))))
-    return saturation_chain(k1, radius=need, max_levels=_get(cfg, "max_levels", int, 16))
+    return saturation_chain(k1, radius=need, **_given(cfg, {"max_levels": int}))
 
 
 class _Emitter:
@@ -223,9 +223,9 @@ class _Emitter:
 
 
 def _run_saturate(cfg: dict, em: _Emitter) -> int:
-    modes = parse_mode_set(_existing_path(cfg, "mode_set").read_text())
-    chain = saturation_chain(modes, radius=_get(cfg, "radius", int),
-                             max_levels=_get(cfg, "max_levels", int, 32))
+    chain = saturation_chain(_parsed(cfg, "mode_set", parse_mode_set),
+                             radius=_get(cfg, "radius", int),
+                             **_given(cfg, {"max_levels": int}))
     em.write("chain.json", chain_to_json(chain, indent=2) + "\n")
     print("saturate: status=%s covered_radius=%d levels=%d"
           % (chain.status, chain.covered_radius, len(chain.levels)))
@@ -249,7 +249,7 @@ def _run_simulate(cfg: dict, em: _Emitter) -> int:
 
 def _observed_set(cfg: dict) -> frozenset:
     field = "mode_set" if cfg.get("observed") is None else "observed"
-    observed = symmetrize(parse_mode_set(_existing_path(cfg, field).read_text()))
+    observed = symmetrize(_parsed(cfg, field, parse_mode_set))
     if not observed:
         raise ConfigError("field '%s': the file lists no mode" % field)
     return observed
@@ -285,7 +285,7 @@ def _run_average(cfg: dict, em: _Emitter) -> int:
     pair = _get(cfg, "pair", _pair)
     omegas = _get(cfg, "omegas", _floats)
     state0, params = _initial(cfg, em, _get(cfg, "radius", int))
-    devs = averaging_experiment(
+    devs, _ = averaging_experiment(
         k, pair, _get(cfg, "amplitude", float, 1.0), omegas,
         _get(cfg, "duration", float), state0, params, _integrator_config(cfg))
     lines = ["omega,deviation"]
@@ -301,7 +301,7 @@ def _run_chatter(cfg: dict, em: _Emitter) -> int:
     amplitude = _get(cfg, "amplitude", float)
     windows = _get(cfg, "windows", int)
     out = chattering_approximation(program, amplitude, windows,
-                                   _get(cfg, "slack_channel", int, 0))
+                                   **_given(cfg, {"slack_channel": int}))
     rx = relaxation_distance(out, program)
     # kappa real channels = number of support modes
     bound = 2.0 * amplitude * np.sqrt(len(program.support)) \

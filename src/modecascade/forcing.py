@@ -57,7 +57,7 @@ __all__ = [
     "zero_program", "constant_program",
     "relaxation_distance",
     "cascade_packet", "chattering_approximation",
-    "program_to_dict", "program_from_dict", "program_to_json", "program_from_json",
+    "program_to_json", "program_from_json",
 ]
 
 class ChannelMap:
@@ -69,7 +69,7 @@ class ChannelMap:
     """
 
     def __init__(self, support: Iterable[Mode]):
-        self.support = symmetrize(support) if support else frozenset()
+        self.support = symmetrize(support)
         self.reps: tuple[Mode, ...] = rep_modes(self.support)
         self.size = 2 * len(self.reps)
         self._rep_pos = {r: i for i, r in enumerate(self.reps)}
@@ -201,7 +201,7 @@ class ForcingProgram:
     """
 
     def __init__(self, support: Iterable[Mode], segments: Sequence[Segment]):
-        support = symmetrize(support) if support else frozenset()
+        support = symmetrize(support)
         self.segments = tuple(segments)
         if not self.segments:
             raise ValueError("a program needs at least one segment")
@@ -494,7 +494,7 @@ def _mode_key(k: Mode) -> str:
     return "%d,%d" % k
 
 
-def program_to_dict(program: ForcingProgram) -> dict:
+def program_to_json(program: ForcingProgram, indent: int | None = None) -> str:
     segs = []
     for seg in program.segments:
         segs.append({"kind": type(seg).__name__.lower(), "duration": seg.duration})
@@ -505,11 +505,12 @@ def program_to_dict(program: ForcingProgram) -> dict:
             segs[-1].update(omega=seg.omega, components=[
                 {"mode": list(k), "harmonic": h, "coeff": [c.real, c.imag]}
                 for k, h, c in seg.components])
-    return {"support": [list(k) for k in sorted(program.support)],
-            "segments": segs}
+    return json.dumps({"support": [list(k) for k in sorted(program.support)],
+                       "segments": segs}, indent=indent)
 
 
-def program_from_dict(data: dict) -> ForcingProgram:
+def program_from_json(text: str) -> ForcingProgram:
+    data = json.loads(text)
     if not isinstance(data, dict) or not {"support", "segments"} <= data.keys():
         raise ValueError("a program must be a JSON object with 'support' and 'segments' keys")
     support = frozenset(tuple(k) for k in data["support"])
@@ -542,11 +543,3 @@ def _segment_from_dict(entry: dict) -> Segment:
                  for c in entry["components"]]
         return Oscillatory(dur, float(entry["omega"]), comps)
     raise ValueError("unknown segment kind %r" % kind)
-
-
-def program_to_json(program: ForcingProgram, indent: int | None = None) -> str:
-    return json.dumps(program_to_dict(program), indent=indent)
-
-
-def program_from_json(text: str) -> ForcingProgram:
-    return program_from_dict(json.loads(text))

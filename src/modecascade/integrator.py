@@ -100,10 +100,6 @@ class Trajectory:
         """The last record, copied so it does not hold the whole array."""
         return SpectralState(self.radius, self.data[-1])
 
-    def at(self, t: float) -> SpectralState:
-        """The state recorded at t, to a relative 1e-9."""
-        return SpectralState(self.radius, self.rows_at([t])[0])
-
     def rows_at(self, times: Sequence[float]) -> np.ndarray:
         """The rows recorded at the given times, each to a relative 1e-9."""
         t = np.asarray(times, dtype=float)

@@ -335,13 +335,9 @@ def parse_mode_set(text: str) -> frozenset[Mode]:
     return frozenset(out)
 
 
-def chain_to_dict(chain: SaturationChain) -> dict:
-    return {
+def chain_to_json(chain: SaturationChain, indent: int | None = None) -> str:
+    return json.dumps({
         "levels": [[list(k) for k in sorted(level)] for level in chain.levels],
         "covered_radius": chain.covered_radius,
         "status": chain.status,
-    }
-
-
-def chain_to_json(chain: SaturationChain, indent: int | None = None) -> str:
-    return json.dumps(chain_to_dict(chain), indent=indent)
+    }, indent=indent)

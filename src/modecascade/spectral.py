@@ -56,7 +56,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .lattice import (Mode, ball, canonical_rep, check_mode, fold_conjugate,
-                      is_symmetric, neg, norm_sq, unfold_conjugate, wedge)
+                      is_symmetric, neg, norm_sq, rep_modes, unfold_conjugate, wedge)
 
 __all__ = [
     "SimParams", "SpectralState", "nonlinear_term",
@@ -99,8 +99,7 @@ class _Tables:
 
     def __init__(self, radius: int):
         self.radius = radius
-        modes = ball(radius)
-        self.reps: tuple[Mode, ...] = tuple(sorted({canonical_rep(k) for k in modes}))
+        self.reps: tuple[Mode, ...] = rep_modes(ball(radius))
         self.n_reps = len(self.reps)
         self.rep_index = {k: i for i, k in enumerate(self.reps)}
         self.norm_sq = np.array([norm_sq(k) for k in self.reps], dtype=np.float64)

@@ -7,13 +7,14 @@ import pytest
 
 from modecascade.cli import (_integrator_config, _steering_config, build_parser,
                              main)
-from modecascade.forcing import constant_program, program_to_json
+from modecascade.forcing import (chattering_approximation, constant_program,
+                                 program_from_json, program_to_json, zero_program)
 from modecascade.lattice import symmetrize
-from modecascade.spectral import (SpectralState, random_decaying_state, resize,
-                                  state_to_csv, state_to_json)
+from modecascade.spectral import (SimParams, SpectralState, random_decaying_state,
+                                  resize, state_to_csv, state_to_json)
 from modecascade.forcing import ForcingProgram, Oscillatory
 from modecascade.spectral import FFT_RADIUS
-from modecascade.integrator import IntegratorConfig
+from modecascade.integrator import IntegratorConfig, integrate
 from modecascade.steering import SteeringConfig
 
 FOUR_MODES = symmetrize({(1, 0), (1, 1)})
@@ -202,6 +203,26 @@ def test_empty_mode_set_file_exits_1_naming_the_field(tmp_path, mode_file, capsy
         field: str(empty)})
     assert main([command, "--config", cfg]) == 1
     assert capsys.readouterr().err == "error: field '%s': the file lists no mode\n" % field
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("line,message", [
+    ("foo bar", "line 2: non-integer component in 'foo bar'"),
+    ("0 0", "zero mode is not a valid forcing/vorticity mode")], ids=["component", "zero"])
+@pytest.mark.parametrize("command,field,fields", [("saturate", "mode_set", {}),
+                                                  ("steer", "mode_set", {"target": [0.1]}),
+                                                  ("cover", "observed", {"target_radius": 0.1})],
+                         ids=["saturate", "steer", "cover"])
+def test_malformed_mode_set_file_exits_1_naming_the_field(tmp_path, mode_file, capsys, line,
+                                                          message, command, field, fields):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("1 0\n%s\n" % line)
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, "cfg.json", {
+        "mode_set": mode_file, "radius": 4, "output_dir": str(out), **fields,
+        field: str(bad)})
+    assert main([command, "--config", cfg]) == 1
+    assert capsys.readouterr().err == "error: field '%s': %s\n" % (field, message)
     assert not (out / "manifest.json").exists()
 
 
@@ -545,6 +566,35 @@ def test_empty_config_takes_the_dataclass_defaults():
     scfg = _steering_config({"tau": 1, "omega": None, "dt_base": "5e-3"})
     assert scfg.tau == 1.0 and scfg.omega == SteeringConfig().omega
     assert scfg.integrator == IntegratorConfig(dt_base=5e-3)
+
+
+def test_random_state_run_takes_the_library_defaults(tmp_path):
+    # no amplitude, decay or nu: random_decaying_state's and SimParams' defaults
+    out = tmp_path / "sim"
+    cfg = write_config(tmp_path, "cfg.json", {
+        "radius": 4, "duration": 0.02, "dt_base": 5e-3, "state": "random",
+        "seed": 5, "output_dir": str(out)})
+    assert main(["simulate", "--config", cfg]) == 0
+    rows = [line.split(",") for line in (out / "trajectory.csv").read_text().splitlines()[2:]]
+    want = random_decaying_state(4, rng=np.random.default_rng(5))
+    assert [row[1:] for row in rows if row[0] == "0.0"] == [
+        [str(k[0]), str(k[1]), repr(float(v.real)), repr(float(v.imag))]
+        for k, v in want.items()]
+    final = integrate(want, SimParams(), zero_program(0.02), IntegratorConfig(dt_base=5e-3))
+    assert (out / "final_state.csv").read_bytes() == (
+        "# seed=5\n" + state_to_csv(final.final)).encode()
+
+
+def test_chatter_takes_the_library_slack_channel(tmp_path):
+    prog_path = tmp_path / "prog.json"
+    prog_path.write_text(program_to_json(
+        constant_program(FOUR_MODES, {(1, 0): 0.5, (1, 1): -0.25j}, 1.0)))
+    out = tmp_path / "chat"
+    cfg = write_config(tmp_path, "cfg.json", {
+        "program": str(prog_path), "amplitude": 1.0, "windows": 7, "output_dir": str(out)})
+    assert main(["chatter", "--config", cfg]) == 0
+    want = chattering_approximation(program_from_json(prog_path.read_text()), 1.0, 7)
+    assert (out / "chattered.json").read_text() == program_to_json(want, indent=2) + "\n"
 
 
 def test_unknown_construction_exits_1(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Smoke test: the demos run to the end (05, at about 8 s, is left out).
+"""Smoke test: every demo runs to the end.
 
 02, 04 and 06 drive constant, cosine-bundle and zero programs through the
 integrator's forcing evaluator."""
@@ -17,6 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
                                   "02_vorticity_simulation.py",
                                   "03_relaxation_and_chattering.py",
                                   "04_mode_cascade_averaging.py",
+                                  "05_endpoint_steering.py",
                                   "06_projection_steering.py"])
 def test_demo_runs(demo):
     env = dict(os.environ)

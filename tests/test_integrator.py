@@ -195,8 +195,7 @@ def test_sample_times_recorded_exactly():
     samples = [0.123, 0.5, 0.75]
     traj = integrate(SpectralState.zeros(3), SimParams(), zero_program(1.0),
                      IntegratorConfig(dt_base=1e-2), sample_times=samples)
-    for t in samples:
-        traj.at(t)     # raises KeyError if missing
+    traj.rows_at(samples)     # raises KeyError if one is missing
 
 
 def test_boundary_instants_recorded():
@@ -204,7 +203,7 @@ def test_boundary_instants_recorded():
                                    zero_program(0.7, SINGLE).segments[0]])
     traj = integrate(SpectralState.zeros(3), SimParams(), prog,
                      IntegratorConfig(dt_base=7e-3, record_stride=10 ** 9))
-    assert traj.at(0.3) is not None
+    traj.rows_at([0.3])       # raises KeyError if missing
     assert traj.times[-1] == pytest.approx(1.0)
 
 
@@ -245,7 +244,7 @@ def test_trajectory_validation():
     traj = integrate(s, SimParams(), zero_program(0.1),
                      IntegratorConfig(dt_base=5e-2))
     with pytest.raises(KeyError):
-        traj.at(0.123456)
+        traj.rows_at([0.123456])
 
 
 def test_trajectory_is_one_read_only_array():
@@ -260,7 +259,7 @@ def test_trajectory_is_one_read_only_array():
     assert all(np.shares_memory(s.data, traj.data) for s in traj.states)
     assert not np.shares_memory(traj.final.data, traj.data)
     assert np.array_equal(traj.final.data, traj.data[-1])
-    assert np.array_equal(traj.at(traj.times[3]).data, traj.data[3])
+    assert np.array_equal(traj.rows_at(traj.times[3:4]), traj.data[3:4])
     with pytest.raises(KeyError, match="no state recorded"):
         traj.rows_at([0.0, 0.0123])
 
@@ -280,8 +279,9 @@ def test_public_step_through_oscillatory_segment():
     prog = ForcingProgram(SINGLE, [zero_program(0.5, SINGLE).segments[0], seg])
     traj = integrate(SpectralState.zeros(3), SimParams(), prog, sample_times=[0.6])
     # at rest through the zero segment, then driven by v ~ A*omega*cos(omega*(t-0.5))
-    assert traj.at(0.5).coeff((1, 0)) == 0
-    assert abs(traj.at(0.6).coeff((1, 0))) > 0
+    rest, driven = (SpectralState(3, row).coeff((1, 0)) for row in traj.rows_at([0.5, 0.6]))
+    assert rest == 0
+    assert abs(driven) > 0
 
 
 def test_step_budget_guard():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modecascade.lattice import (admissible_pair, ball, chain_to_dict, chain_to_json, check_mode,
+from modecascade.lattice import (admissible_pair, ball, chain_to_json, check_mode,
                                  find_generating_pair,
                                  is_saturating_symmetric, is_symmetric,
                                  next_level, norm_sq, parse_mode_set,
@@ -214,7 +214,6 @@ def test_chain_json_schema_and_round_trip():
     assert set(data) == {"levels", "covered_radius", "status"}
     assert (data["status"], data["covered_radius"]) == ("covered", 3)
     assert data["levels"] == [sorted(map(list, level)) for level in chain.levels]
-    assert data == chain_to_dict(chain)           # the JSON text round-trips the dict
 
 
 # the single vectorized path on sets larger than the strategy above draws

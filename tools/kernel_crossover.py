@@ -5,9 +5,7 @@
 
 At each radius both kernels are built regardless of FFT_RADIUS and called
 on one random state in alternating blocks, so drifts of the machine hit
-both alike.  Also timed, on the same triad table: the two ``np.bincount``
-calls that summed the triad rows before the sorted ``np.add.reduceat``.
-Prints one row per radius with median microseconds per call and the
+both alike.  Prints one row per radius with median microseconds per call and the
 largest difference between the kernels relative to the largest |N_k|,
 then one JSON line with the same figures.  Pins numpy to one thread.
 """
@@ -37,14 +35,6 @@ def build(radius: int, kernel: str) -> spectral._Tables:
         spectral.FFT_RADIUS = saved
 
 
-def bincount_sum(tab: spectral._Tables, data: np.ndarray) -> np.ndarray:
-    f = np.concatenate([data, np.conj(data)])
-    prod = tab.tri_c * f[tab.tri_m] * f[tab.tri_n]
-    re = np.bincount(tab.tri_k, weights=prod.real, minlength=tab.n_reps)
-    im = np.bincount(tab.tri_k, weights=prod.imag, minlength=tab.n_reps)
-    return re + 1j * im
-
-
 def per_call(fn, data, calls: int) -> float:
     t0 = time.perf_counter()
     for _ in range(calls):
@@ -56,8 +46,7 @@ def measure(radius: int, rounds: int, block_s: float, seed: int) -> dict:
     triad, fft = build(radius, "triad"), build(radius, "fft")
     data = spectral.random_decaying_state(
         radius, amplitude=0.7, decay=1.5, rng=np.random.default_rng([seed, radius])).data
-    kernels = {"bincount": lambda d: bincount_sum(triad, d),
-               "reduceat": triad.nonlinear, "fft": fft.nonlinear}
+    kernels = {"reduceat": triad.nonlinear, "fft": fft.nonlinear}
     ref = fft.nonlinear(data)
     scale = np.abs(ref).max() or 1.0          # N = 0 at R = 1
     diff = max(np.abs(fn(data) - ref).max() for fn in kernels.values()) / scale
@@ -82,13 +71,12 @@ def main() -> None:
     args = parser.parse_args()
     lo, hi = (int(x) for x in args.radii.split("-"))
     rows = []
-    print("R   triads  bincount_us  reduceat_us  fft_us  rel_diff")
+    print("R   triads  reduceat_us  fft_us  rel_diff")
     for radius in range(lo, hi + 1):
         row = measure(radius, args.rounds, args.block_s, args.seed)
         rows.append(row)
-        print("%-3d %7d %12.1f %12.1f %7.1f  %.1e" % (
-            radius, row["triads"], row["bincount"], row["reduceat"], row["fft"],
-            row["rel_diff"]), flush=True)
+        print("%-3d %7d %12.1f %7.1f  %.1e" % (
+            radius, row["triads"], row["reduceat"], row["fft"], row["rel_diff"]), flush=True)
     print(json.dumps({"unit": "us per call, median", "rounds": args.rounds,
                       "nproc": os.cpu_count(), "rows": rows}))
 
