@@ -331,7 +331,10 @@ def parse_mode_set(text: str) -> frozenset[Mode]:
             k = (int(parts[0]), int(parts[1]))
         except ValueError as exc:
             raise ValueError("line %d: non-integer component in %r" % (lineno, raw)) from exc
-        out.add(check_mode(k))
+        try:
+            out.add(check_mode(k))
+        except ValueError as exc:
+            raise ValueError("line %d: %s" % (lineno, exc)) from None
     return frozenset(out)
 
 

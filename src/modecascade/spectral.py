@@ -28,13 +28,14 @@ resolution radius alone (both agree to round-off):
 * From ``FFT_RADIUS`` on, a dealiased pseudo-spectral product.  With
   psi = Delta^-1 w, the sum equals N = d_y(w d_x psi) - d_x(w d_y psi),
   i.e. N_k = i (k_y a_k - k_x b_k) with a = w d_x psi and b = w d_y psi.
-  q, d_x psi and d_y psi are scattered into the half spectrum of an
-  M x M grid, M = next_fast_len(3R+1), brought to the grid by one
-  batched inverse real FFT, multiplied pointwise and brought back by
-  one batched forward real FFT; N is gathered on the representatives.
-  The cost is O(R^2 log R) per call and no triad table is built.
-  scipy.fft is imported when the first such table is built, so a process
-  that stays below ``FFT_RADIUS`` never loads it.
+  q, d_x psi and d_y psi are scattered into the ky = 0..R columns of
+  the half spectrum of an M x M grid, M the smallest 5-smooth integer
+  >= 3R+1.  numpy.fft brings them to the grid by a batched inverse FFT
+  over kx on those R+1 columns only and an inverse real FFT over ky
+  that zero-pads the rest; the pointwise products go back by a forward
+  real FFT over y, cut to the first R+1 columns, and a forward FFT over
+  x.  N is gathered on the representatives.  The cost is O(R^2 log R)
+  per call and no triad table is built.
 
 The grid product is exact, not an approximation.  Every input mode has
 |k_x|, |k_y| <= R, so a product mode p has components in [-2R, 2R]; on
@@ -80,11 +81,18 @@ class SimParams:
 
 # Smallest radius at which the quadratic term runs on the dealiased grid.
 # Median per-call times on a 2-core x86 VM, one thread, interleaved by
-# tools/kernel_crossover.py, triad sum against grid product: 44 / 97 us at
-# R = 8, 75 / 125 at R = 9, 109 / 139 at R = 10, 163 / 172 at R = 11 (a tie
-# over repeated runs, and the grid builds no table), 235 / 190 at R = 12,
-# 310 / 132 at R = 14, 4,376 / 417 at R = 24.
+# tools/kernel_crossover.py, triad sum against grid product: 41 / 77 us at
+# R = 9, 129 / 139 at R = 11 (within 10% over repeated runs, and the grid
+# skips a 0.04 s table build), 178 / 136 at R = 12, 356 / 147 at R = 14,
+# 628 / 160 at R = 16.
 FFT_RADIUS = 11
+
+
+def _fast_len(n: int) -> int:
+    """Smallest 5-smooth integer >= n, a size pocketfft transforms fast."""
+    while 30 ** n % n:          # n is 5-smooth iff it divides 30^n
+        n += 1
+    return n
 
 
 def quadratic_kernel(radius: int) -> str:
@@ -112,10 +120,8 @@ class _Tables:
             self._build_triads()
 
     def _build_grid(self):
-        import scipy.fft        # loaded by the first FFT-kernel table only
-        self.irfft2, self.rfft2 = scipy.fft.irfft2, scipy.fft.rfft2
-        m = scipy.fft.next_fast_len(3 * self.radius + 1, real=True)
-        width = m // 2 + 1                       # stored ky columns of a real field
+        m = _fast_len(3 * self.radius + 1)
+        width = self.radius + 1                  # the ky >= 0 columns the ball fills
         kx = self.kx.astype(np.intp)
         ky = self.ky.astype(np.intp)
         self.grid_shape = (m, width)
@@ -180,9 +186,10 @@ class _Tables:
             spec = np.zeros((3, m * width), dtype=np.complex128)
             spec[:, self.grid_at] = fields
             spec[:, self.grid_axis_at] = np.conj(fields[:, self.grid_axis])
-            grid = self.irfft2(spec.reshape(3, m, width), s=(m, m), norm="forward")
-            ab = self.rfft2(grid[0] * grid[1:], norm="forward")
-            a, b = ab.reshape(2, -1)[:, self.grid_at]
+            cols = np.fft.ifft(spec.reshape(3, m, width), axis=1, norm="forward")
+            grid = np.fft.irfft(cols, n=m, norm="forward")
+            ab = np.fft.rfft(grid[0] * grid[1:], norm="forward")[..., :width]
+            a, b = np.fft.fft(ab, axis=1, norm="forward").reshape(2, -1)[:, self.grid_at]
             return 1j * (self.ky * a - self.kx * b)
         f = np.concatenate([data, np.conj(data)])     # the full triad layout
         return np.add.reduceat(self.tri_c * f[self.tri_m] * f[self.tri_n],

@@ -208,7 +208,8 @@ def test_empty_mode_set_file_exits_1_naming_the_field(tmp_path, mode_file, capsy
 
 @pytest.mark.parametrize("line,message", [
     ("foo bar", "line 2: non-integer component in 'foo bar'"),
-    ("0 0", "zero mode is not a valid forcing/vorticity mode")], ids=["component", "zero"])
+    ("0 0", "line 2: zero mode is not a valid forcing/vorticity mode")],
+    ids=["component", "zero"])
 @pytest.mark.parametrize("command,field,fields", [("saturate", "mode_set", {}),
                                                   ("steer", "mode_set", {"target": [0.1]}),
                                                   ("cover", "observed", {"target_radius": 0.1})],

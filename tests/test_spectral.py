@@ -217,28 +217,42 @@ def test_kernel_switches_at_the_crossover_radius():
     assert not hasattr(_tables(FFT_RADIUS), "tri_k")     # no triad table built
 
 
-IMPORT_BOUNDARY = """
+NO_SCIPY = """
 import sys
+import numpy as np
 import modecascade, modecascade.cli
-from modecascade.spectral import FFT_RADIUS, SpectralState, _tables, nonlinear_term
+from modecascade.forcing import constant_program, relaxation_distance, zero_program
+from modecascade.integrator import IntegratorConfig, integrate
+from modecascade.lattice import saturation_chain
+from modecascade.spectral import (FFT_RADIUS, SimParams, SpectralState, _tables,
+                                  nonlinear_term, random_decaying_state)
 nonlinear_term(SpectralState.from_coeffs({(1, 0): 1.0, (1, 1): 0.5j}, FFT_RADIUS - 1))
-assert "scipy.fft" not in sys.modules, "scipy.fft loaded below FFT_RADIUS"
-_tables(FFT_RADIUS)
-assert "scipy.fft" in sys.modules, "scipy.fft not loaded by the FFT kernel"
+assert not hasattr(_tables(FFT_RADIUS - 1), "grid_at"), "grid built below FFT_RADIUS"
+nonlinear_term(random_decaying_state(24))
+support = {(1, 0), (-1, 0), (1, 1), (-1, -1)}
+program = constant_program(support, {(1, 0): 0.5}, 0.01)
+integrate(random_decaying_state(FFT_RADIUS), SimParams(0.01), program,
+          IntegratorConfig(dt_base=1e-3))
+saturation_chain(support, 6)
+assert relaxation_distance(program, zero_program(0.01, support)) > 0
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert not loaded, "scipy modules loaded: %s" % loaded[:5]
 """
 
 
-def test_scipy_fft_loads_with_the_first_fft_table_only():
-    # a fresh interpreter: this test process has long since loaded scipy.fft
+def test_no_run_loads_scipy():
+    # a fresh interpreter: this test process has long since loaded scipy
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", IMPORT_BOUNDARY], env=env,
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("radius", range(FFT_RADIUS - 2, FFT_RADIUS + 6))
+# R = 21: M = 64 = 3R + 1, the tightest alias margin; R = 24: M = 75, an odd
+# grid with no Nyquist column
+@pytest.mark.parametrize("radius", [*range(FFT_RADIUS - 2, FFT_RADIUS + 6), 21, 24])
 def test_both_kernels_match_double_sum_oracle(radius):
     rng = np.random.default_rng([2024, radius])
     s = random_decaying_state(radius, amplitude=0.7, decay=1.5, rng=rng)
@@ -280,7 +294,7 @@ def test_truncated_euler_conservation_at_random_radii(radius, seed, decay):
     assert abs(inner0(n, inv_lap)) <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("radius", (FFT_RADIUS, 12, 16))
+@pytest.mark.parametrize("radius", (FFT_RADIUS, 12, 16, 21, 24))
 def test_fft_kernel_conservation_identities(radius):
     rng = np.random.default_rng(radius)
     tab = _tables(radius)
