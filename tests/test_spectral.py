@@ -219,7 +219,6 @@ def test_kernel_switches_at_the_crossover_radius():
 
 NO_SCIPY = """
 import sys
-import numpy as np
 import modecascade, modecascade.cli
 from modecascade.forcing import constant_program, relaxation_distance, zero_program
 from modecascade.integrator import IntegratorConfig, integrate
