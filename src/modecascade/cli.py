@@ -18,6 +18,11 @@ allows.  ``main`` turns the last two, raised by any subcommand, into
 ``failure.json`` plus the manifest.  The manifest of a run that
 integrates also names the quadratic-term kernel ("triad" or "fft") its
 resolution radius selects.
+
+The runner owns the file formats.  A state file, read or written, is
+the JSON of ``state_to_json``.  Every CSV goes through
+``_Emitter.write_csv``: a ``# seed=N`` line, the header, one line per
+row, each ending in a line feed; a float cell is its ``repr``.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from .lattice import (chain_to_json, norm_sq, parse_mode_set, saturation_chain,
                       symmetrize)
 from .spectral import (SimParams, SpectralState, quadratic_kernel,
                        random_decaying_state, resize, sobolev_norms,
-                       state_from_csv, state_from_json, state_to_csv)
+                       state_from_json, state_to_json)
 from .steering import (ConvergenceError, SteeringConfig, averaging_experiment,
                        coverage_check, near_identity_gap, report_to_dict,
                        steer_in_projection, steer_to_target, subspace_setup)
@@ -87,11 +92,7 @@ def _pair(value) -> tuple[tuple[int, int], tuple[int, int]]:
 
 
 def _load_config(path: str, command: str) -> dict:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError("field 'config': file not found: %s" % path)
-    with open(p) as fh:
-        data = json.load(fh)
+    data = _parsed({"config": path}, "config", json.loads)
     if "config" in data and "command" in data:        # manifest round-trip
         if data["command"] != command:
             raise ConfigError("manifest was produced by '%s', not '%s'"
@@ -110,11 +111,12 @@ def _existing_path(cfg: dict, field: str) -> Path:
 
 
 def _parsed(cfg: dict, field: str, parse):
-    """``parse`` of the file a field names; a malformed file fails naming the field."""
-    text = _existing_path(cfg, field).read_text()
+    """``parse`` of the file a field names; a file that cannot be read or
+    is malformed fails naming the field."""
+    path = _existing_path(cfg, field)
     try:
-        return parse(text)
-    except (TypeError, ValueError, AttributeError) as exc:
+        return parse(path.read_text())
+    except (OSError, TypeError, ValueError, AttributeError) as exc:
         raise ConfigError("field '%s': %s" % (field, exc)) from None
 
 
@@ -127,10 +129,10 @@ def _load_state(cfg: dict, radius: int) -> SpectralState:
     if source == "rest":
         return SpectralState.zeros(radius)
     if source == "random":
-        return random_decaying_state(radius, rng=_rng(cfg), **_given(
-            cfg, {"amplitude": float, "decay": float}))
-    parse = state_from_json if Path(source).suffix == ".json" else state_from_csv
-    state = _parsed(cfg, "state", parse)
+        given = _given(cfg, {"state_amplitude": float, "decay": float})
+        return random_decaying_state(radius, rng=_rng(cfg), **{
+            name.removeprefix("state_"): value for name, value in given.items()})
+    state = _parsed(cfg, "state", state_from_json)
     if state.radius < radius:
         state = resize(state, radius)
     return state
@@ -195,8 +197,13 @@ class _Emitter:
         payload.setdefault("seed", self.cfg["seed"])
         self.write(name, json.dumps(payload, indent=2) + "\n")
 
-    def write_csv(self, name: str, text: str):
-        self.write(name, "# seed=%d\n" % self.cfg["seed"] + text)
+    def write_csv(self, name: str, header: Sequence[str], rows):
+        """``# seed=N``, the header and the rows, each line ending in a line
+        feed; a float cell is written as its repr, any other as its str."""
+        lines = ["# seed=%d" % self.cfg["seed"], ",".join(header)]
+        lines += [",".join(repr(float(x)) if isinstance(x, float) else str(x)
+                           for x in row) for row in rows]
+        self.write(name, "\n".join(lines) + "\n")
 
     def failure(self, exc: BlowUpError | StepBudgetError) -> int:
         """failure.json, manifest and stderr line of a failed run; exit 2."""
@@ -239,10 +246,12 @@ def _run_simulate(cfg: dict, em: _Emitter) -> int:
     else:
         program = zero_program(_get(cfg, "duration", float))
     traj = integrate(state0, params, program, _integrator_config(cfg))
-    em.write_csv("trajectory.csv", traj.to_csv())
-    em.write_csv("summary.csv", traj.summary_to_csv())
-    em.write_csv("final_state.csv", state_to_csv(traj.final))
+    em.write_csv("trajectory.csv", ["t", "kx", "ky", "re", "im"],
+                 ((t, kx, ky, v.real, v.imag) for t, s in zip(traj.times, traj.states)
+                  for (kx, ky), v in s.items()))
     summary = traj.summary()
+    em.write_csv("summary.csv", ["t", "energy", "enstrophy", "h1", "h2"], summary)
+    em.write("final_state.json", state_to_json(traj.final) + "\n")
     print("simulate: %d records, final enstrophy %.6g" % (len(traj), summary[-1, 2]))
     return 0
 
@@ -288,9 +297,7 @@ def _run_average(cfg: dict, em: _Emitter) -> int:
     devs, _ = averaging_experiment(
         k, pair, _get(cfg, "amplitude", float, 1.0), omegas,
         _get(cfg, "duration", float), state0, params, _integrator_config(cfg))
-    lines = ["omega,deviation"]
-    lines += ["%r,%r" % (w, d) for w, d in zip(omegas, devs)]
-    em.write_csv("deviations.csv", "\n".join(lines) + "\n")
+    em.write_csv("deviations.csv", ["omega", "deviation"], zip(omegas, devs))
     print("average: " + ", ".join("D(%g)=%.4g" % (w, d)
                                   for w, d in zip(omegas, devs)))
     return 0
@@ -323,17 +330,20 @@ def _run_cover(cfg: dict, em: _Emitter) -> int:
     grid_density = _get(cfg, "grid_density", int, 2)
     result = coverage_check(chain, observed, target_radius, grid_density,
                             state0, params, scfg)
-    em.write_csv("coverage.csv", result.to_csv())
+    dim = result.targets.shape[1]
+    em.write_csv("coverage.csv",
+                 ["target_%d" % c for c in range(dim)] + ["miss", "error", "converged"],
+                 ((*t, miss, float("inf") if rep is None else rep.error_norm,
+                   rep is not None and rep.converged)
+                  for t, rep, miss in zip(result.targets, result.reports, result.misses)))
     em.write_json("coverage.json", {"fraction": result.fraction,
                                     "targets": int(len(result.targets))})
     ladder = _get(cfg, "tau_ladder", _floats, [])
     if ladder:
-        lines = ["tau,near_identity_gap"]
-        for tau in ladder:
-            gap = near_identity_gap(observed, result.targets, tau, state0,
-                                    params, scfg.integrator)
-            lines.append("%r,%r" % (tau, gap))
-        em.write_csv("near_identity.csv", "\n".join(lines) + "\n")
+        em.write_csv("near_identity.csv", ["tau", "near_identity_gap"],
+                     [(tau, near_identity_gap(observed, result.targets, tau, state0,
+                                              params, scfg.integrator))
+                      for tau in ladder])
     print("cover: fraction=%.3f over %d targets" % (result.fraction,
                                                     len(result.targets)))
     return 0
@@ -352,15 +362,15 @@ def _run_rxprobe(cfg: dict, em: _Emitter) -> int:
     duration = _get(cfg, "duration", float, 1.0)
     single = symmetrize({(1, 0)})
     if mode == "law":
-        lines = ["omega,rx,expected"]
+        rows = []
         for omega in _get(cfg, "omegas", _floats, [1e2, 1e3, 1e4]):
             seg = Oscillatory.from_cos_pairs(duration, omega,
                                              [((1, 0), omega ** -0.5)])
             rx = relaxation_distance(ForcingProgram(single, [seg]),
                                      zero_program(duration, single))
-            lines.append("%r,%r,%r" % (omega, rx, omega ** -0.5))
-        em.write_csv("rxprobe.csv", "\n".join(lines) + "\n")
-        print("rxprobe law: " + lines[-1])
+            rows.append((omega, rx, omega ** -0.5))
+        em.write_csv("rxprobe.csv", ["omega", "rx", "expected"], rows)
+        print("rxprobe law: %r,%r,%r" % rows[-1])
         return 0
     if mode != "trajectory":
         raise ConfigError("field 'mode': expected 'law' or 'trajectory', got %r"
@@ -369,7 +379,7 @@ def _run_rxprobe(cfg: dict, em: _Emitter) -> int:
     icfg = _integrator_config(cfg)
     sample = np.linspace(0.0, duration, 41)
     base = integrate(state0, params, zero_program(duration, single), icfg, sample).rows_at(sample)
-    lines = ["delta,rx,sup_deviation"]
+    rows = []
     for delta in _get(cfg, "deltas", _floats, [0.1, 0.05, 0.025]):
         omega = 1.0 / delta ** 2
         seg = Oscillatory.from_cos_pairs(duration, omega, [((1, 0), delta)])
@@ -377,9 +387,9 @@ def _run_rxprobe(cfg: dict, em: _Emitter) -> int:
         rx = relaxation_distance(prog, zero_program(duration, single))
         traj = integrate(state0, params, prog, icfg, sample)
         dev = float(sobolev_norms(state0.radius, traj.rows_at(sample) - base).max())
-        lines.append("%r,%r,%r" % (delta, rx, dev))
-    em.write_csv("rxprobe.csv", "\n".join(lines) + "\n")
-    print("rxprobe trajectory: %d deltas" % (len(lines) - 1))
+        rows.append((delta, rx, dev))
+    em.write_csv("rxprobe.csv", ["delta", "rx", "sup_deviation"], rows)
+    print("rxprobe trajectory: %d deltas" % len(rows))
     return 0
 
 
@@ -403,13 +413,13 @@ def _run_project(cfg: dict, em: _Emitter) -> int:
 
 # A subcommand's fields, and so its flags, are exactly the fields it
 # reads, plus seed and output_dir; any other field is rejected.
-_STATE = ("radius", "nu", "state", "amplitude", "decay", *_INTEGRATOR_FIELDS)
+_STATE = ("radius", "nu", "state", "state_amplitude", "decay", *_INTEGRATOR_FIELDS)
 _STEERING = ("mode_set", "max_levels", *_STEERING_FIELDS)
 _COMMANDS = {
     "saturate": (_run_saturate, ("mode_set", "radius", "max_levels")),
     "simulate": (_run_simulate, _STATE + ("duration", "program")),
     "steer": (_run_steer, _STATE + _STEERING + ("observed", "target")),
-    "average": (_run_average, _STATE + ("duration", "k", "pair", "omegas")),
+    "average": (_run_average, _STATE + ("amplitude", "duration", "k", "pair", "omegas")),
     "chatter": (_run_chatter, ("program", "amplitude", "windows", "slack_channel")),
     "cover": (_run_cover, _STATE + _STEERING + ("observed", "target_radius",
                                                "grid_density", "tau_ladder")),

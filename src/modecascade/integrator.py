@@ -24,8 +24,6 @@ block, so the RK4 step itself only adds rows.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -114,25 +112,6 @@ class Trajectory:
         h0, h1, h2 = (sobolev_norms(self.radius, self.data, order) for order in range(3))
         return np.column_stack([self.times, energies(self.radius, self.data),
                                 h0 * h0, h1, h2])
-
-    def to_csv(self) -> str:
-        """Long format "t,kx,ky,re,im" over stored representatives."""
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["t", "kx", "ky", "re", "im"])
-        for t, s in zip(self.times, self.states):
-            for k, v in s.items():
-                writer.writerow([repr(float(t)), k[0], k[1],
-                                 repr(float(v.real)), repr(float(v.imag))])
-        return buf.getvalue()
-
-    def summary_to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["t", "energy", "enstrophy", "h1", "h2"])
-        for row in self.summary():
-            writer.writerow([repr(float(x)) for x in row])
-        return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------

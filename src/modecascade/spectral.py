@@ -47,8 +47,6 @@ J. Atmos. Sci. 28; Canuto et al., Spectral Methods in Fluid Dynamics).
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass
 from functools import lru_cache
@@ -65,7 +63,7 @@ __all__ = [
     "energy", "energies", "enstrophy", "sobolev_norm", "sobolev_norms", "inner0",
     "velocity_from_vorticity", "project", "project_complement",
     "random_decaying_state", "resize", "resize_rows",
-    "state_to_csv", "state_from_csv", "state_to_json", "state_from_json",
+    "state_to_json", "state_from_json",
 ]
 
 
@@ -413,42 +411,6 @@ def random_decaying_state(radius: int, amplitude: float = 0.3, decay: float = 3.
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def state_to_csv(state: SpectralState) -> str:
-    """CSV "kx,ky,re,im", one stored representative per line, with the
-    resolution radius in a leading comment row."""
-    buf = io.StringIO()
-    buf.write("# radius=%d\n" % state.radius)
-    writer = csv.writer(buf)
-    writer.writerow(["kx", "ky", "re", "im"])
-    for k, v in state.items():
-        writer.writerow([k[0], k[1], repr(float(v.real)), repr(float(v.imag))])
-    return buf.getvalue()
-
-
-def state_from_csv(text: str) -> SpectralState:
-    radius = None
-    rows = []
-    for line in text.splitlines():
-        if line.startswith("#"):
-            meta = line[1:].strip()
-            if meta.startswith("radius="):
-                radius = int(meta.split("=", 1)[1])
-            continue
-        rows.append(line)
-    if radius is None:
-        raise ValueError("missing '# radius=R' metadata row")
-    reader = csv.reader(rows)
-    header = next(reader)
-    if header != ["kx", "ky", "re", "im"]:
-        raise ValueError("unexpected CSV header %r" % header)
-    coeffs = {}
-    for row in reader:
-        if not row:
-            continue
-        coeffs[(int(row[0]), int(row[1]))] = float(row[2]) + 1j * float(row[3])
-    return SpectralState.from_coeffs(coeffs, radius)
 
 
 def state_to_json(state: SpectralState) -> str:

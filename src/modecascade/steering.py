@@ -489,18 +489,6 @@ class CoverageResult:
     reports: list[EndpointReport | None]
     misses: list[str]
 
-    def to_csv(self) -> str:
-        dim = self.targets.shape[1] if self.targets.size else 0
-        lines = [",".join("target_%d" % c for c in range(dim)) + ",miss,error,converged"]
-        for t, rep, miss in zip(self.targets, self.reports, self.misses):
-            if rep is None:
-                err, conv = float("inf"), False
-            else:
-                err, conv = rep.error_norm, rep.converged
-            lines.append(",".join(repr(float(x)) for x in t)
-                         + ",%s,%r,%s" % (miss, float(err), conv))
-        return "\n".join(lines) + "\n"
-
 
 def coverage_grid(dimension: int, radius: float, density: int) -> np.ndarray:
     """Targets filling the l1 ball of the observed space: the center plus

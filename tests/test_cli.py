@@ -11,11 +11,13 @@ from modecascade.forcing import (chattering_approximation, constant_program,
                                  program_from_json, program_to_json, zero_program)
 from modecascade.lattice import symmetrize
 from modecascade.spectral import (SimParams, SpectralState, random_decaying_state,
-                                  resize, state_to_csv, state_to_json)
+                                  resize, state_to_json)
 from modecascade.forcing import ForcingProgram, Oscillatory
-from modecascade.spectral import FFT_RADIUS
-from modecascade.integrator import IntegratorConfig, integrate
-from modecascade.steering import SteeringConfig
+from modecascade.spectral import FFT_RADIUS, _tables
+from modecascade import steering as steering_module
+from modecascade.integrator import (BlowUpError, IntegratorConfig, StepBudgetError,
+                                    integrate)
+from modecascade.steering import SteeringConfig, averaging_experiment
 
 FOUR_MODES = symmetrize({(1, 0), (1, 1)})
 
@@ -71,7 +73,7 @@ def test_simulate_unforced_euler(tmp_path):
     out = tmp_path / "sim"
     cfg = write_config(tmp_path, "cfg.json", {
         "radius": 4, "nu": 0.0, "duration": 0.5, "dt_base": 2e-3,
-        "record_stride": 50, "state": "random", "amplitude": 0.3,
+        "record_stride": 50, "state": "random", "state_amplitude": 0.3,
         "seed": 3, "output_dir": str(out)})
     assert main(["simulate", "--config", cfg]) == 0
     lines = (out / "summary.csv").read_text().splitlines()
@@ -82,7 +84,41 @@ def test_simulate_unforced_euler(tmp_path):
     z0, z1 = float(rows[0][2]), float(rows[-1][2])
     assert abs(z1 - z0) <= 1e-9 * z0
     assert (out / "trajectory.csv").exists()
-    assert (out / "final_state.csv").exists()
+    assert (out / "final_state.json").exists()
+
+
+def test_simulate_csv_headers_and_row_counts(tmp_path):
+    # one trajectory row per record and stored representative, one summary row per record
+    out = tmp_path / "sim"
+    cfg = write_config(tmp_path, "cfg.json", {
+        "radius": 3, "nu": 0.1, "duration": 0.1, "dt_base": 2e-2, "state": "random",
+        "state_amplitude": 0.2, "seed": 6, "output_dir": str(out)})
+    assert main(["simulate", "--config", cfg]) == 0
+    traj = integrate(random_decaying_state(3, 0.2, rng=np.random.default_rng(6)),
+                     SimParams(nu=0.1), zero_program(0.1), IntegratorConfig(dt_base=2e-2))
+    lines = (out / "trajectory.csv").read_text().splitlines()
+    assert lines[1] == "t,kx,ky,re,im"
+    assert len(lines) == 2 + len(traj) * _tables(3).n_reps
+    lines = (out / "summary.csv").read_text().splitlines()
+    assert lines[1] == "t,energy,enstrophy,h1,h2"
+    assert len(lines) == 2 + len(traj)
+
+
+def test_simulate_continues_from_its_final_state_file(tmp_path):
+    # the end state of one run, read back as the next run's start, bit for bit
+    first, second = tmp_path / "first", tmp_path / "second"
+    common = {"radius": 4, "nu": 0.01, "duration": 0.05, "dt_base": 5e-3}
+    assert main(["simulate", "--config", write_config(tmp_path, "a.json", dict(
+        common, state="random", seed=2, output_dir=str(first)))]) == 0
+    assert main(["simulate", "--config", write_config(tmp_path, "b.json", dict(
+        common, state=str(first / "final_state.json"), output_dir=str(second)))]) == 0
+    n = _tables(4).n_reps
+    last = [line.split(",")[1:] for line in
+            (first / "trajectory.csv").read_text().splitlines()[-n:]]
+    start = [line.split(",") for line in
+             (second / "trajectory.csv").read_text().splitlines()[2:2 + n]]
+    assert {row[0] for row in start} == {"0.0"}
+    assert [row[1:] for row in start] == last
 
 
 def test_simulate_manifest_reproduces_bitwise(tmp_path):
@@ -258,14 +294,21 @@ def test_non_finite_state_file_exits_1(tmp_path, capsys, value):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_simulate_raises_a_smaller_state_file_to_the_run_radius(tmp_path, fmt):
+def test_simulate_raises_a_smaller_state_file_to_the_run_radius(tmp_path, capsys, fmt):
+    # a state file is JSON; a CSV one (the old "# radius=R" format) is refused
     state = random_decaying_state(3, 0.3, rng=np.random.default_rng(5))
     path = tmp_path / ("state." + fmt)
-    path.write_text(state_to_csv(state) if fmt == "csv" else state_to_json(state))
+    path.write_text("# radius=3\nkx,ky,re,im\n1,0,0.25,0.0\n" if fmt == "csv"
+                    else state_to_json(state))
     out = tmp_path / "sim"
     cfg = write_config(tmp_path, "cfg.json", {
         "radius": 5, "nu": 0.01, "duration": 0.01, "state": str(path),
         "output_dir": str(out)})
+    if fmt == "csv":
+        assert main(["simulate", "--config", cfg]) == 1
+        assert capsys.readouterr().err.startswith("error: field 'state': ")
+        assert not out.exists()
+        return
     assert main(["simulate", "--config", cfg]) == 0
     rows = [line for line in (out / "trajectory.csv").read_text().splitlines()[2:]
             if line.startswith("0.0,")]
@@ -400,6 +443,35 @@ def test_cover_subcommand_m1(tmp_path, mode_file):
     assert lines[1].endswith("error,converged")
 
 
+def cover_config(tmp_path, mode_file, target_radius):
+    return write_config(tmp_path, "cover.json", {
+        "mode_set": mode_file, "radius": 4, "nu": 0.01, "target_radius": target_radius,
+        "grid_density": 2, "tau": 0.02, "max_fp_iters": 1, "dt_base": 1e-3,
+        "output_dir": str(tmp_path / "cov")})
+
+
+@pytest.mark.parametrize("failure,reason", [
+    (BlowUpError(0.5), "blowup"),
+    (StepBudgetError("step budget exceeded"), "step_budget")])
+def test_cover_rows_name_why_each_target_missed(tmp_path, mode_file, monkeypatch,
+                                                failure, reason):
+    def failing(*args, **kwargs):
+        raise failure
+    monkeypatch.setattr(steering_module, "steer_to_target", failing)
+    assert main(["cover", "--config", cover_config(tmp_path, mode_file, 0.5)]) == 0
+    lines = (tmp_path / "cov" / "coverage.csv").read_text().splitlines()
+    assert lines[1].endswith(",miss,error,converged")
+    assert len(lines) == 2 + 9                    # the center and 2 * 4 vertices
+    assert all(line.endswith(",%s,inf,False" % reason) for line in lines[2:])
+
+
+def test_cover_row_of_a_hit(tmp_path, mode_file):
+    # the center target is met exactly from rest
+    assert main(["cover", "--config", cover_config(tmp_path, mode_file, 0.0)]) == 0
+    lines = (tmp_path / "cov" / "coverage.csv").read_text().splitlines()
+    assert lines[2:] == ["0.0,0.0,0.0,0.0,,0.0,True"]
+
+
 def test_rxprobe_law(tmp_path):
     out = tmp_path / "rx"
     cfg = write_config(tmp_path, "cfg.json", {
@@ -523,7 +595,7 @@ def test_step_budget_writes_failure_record(tmp_path):
     assert json.loads((out / "manifest.json").read_text())["outputs"] == ["failure.json"]
 
 
-BLOWUP_STATE = {"state": "random", "amplitude": 1e5, "decay": 0.0, "dt_base": 0.05}
+BLOWUP_STATE = {"state": "random", "state_amplitude": 1e5, "decay": 0.0, "dt_base": 0.05}
 
 
 def test_rxprobe_blowup_writes_failure_record(tmp_path):
@@ -570,7 +642,7 @@ def test_empty_config_takes_the_dataclass_defaults():
 
 
 def test_random_state_run_takes_the_library_defaults(tmp_path):
-    # no amplitude, decay or nu: random_decaying_state's and SimParams' defaults
+    # no state_amplitude, decay or nu: random_decaying_state's and SimParams' defaults
     out = tmp_path / "sim"
     cfg = write_config(tmp_path, "cfg.json", {
         "radius": 4, "duration": 0.02, "dt_base": 5e-3, "state": "random",
@@ -582,8 +654,7 @@ def test_random_state_run_takes_the_library_defaults(tmp_path):
         [str(k[0]), str(k[1]), repr(float(v.real)), repr(float(v.imag))]
         for k, v in want.items()]
     final = integrate(want, SimParams(), zero_program(0.02), IntegratorConfig(dt_base=5e-3))
-    assert (out / "final_state.csv").read_bytes() == (
-        "# seed=5\n" + state_to_csv(final.final)).encode()
+    assert (out / "final_state.json").read_text() == state_to_json(final.final) + "\n"
 
 
 def test_chatter_takes_the_library_slack_channel(tmp_path):
@@ -752,7 +823,7 @@ def test_malformed_list_field_exits_1_naming_it(tmp_path, capsys, field, value):
 @pytest.mark.parametrize("command,flag,value", [
     ("project", "--epsilon", "NaN"), ("project", "--epsilon", "Infinity"),
     ("cover", "--target-radius", "NaN"), ("cover", "--target-radius", "-0.1"),
-    ("simulate", "--decay", "Infinity"), ("simulate", "--amplitude", "NaN")])
+    ("simulate", "--decay", "Infinity"), ("simulate", "--state-amplitude", "NaN")])
 def test_out_of_range_library_input_exits_1_without_manifest(
         tmp_path, mode_file, capsys, command, flag, value):
     basis = tmp_path / "basis.json"
@@ -786,3 +857,99 @@ def test_rejected_library_input_is_named_and_writes_no_manifest(
     assert main([command, "--config", cfg, flag, value]) == 1
     assert flag[2:] in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+
+
+def test_average_random_state_amplitude_is_not_the_drive(tmp_path):
+    out = tmp_path / "avg"
+    cfg = write_config(tmp_path, "cfg.json", {
+        "k": [2, 1], "pair": [[1, 0], [1, 1]], "omegas": [40, 80], "amplitude": 0.7,
+        "state": "random", "state_amplitude": 0.2, "duration": 0.05, "radius": 4,
+        "dt_base": 1e-3, "seed": 8, "output_dir": str(out)})
+    assert main(["average", "--config", cfg]) == 0
+    devs, _ = averaging_experiment(
+        (2, 1), ((1, 0), (1, 1)), 0.7, [40.0, 80.0], 0.05,
+        random_decaying_state(4, 0.2, rng=np.random.default_rng(8)), SimParams(),
+        IntegratorConfig(dt_base=1e-3))
+    assert (out / "deviations.csv").read_text().splitlines()[2:] == [
+        "40.0,%r" % devs[0], "80.0,%r" % devs[1]]
+
+
+@pytest.mark.parametrize("command", ["simulate", "steer", "cover", "project", "rxprobe"])
+def test_random_state_amplitude_field_is_state_amplitude(tmp_path, capsys, command):
+    # a config written for the old shared name fails instead of changing meaning
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, "cfg.json", {
+        "radius": 3, "state": "random", "amplitude": 0.3, "output_dir": str(out)})
+    assert main([command, "--config", cfg]) == 1
+    assert capsys.readouterr().err == "error: unknown field 'amplitude' for '%s'\n" % command
+    assert not out.exists()
+
+
+UNREADABLE_RUNS = {
+    "state": ("simulate", {"radius": 3, "duration": 0.01}),
+    "program": ("simulate", {"radius": 3}),
+    "basis": ("project", {"mode_set": "K1", "epsilon": 0.05, "target": [0.1]}),
+    "mode_set": ("saturate", {"radius": 3}),
+    "observed": ("steer", {"mode_set": "K1", "radius": 3, "target": [0.1] * 4}),
+    "config": ("simulate", {"radius": 3, "duration": 0.01}),
+}
+
+
+@pytest.mark.parametrize("field", list(UNREADABLE_RUNS))
+def test_unreadable_input_path_exits_1_naming_the_field(tmp_path, mode_file, capsys, field):
+    # a directory where a file is expected
+    adir = tmp_path / "adir"
+    adir.mkdir()
+    command, fields = UNREADABLE_RUNS[field]
+    fields = {f: mode_file if v == "K1" else v for f, v in fields.items()}
+    if field != "config":
+        fields[field] = str(adir)
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, "cfg.json", dict(fields, output_dir=str(out)))
+    assert main([command, "--config", str(adir) if field == "config" else cfg]) == 1
+    assert capsys.readouterr().err.startswith("error: field '%s': " % field)
+    assert not out.exists()
+
+
+def test_config_that_is_not_json_exits_1_naming_the_field(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text("{radius: 3}")
+    assert main(["simulate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: field 'config': Expecting property name enclosed in double quotes")
+
+
+CSV_RUNS = {
+    "simulate": {"radius": 3, "duration": 0.02, "dt_base": 1e-2, "state": "random"},
+    "cover": {"mode_set": "K1", "radius": 4, "target_radius": 0.0, "tau": 0.02,
+              "tau_ladder": [0.02], "dt_base": 1e-3},
+    "average": {"k": [2, 1], "pair": [[1, 0], [1, 1]], "omegas": [40], "duration": 0.02,
+                "radius": 4, "dt_base": 1e-3},
+    "law": {"mode": "law", "omegas": [100]},
+    "trajectory": {"mode": "trajectory", "deltas": [0.1], "duration": 0.02, "radius": 3,
+                   "dt_base": 1e-3},
+}
+
+
+@pytest.mark.parametrize("run,name,header", [
+    ("simulate", "trajectory.csv", "t,kx,ky,re,im"),
+    ("simulate", "summary.csv", "t,energy,enstrophy,h1,h2"),
+    ("cover", "coverage.csv", "target_0,target_1,target_2,target_3,miss,error,converged"),
+    ("cover", "near_identity.csv", "tau,near_identity_gap"),
+    ("average", "deviations.csv", "omega,deviation"),
+    ("law", "rxprobe.csv", "omega,rx,expected"),
+    ("trajectory", "rxprobe.csv", "delta,rx,sup_deviation")],
+    ids=["trajectory", "summary", "coverage", "near_identity", "deviations",
+         "rxprobe_law", "rxprobe_trajectory"])
+def test_every_csv_has_a_seed_line_a_header_and_line_feeds(tmp_path, mode_file,
+                                                           run, name, header):
+    out = tmp_path / "o"
+    fields = {f: mode_file if v == "K1" else v for f, v in CSV_RUNS[run].items()}
+    cfg = write_config(tmp_path, "cfg.json", dict(fields, seed=9, output_dir=str(out)))
+    command = "rxprobe" if run in ("law", "trajectory") else run
+    assert main([command, "--config", cfg]) == 0
+    text = (out / name).read_bytes().decode()
+    assert "\r" not in text
+    lines = text.split("\n")
+    assert lines[:2] == ["# seed=9", header]
+    assert len(lines) > 3 and lines[-1] == ""

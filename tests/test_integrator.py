@@ -221,18 +221,6 @@ def test_equiboundedness_over_frequency_family():
         assert max(sobolev_norm(s, 0) for s in traj.states) <= 3.0
 
 
-def test_trajectory_csv_formats():
-    rng = np.random.default_rng(6)
-    s0 = random_decaying_state(3, amplitude=0.2, rng=rng)
-    traj = integrate(s0, SimParams(nu=0.1), zero_program(0.1),
-                     IntegratorConfig(dt_base=2e-2))
-    long_csv = traj.to_csv()
-    assert long_csv.splitlines()[0] == "t,kx,ky,re,im"
-    summary_csv = traj.summary_to_csv()
-    assert summary_csv.splitlines()[0] == "t,energy,enstrophy,h1,h2"
-    assert len(summary_csv.splitlines()) == len(traj) + 1
-
-
 def test_trajectory_validation():
     s = SpectralState.zeros(3)
     with pytest.raises(ValueError, match="start at t = 0"):

@@ -15,8 +15,8 @@ from modecascade.lattice import norm_sq, wedge
 from modecascade.spectral import (SimParams, SpectralState, energy, enstrophy,
                                   inner0, nonlinear_term, project,
                                   project_complement, random_decaying_state,
-                                  resize, sobolev_norm, sobolev_norms, state_from_csv,
-                                  state_from_json, state_to_csv, state_to_json,
+                                  resize, sobolev_norm, sobolev_norms,
+                                  state_from_json, state_to_json,
                                   velocity_from_vorticity, _tables)
 from modecascade.forcing import zero_program
 from modecascade.integrator import IntegratorConfig, integrate
@@ -77,9 +77,6 @@ def test_state_readers_reject_non_finite_coefficients(value):
     text = state_to_json(SpectralState.from_coeffs({(1, 0): 0.25}, 3))
     with pytest.raises(ValueError, match="must be finite"):
         state_from_json(text.replace("0.25", value))
-    text = state_to_csv(SpectralState.from_coeffs({(1, 0): 0.25}, 3))
-    with pytest.raises(ValueError, match="must be finite"):
-        state_from_csv(text.replace("0.25", value.lower().replace("infinity", "inf")))
 
 
 @pytest.mark.parametrize("call,message", [
@@ -88,12 +85,10 @@ def test_state_readers_reject_non_finite_coefficients(value):
     (lambda: sobolev_norms(3, np.zeros(14), order=3), "Sobolev order must be 0, 1 or 2"),
     (lambda: inner0(SpectralState.zeros(3), SpectralState.zeros(4)),
      "states must share a resolution radius"),
-    (lambda: state_from_csv("kx,ky,re,im\n1,0,0.5,0.0\n"), "missing '# radius=R'"),
-    (lambda: state_from_csv("# radius=3\nkx,ky,value\n"), "unexpected CSV header"),
     (lambda: state_from_json("[1, 2]"), "must be a JSON object with 'radius'"),
     (lambda: state_from_json('{"coeffs": {}}'), "must be a JSON object with 'radius'"),
-], ids=["radius", "vector_length", "sobolev_order", "inner0_radii", "csv_radius_row",
-        "csv_header", "json_not_object", "json_missing_key"])
+], ids=["radius", "vector_length", "sobolev_order", "inner0_radii", "json_not_object",
+        "json_missing_key"])
 def test_spectral_rejects_bad_input(call, message):
     with pytest.raises(ValueError, match=message):
         call()
@@ -102,12 +97,6 @@ def test_spectral_rejects_bad_input(call, message):
 def test_random_state_without_a_generator_draws_from_seed_0():
     want = random_decaying_state(3, rng=np.random.default_rng(0))
     assert np.array_equal(random_decaying_state(3).data, want.data)
-
-
-def test_state_csv_reader_skips_blank_rows():
-    s = SpectralState.from_coeffs({(1, 0): 0.25, (2, 1): -0.5j}, 3)
-    text = state_to_csv(s).replace("\r\n", "\r\n\r\n")
-    assert np.array_equal(state_from_csv(text).data, s.data)
 
 
 def test_states_are_immutable():
@@ -391,14 +380,6 @@ def test_random_state_rejects_a_non_finite_amplitude_or_decay(field, value):
 # serialization
 
 
-def test_csv_round_trip():
-    rng = np.random.default_rng(9)
-    s = random_decaying_state(4, amplitude=0.3, rng=rng)
-    back = state_from_csv(state_to_csv(s))
-    assert back.radius == s.radius
-    assert sobolev_norm(back - s, 0) == 0
-
-
 def test_json_round_trip():
     s = SpectralState.from_coeffs({(1, 0): 1 - 2j, (1, 2): 0.125j}, 4)
     back = state_from_json(state_to_json(s))
@@ -423,10 +404,10 @@ def states(draw):
 
 @given(states())
 @settings(max_examples=100, deadline=None)
-def test_state_csv_and_json_round_trip_property(s):
-    for back in (state_from_csv(state_to_csv(s)), state_from_json(state_to_json(s))):
-        assert back.radius == s.radius
-        np.testing.assert_array_equal(back.data, s.data)
+def test_state_json_round_trip_property(s):
+    back = state_from_json(state_to_json(s))
+    assert back.radius == s.radius
+    np.testing.assert_array_equal(back.data, s.data)
 
 
 @pytest.mark.parametrize("nu", [-0.01, float("nan"), float("inf"), -float("inf")])

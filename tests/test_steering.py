@@ -839,8 +839,6 @@ def test_coverage_single_origin_target():
                          SimParams(), cfg)
     assert res.fraction == 1.0
     assert len(res.targets) == 1
-    csv_text = res.to_csv()
-    assert csv_text.splitlines()[0].endswith("error,converged")
 
 
 def test_coverage_m1_grid():
@@ -859,7 +857,6 @@ def test_coverage_counts_numerical_failures_as_misses(monkeypatch, failure):
                          SimParams(nu=0.01), quick_config())
     assert res.fraction == 0.0
     assert res.reports == [None] * len(res.targets)
-    assert res.to_csv().splitlines()[1].endswith(",inf,False")
 
 
 def test_coverage_propagates_other_errors(monkeypatch):
@@ -881,16 +878,13 @@ def test_coverage_names_why_each_target_missed(monkeypatch, failure, reason):
     res = coverage_check(CHAIN, K1, 0.5, 2, SpectralState.zeros(4),
                          SimParams(nu=0.01), quick_config())
     assert res.misses == [reason] * len(res.targets)
-    lines = res.to_csv().splitlines()
-    assert lines[0].endswith(",miss,error,converged")
-    assert lines[1].endswith(",%s,inf,False" % reason)
 
 
 def test_coverage_marks_hits_and_unconverged_targets():
     res = coverage_check(CHAIN, K1, 0.0, 2, SpectralState.zeros(4),
                          SimParams(), quick_config(tau=0.02))
     assert res.misses == [""]
-    assert res.to_csv().splitlines()[1].endswith(",,0.0,True")
+    assert res.reports[0].error_norm == 0.0 and res.reports[0].converged
     res = coverage_check(CHAIN, K2, 0.5, 2, SpectralState.zeros(4),
                          SimParams(nu=0.01), quick_config(max_fp_iters=1, fp_tol=1e-12))
     # the center is met exactly from rest; every other target runs out of
