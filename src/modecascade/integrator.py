@@ -9,9 +9,19 @@ and Sarychev's change of variables by the control's primitive).  p is
 advanced by integrating-factor (Lawson) RK4: exp(-nu |k|^2 t) propagates
 -nu |k|^2 p exactly and -nu |k|^2 V is a known stage term; for nu = 0
 the factors are 1 and this is plain RK4, and a segment that forces
-nothing reads V = 0.  On oscillatory segments a step is at most a period
-of the fastest harmonic over ``OSCILLATION_RESOLUTION``; steps never
-cross segment boundaries.  Recorded states and the blow-up guard see q.
+nothing reads V = 0.  Steps never cross segment boundaries or sample
+times, and recorded states and the blow-up guard see q.
+
+The step rule: each piece between those instants is cut into equal
+steps of at most min(dt_base, cap), cap being a period of the segment's
+fastest harmonic over ``OSCILLATION_RESOLUTION``.  Given a local error
+tolerance, a step grows from there in whole multiples of it, never
+below: up to the piece on a segment with no oscillation, where V = v t
+is exact and only the slow quadratic dynamics limit the step, and up to
+cap on a packet.  Its size comes from the free first-same-as-last
+estimate of the Lawson step (Hochbruck and Ostermann, Exponential
+integrators, Acta Numerica 2010).  Steering sets the tolerance, fp_tol
+times ``LOCAL_TOL_PER_FP_TOL``; every other run keeps the fixed steps.
 
 V is read, never recomputed, here: a segment's evaluator is a view of
 the program's compiled read (``ForcingProgram._read_at``) that positions
@@ -19,12 +29,13 @@ the modes the segment forces in the state's layout.  ``integrate``
 advances through one stepper that tabulates V for a run of equal steps
 in blocks of at most _BLOCK steps: one array read of the segment's
 evaluator gives V at the start, midpoint and end of every step in the
-block, so the RK4 step itself only adds rows.
+block, so the RK4 step itself only adds rows.  A grown step reads its own.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -39,9 +50,13 @@ __all__ = ["IntegratorConfig", "Trajectory", "BlowUpError", "StepBudgetError",
 BLOWUP_LIMIT = 1e12
 MAX_STEPS = 2_000_000    # step budget of one integration; guards runaway frequencies
 _BLOCK = 64        # steps whose stage primitives one evaluator read tabulates
+_GROW = 5.0        # most a step may grow, or shrink, over the one before
+_SAFETY = 0.9      # fraction of the step the error estimate allows that is taken
 # steps per period of the fastest harmonic; 8 keeps the seed-7 cover_r6 main
 # intervals within 1e-8 of a 320-steps-per-period run
 OSCILLATION_RESOLUTION = 8
+# local error tolerance of a steering run's steps, per unit of its fp_tol
+LOCAL_TOL_PER_FP_TOL = 1e-8
 
 
 class BlowUpError(RuntimeError):
@@ -65,16 +80,28 @@ class IntegratorConfig:
     def __post_init__(self):
         if not 0 < self.dt_base < math.inf:
             raise ValueError("dt_base must be positive")
-        if self.record_stride < 1:
-            raise ValueError("record_stride must be >= 1")
+        _check_count(self, "record_stride")
+
+
+def _check_count(config, name: str):
+    """A count field must be an int (not a bool or a float) of at least 1."""
+    value = getattr(config, name)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError("%s must be an integer, not %r" % (name, value))
+    if value < 1:
+        raise ValueError("%s must be >= 1" % name)
 
 
 class Trajectory:
     """Recorded samples of one integration run: the record times and one
-    read-only (n_records, n_reps) array of coefficient rows at ``radius``."""
+    read-only (n_records, n_reps) array of coefficient rows at ``radius``;
+    and the run's count of RK4 steps taken and its smallest and largest
+    step (NaN when not given)."""
 
-    def __init__(self, radius: int, times: Sequence[float], data: np.ndarray):
+    def __init__(self, radius: int, times: Sequence[float], data: np.ndarray,
+                 steps: int = 0, h_min: float = math.nan, h_max: float = math.nan):
         self.radius = radius
+        self.steps, self.h_min, self.h_max = steps, h_min, h_max
         self.times = np.asarray(times, dtype=float)
         self.data = np.asarray(data, dtype=np.complex128).view()
         self.data.flags.writeable = False
@@ -141,14 +168,13 @@ def _segment_evaluator(program: ForcingProgram, i: int, tab
     return ev
 
 
-def _segment_dts(program: ForcingProgram, config: IntegratorConfig) -> np.ndarray:
-    """Step size of each segment: dt_base, capped to OSCILLATION_RESOLUTION
-    steps per period of the segment's fastest harmonic."""
+def _segment_caps(program: ForcingProgram) -> np.ndarray:
+    """Longest step of each segment: a period of its fastest harmonic over
+    OSCILLATION_RESOLUTION, inf on a segment with no oscillation."""
     fastest = np.zeros(len(program.durations))
     np.maximum.at(fastest, program.comp_seg, np.abs(program.freq))
     with np.errstate(divide="ignore"):
-        return np.minimum(config.dt_base,
-                          2.0 * math.pi / fastest / OSCILLATION_RESOLUTION)
+        return 2.0 * math.pi / fastest / OSCILLATION_RESOLUTION
 
 
 def _integrating_factors(nu: float, tab, h: float):
@@ -164,31 +190,69 @@ def _integrating_factors(nu: float, tab, h: float):
 def _lawson_rk4(q: np.ndarray, h: float, decay: np.ndarray, half_decay: np.ndarray,
                 two_half_decay: np.ndarray, h_half_decay: np.ndarray, nl,
                 v0: np.ndarray, vm: np.ndarray, v1: np.ndarray, lv0: np.ndarray,
-                lvm: np.ndarray, lv1: np.ndarray) -> np.ndarray:
+                lvm: np.ndarray, lv1: np.ndarray, k1: np.ndarray | None = None
+                ) -> tuple[np.ndarray, np.ndarray]:
     """One step of q = p + V from the primitive rows at its start (v0),
     midpoint (vm, the V of stages 2 and 3) and end (v1), and their
     products lv0, lvm, lv1 with -nu |k|^2.  A stage is dp/dt less
-    -nu |k|^2 p: N(u + V) - nu |k|^2 V."""
+    -nu |k|^2 p: N(u + V) - nu |k|^2 V.  A first stage k1 already known
+    is not recomputed.  Returns the new state and the last stage k4."""
     p = q - v0
     dp = decay * p
-    k1 = nl(p + v0) + lv0
+    if k1 is None:
+        k1 = nl(p + v0) + lv0
     k2 = nl(half_decay * (p + 0.5 * h * k1) + vm) + lvm
     k3 = nl(half_decay * p + 0.5 * h * k2 + vm) + lvm
     k4 = nl(dp + h_half_decay * k3 + v1) + lv1
-    return dp + (h / 6.0) * (decay * k1 + two_half_decay * (k2 + k3) + k4) + v1
+    return dp + (h / 6.0) * (decay * k1 + two_half_decay * (k2 + k3) + k4) + v1, k4
 
 
-def _steps(q: np.ndarray, ev, factors, nl, a: float, h: float, n: int):
-    """n Lawson steps of size h from local time a, yielding each new state;
-    one evaluator call reads V at the start, midpoint and end of up to
-    _BLOCK steps, and one product gives -nu |k|^2 V on all those rows."""
-    step_factors, lap = factors
-    for j in range(0, n, _BLOCK):
-        starts = a + np.arange(j, min(j + _BLOCK, n)) * h
+def _steps(q: np.ndarray, ev, tab, nu: float, a: float, b: float, n: int,
+           most: int = 1, tol: float | None = None):
+    """Lawson steps over the local times [a, b] in units of u = (b - a) / n,
+    yielding each new state with its local end time and step size.
+
+    At most = 1 every step is one unit, and one evaluator call reads V at
+    the start, midpoint and end of up to _BLOCK steps.  Otherwise a step is
+    m <= most units, read one at a time: the first is one unit, and each
+    next m comes from the local error estimate of the step before against
+    tol (Hairer, Norsett and Wanner, Solving ODEs I, II.4): (h/6) max
+    |k4 - k5|, where k5 = N(q_new) - nu |k|^2 V(end) is the next step's
+    first stage, so the estimate costs no extra kernel call; plus
+    Simpson's error bound on the known stage term -nu |k|^2 V, which
+    k4 - k5 cannot see, with V linear in t as on a constant segment.  A
+    step over tol is taken again with fewer units, down to one; the last
+    step, which has no next stage, is not estimated."""
+    nl, u, lam = tab.nonlinear, (b - a) / n, nu * tab.norm_sq
+    factors: dict[int, tuple] = {}
+    done, m, k1 = 0, 1, None
+    while done < n:
+        m = min(m, n - done)
+        count = min(_BLOCK, n - done) if most == 1 else 1
+        h = m * u
+        starts = a + np.arange(done, done + count * m, m) * u
         v = ev(np.concatenate([starts, starts + 0.5 * h, starts + h]))
-        for rows in zip(*np.split(v, 3), *np.split(lap * v, 3)):
-            q = _lawson_rk4(q, h, *step_factors, nl, *rows)
-            yield q
+        if m not in factors:
+            factors[m] = _integrating_factors(nu, tab, h)
+        step_factors, lap = factors[m]
+        for start, *rows in zip(starts.tolist(), *np.split(v, 3), *np.split(lap * v, 3)):
+            q_new, k4 = _lawson_rk4(q, h, *step_factors, nl, *rows, k1)
+            grow = 1.0
+            if most > 1 and done + m < n:
+                k5 = nl(q_new) + rows[5]
+                size, rise = np.abs(rows[2]), np.abs(rows[2] - rows[0])
+                err = float(h / 6.0 * np.abs(k4 - k5).max() + h ** 4 / 2880.0 * (
+                    lam ** 4 * (h * lam * size + 4.0 * rise)).max())
+                grow = min(_GROW, max(1.0 / _GROW, _SAFETY * (tol / err) ** 0.25)
+                           if err else _GROW)
+                if err > tol and m > 1:
+                    m = max(1, min(m - 1, int(m * grow)))
+                    break
+                k1 = k5
+            done += m
+            q = q_new
+            yield q, (b if done == n else start + h), h
+            m = max(1, min(most, int(m * grow)))
 
 
 def _check_finite(q: np.ndarray, t: float):
@@ -200,14 +264,25 @@ def _check_finite(q: np.ndarray, t: float):
 
 def integrate(state0: SpectralState, params: SimParams, program: ForcingProgram,
               config: IntegratorConfig = IntegratorConfig(),
-              sample_times: Sequence[float] | None = None) -> Trajectory:
+              sample_times: Sequence[float] | None = None,
+              tol: float | None = None) -> Trajectory:
     """Advance over all segments of the program, splitting steps at segment
     boundaries and at any requested sample times.
+
+    Without ``tol`` every piece between those instants is cut into equal
+    steps of at most min(dt_base, cap), cap being a period of the
+    segment's fastest harmonic over OSCILLATION_RESOLUTION.  With a local
+    error tolerance ``tol`` a step may grow, in whole multiples of that
+    step and by the error estimate of ``_steps``, up to the piece on a
+    segment with no oscillation and up to cap on one with; it never
+    shrinks below it.
 
     Records the initial state, every ``record_stride``-th step, all
     boundary/sample instants and the final state.  Deterministic for a
     fixed configuration.
     """
+    if tol is not None and not 0 < tol < math.inf:
+        raise ValueError("tol must be positive")
     tab = _tables(state0.radius)
     T = program.total_duration
     samples = np.array([] if sample_times is None
@@ -216,7 +291,8 @@ def integrate(state0: SpectralState, params: SimParams, program: ForcingProgram,
         raise ValueError("sample times escape the program horizon")
 
     durations = program.durations.tolist()
-    dts = _segment_dts(program, config)
+    caps = _segment_caps(program)
+    dts = np.minimum(config.dt_base, caps)
     planned = int(np.ceil(program.durations / dts - 1e-9).sum())
     if planned > MAX_STEPS:
         raise StepBudgetError("step budget exceeded: %d steps planned, %d allowed "
@@ -226,7 +302,7 @@ def integrate(state0: SpectralState, params: SimParams, program: ForcingProgram,
     times = [0.0]
     rows = [state0.data]
     q = state0.data
-    step_count = 0
+    step_count, h_min, h_max = 0, math.inf, 0.0
     for i, duration in enumerate(durations):
         t0 = float(program.starts[i])
         t1 = float(program.starts[i + 1])
@@ -235,17 +311,15 @@ def integrate(state0: SpectralState, params: SimParams, program: ForcingProgram,
         inner = samples[(samples > t0 + 1e-15) & (samples < t1 - 1e-15)] - t0
         brk = np.unique(np.concatenate([[0.0, duration], inner]))
         for a, b in zip(brk[:-1].tolist(), brk[1:].tolist()):
-            span = b - a
-            n = max(1, math.ceil(span / dt_seg - 1e-9))
-            h = span / n
-            factors = _integrating_factors(params.nu, tab, h)
-            for j, q in enumerate(_steps(q, ev, factors, tab.nonlinear, a, h, n)):
-                t_now = t0 + (b if j == n - 1 else a + j * h + h)
+            n = max(1, math.ceil((b - a) / dt_seg - 1e-9))
+            most = 1 if tol is None else max(1, int(min(n, caps[i] * n / (b - a))))
+            for q, t_local, h in _steps(q, ev, tab, params.nu, a, b, n, most, tol):
+                t_now = t0 + t_local
                 _check_finite(q, t_now)
                 step_count += 1
-                if ((j == n - 1 or step_count % config.record_stride == 0)
+                h_min, h_max = min(h_min, h), max(h_max, h)
+                if ((t_local == b or step_count % config.record_stride == 0)
                         and t_now > times[-1]):
                     times.append(t_now)
                     rows.append(q)
-    return Trajectory(state0.radius, times, np.stack(rows))
-
+    return Trajectory(state0.radius, times, np.stack(rows), step_count, h_min, h_max)

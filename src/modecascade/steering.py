@@ -24,8 +24,8 @@ import numpy as np
 from .forcing import (ChannelMap, Constant, ForcingProgram, Zero,
                       cascade_packet, chattering_approximation,
                       constant_program, zero_program)
-from .integrator import (BlowUpError, IntegratorConfig, StepBudgetError,
-                         Trajectory, integrate)
+from .integrator import (LOCAL_TOL_PER_FP_TOL, BlowUpError, IntegratorConfig,
+                         StepBudgetError, Trajectory, _check_count, integrate)
 from .lattice import (Mode, SaturationChain, check_mode, find_generating_pair,
                       norm_sq, symmetrize)
 from .spectral import (SimParams, SpectralState, _rep_mask, _tables, inner0,
@@ -69,8 +69,7 @@ class SteeringConfig:
         if not 1 < self.gamma < math.inf:
             raise ValueError("gamma must exceed 1")
         for name in ("max_fp_iters", "chatter_windows"):
-            if getattr(self, name) < 1:
-                raise ValueError("%s must be >= 1" % name)
+            _check_count(self, name)
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,17 +273,19 @@ def _synthesize_pieces(aim: np.ndarray, chain: SaturationChain,
                        params: SimParams, config: SteeringConfig):
     """Full program with terminal correction, plus its trajectories: the
     main ramp is aimed by :func:`_ramp_displacement` and the correction
-    ramp ends the K1 channels at ``aim``."""
+    ramp ends the K1 channels at ``aim``.  Steps grow where the local error
+    allows, against fp_tol times LOCAL_TOL_PER_FP_TOL."""
+    tol = config.fp_tol * LOCAL_TOL_PER_FP_TOL
     p = _ramp_displacement(aim, obs, state0, params, config.tau)
     main, level = _synthesize_main(p, chain, obs, config)
-    traj_main = integrate(state0, params, main, config.integrator)
+    traj_main = integrate(state0, params, main, config.integrator, tol=tol)
     k1_obs = symmetrize(chain.levels[0]) & obs
     if level == 0 or not k1_obs:
         return main, [traj_main]
     k1 = np.repeat([r in k1_obs for r in ChannelMap(obs).reps], 2)
     have = Observation.of_modes(obs).observe(traj_main.final)
     corr = base_step_program(k1_obs, aim[k1] - have[k1], config.tau / 10.0)
-    traj_corr = integrate(traj_main.final, params, corr, config.integrator)
+    traj_corr = integrate(traj_main.final, params, corr, config.integrator, tol=tol)
     full = ForcingProgram(main.support | k1_obs,
                           main.segments + corr.segments)
     return full, [traj_main, traj_corr]

@@ -38,10 +38,23 @@ def test_integrator_config_rejects_a_bad_dt_base(dt_base):
     (lambda: IntegratorConfig(record_stride=0), "record_stride must be >= 1"),
     (lambda: integrate(SpectralState.zeros(3), SimParams(nu=0.0), zero_program(1.0),
                        sample_times=[0.5, 1.5]), "sample times escape the program horizon"),
-], ids=["record_stride", "sample_times"])
+    (lambda: integrate(SpectralState.zeros(3), SimParams(nu=0.0), zero_program(1.0),
+                       tol=0.0), "tol must be positive"),
+], ids=["record_stride", "sample_times", "tol"])
 def test_integrator_rejects_bad_input(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("stride", [2.5, 2.0, True, "2"])
+def test_record_stride_must_be_an_integer(stride):
+    # 2.5 recorded every 5th step and True every step
+    with pytest.raises(ValueError, match="record_stride must be an integer"):
+        IntegratorConfig(record_stride=stride)
+
+
+def test_record_stride_takes_numpy_integers():
+    assert IntegratorConfig(record_stride=np.int64(3)).record_stride == 3
 
 
 def test_single_step_linear_decay_exact():
@@ -141,6 +154,20 @@ def test_zero_program_steps_as_the_stage_forcing_scheme_bitwise(radius, nu):
     # integrating-factor RK4 of the stage-forcing scheme, bit for bit
     s0 = random_decaying_state(radius, rng=np.random.default_rng(7))
     prog = ForcingProgram(SINGLE, [Zero(0.03), Zero(0.02)])
+    got = integrate(s0, SimParams(nu=nu), prog, IntegratorConfig(dt_base=2e-3)).final
+    want = integrator_oracle.integrate(s0, SimParams(nu=nu), prog, 2e-3, 8)
+    assert got.data.tobytes() == want.data.tobytes()
+
+
+@pytest.mark.parametrize("radius", [5, 12])
+@pytest.mark.parametrize("nu", [0.0, 0.01])
+def test_constant_program_steps_as_the_oracle_bitwise(radius, nu):
+    # at a fixed step a constant segment is the Lawson step on p = q - V,
+    # V the running primitive less its value at the segment start
+    s0 = random_decaying_state(radius, rng=np.random.default_rng(7))
+    prog = ForcingProgram(EVAL_SUPPORT, [
+        Constant(0.031, {(1, 0): 0.4 - 0.2j}), Zero(0.02),
+        Constant(0.047, {(1, 1): -0.3j, (2, 1): 0.25}), Constant(0.01, {(1, 0): 0.1})])
     got = integrate(s0, SimParams(nu=nu), prog, IntegratorConfig(dt_base=2e-3)).final
     want = integrator_oracle.integrate(s0, SimParams(nu=nu), prog, 2e-3, 8)
     assert got.data.tobytes() == want.data.tobytes()
@@ -393,7 +420,7 @@ def test_blocked_integrate_matches_scalar_step_loop(nu):
     for j in range(n):
         tloc = 0.0 + j * h
         v = ev(np.array([tloc, tloc + 0.5 * h, tloc + h]))
-        q = _lawson_rk4(q, h, *factors, tab.nonlinear, *v, *(lap * v))
+        q, _ = _lawson_rk4(q, h, *factors, tab.nonlinear, *v, *(lap * v))
     assert traj.final.data.tobytes() == q.tobytes()
 
 
@@ -426,3 +453,103 @@ def test_convergence_order_keeps_the_step_budget(monkeypatch):
     with pytest.raises(StepBudgetError, match="step budget"):
         convergence_order(SpectralState.zeros(3), SimParams(), zero_program(0.1),
                           [1e-2, 5e-3, 2.5e-3])
+
+
+# ---------------------------------------------------------------------------
+# steps grown against a local error tolerance
+
+TOL = 1e-11
+
+
+def test_trajectory_reports_the_steps_and_their_range():
+    # a 1 s constant segment at R = 6, nu = 0.01: 1,000 fixed steps, 152 grown
+    s0 = random_decaying_state(6, amplitude=0.3, rng=np.random.default_rng(4))
+    prog = constant_program(EVAL_SUPPORT, {(1, 0): 0.3 - 0.1j, (2, 1): 0.2j}, 1.0)
+    params, cfg = SimParams(nu=0.01), IntegratorConfig(dt_base=1e-3)
+    fixed = integrate(s0, params, prog, cfg)
+    grown = integrate(s0, params, prog, cfg, tol=TOL)
+    assert (fixed.steps, fixed.h_min, fixed.h_max) == (1000, 1e-3, 1e-3)
+    assert grown.steps == len(grown) - 1 < 200
+    assert grown.h_min == 1e-3 and grown.h_max >= 5e-3
+    assert sobolev_norm(grown.final - fixed.final, 0) <= 1e-10
+    assert math.isnan(Trajectory(3, [0.0], [s0.data[:_tables(3).n_reps]]).h_min)
+
+
+@st.composite
+def constant_runs(draw):
+    """A start state and a program of zero and constant segments on
+    EVAL_SUPPORT, at R = 4 to 6."""
+    radius = draw(st.integers(4, 6))
+    s0 = random_decaying_state(radius, amplitude=draw(st.floats(0.0, 0.3)),
+                               rng=np.random.default_rng(draw(st.integers(0, 2 ** 16))))
+    segments = []
+    for _ in range(draw(st.integers(1, 3))):
+        duration = draw(st.floats(0.02, 0.2))
+        values = {k: complex(draw(unit), draw(unit))
+                  for k in draw(st.lists(st.sampled_from([(1, 0), (1, 1), (2, 1), (0, 2)]),
+                                         max_size=3))}
+        segments.append(Constant(duration, {k: v for k, v in values.items() if v})
+                        if any(values.values()) else Zero(duration))
+    return s0, SimParams(nu=draw(st.sampled_from([0.0, 0.01]))), ForcingProgram(
+        EVAL_SUPPORT, segments)
+
+
+@given(constant_runs())
+@settings(max_examples=15, deadline=None)
+def test_grown_steps_stay_near_a_fixed_step_run_at_a_tenth_of_dt(run):
+    # each step's local error is held to TOL: the end state stays within
+    # 1e-10 of fixed steps at dt / 10 (at most 9e-12 over 150 draws)
+    s0, params, prog = run
+    grown = integrate(s0, params, prog, IntegratorConfig(dt_base=2e-3), tol=TOL).final
+    fine = integrate(s0, params, prog, IntegratorConfig(dt_base=2e-4)).final
+    assert sobolev_norm(grown - fine, 0) <= 1e-10
+
+
+@given(constant_runs())
+@settings(max_examples=25, deadline=None)
+def test_grown_steps_are_whole_multiples_of_the_fixed_step(run):
+    # every grown step ends on a step end of the fixed rule, so none is shorter
+    s0, params, prog = run
+    cfg = IntegratorConfig(dt_base=2e-3)
+    fixed = integrate(s0, params, prog, cfg)
+    grown = integrate(s0, params, prog, cfg, tol=TOL)
+    assert grown.h_min >= fixed.h_min and grown.steps <= fixed.steps
+    gap = np.abs(grown.times[:, None] - fixed.times[None, :]).min(axis=1)
+    assert gap.max() <= 1e-12
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.01])
+def test_packet_at_its_cap_steps_the_same_with_a_tolerance(nu):
+    # the cap 2 pi / (2 * 400) / 8 lies below dt_base, so no step can grow
+    s0 = random_decaying_state(5, amplitude=0.3, rng=np.random.default_rng(6))
+    prog = ForcingProgram(EVAL_SUPPORT, [
+        cascade_packet((2, 1), (1, 0), (1, 1), 0.4 - 0.3j, 400.0, 0.1)])
+    assert 2 * math.pi / np.abs(prog.freq).max() / integrator.OSCILLATION_RESOLUTION < 1e-3
+    cfg = IntegratorConfig(dt_base=1e-3)
+    fixed = integrate(s0, SimParams(nu=nu), prog, cfg)
+    grown = integrate(s0, SimParams(nu=nu), prog, cfg, tol=TOL)
+    assert grown.times.tobytes() == fixed.times.tobytes()
+    assert grown.data.tobytes() == fixed.data.tobytes()
+    assert grown.steps == fixed.steps
+
+
+@pytest.mark.parametrize("radius", [4, 5, 6])
+def test_grown_steps_keep_the_euler_invariants(radius):
+    s0 = random_decaying_state(radius, amplitude=0.4, rng=np.random.default_rng(radius))
+    traj = integrate(s0, SimParams(nu=0.0), zero_program(1.0),
+                     IntegratorConfig(dt_base=2e-3), tol=TOL)
+    assert traj.steps < 500 and traj.h_max > 2e-3
+    for s in traj.states:
+        assert abs(enstrophy(s) - enstrophy(s0)) <= 1e-9 * enstrophy(s0)
+        assert abs(energy(s) - energy(s0)) <= 1e-9 * energy(s0)
+
+
+def test_a_step_over_the_tolerance_is_taken_again_shorter():
+    # a tolerance far below what the fixed step reaches: every grown trial
+    # is taken again, down to the fixed step, which is kept
+    s0 = random_decaying_state(5, amplitude=0.4, rng=np.random.default_rng(2))
+    cfg = IntegratorConfig(dt_base=2e-3)
+    fixed = integrate(s0, SimParams(nu=0.01), zero_program(0.1), cfg)
+    tight = integrate(s0, SimParams(nu=0.01), zero_program(0.1), cfg, tol=1e-30)
+    assert tight.steps == fixed.steps and tight.h_max == fixed.h_max
+    assert sobolev_norm(tight.final - fixed.final, 0) <= 1e-13
