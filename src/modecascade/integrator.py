@@ -269,13 +269,8 @@ def integrate(state0: SpectralState, params: SimParams, program: ForcingProgram,
     """Advance over all segments of the program, splitting steps at segment
     boundaries and at any requested sample times.
 
-    Without ``tol`` every piece between those instants is cut into equal
-    steps of at most min(dt_base, cap), cap being a period of the
-    segment's fastest harmonic over OSCILLATION_RESOLUTION.  With a local
-    error tolerance ``tol`` a step may grow, in whole multiples of that
-    step and by the error estimate of ``_steps``, up to the piece on a
-    segment with no oscillation and up to cap on one with; it never
-    shrinks below it.
+    Steps follow the module's step rule: fixed without ``tol``, grown
+    against the local error tolerance ``tol`` with it.
 
     Records the initial state, every ``record_stride``-th step, all
     boundary/sample instants and the final state.  Deterministic for a

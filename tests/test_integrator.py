@@ -472,7 +472,7 @@ def test_trajectory_reports_the_steps_and_their_range():
     assert grown.steps == len(grown) - 1 < 200
     assert grown.h_min == 1e-3 and grown.h_max >= 5e-3
     assert sobolev_norm(grown.final - fixed.final, 0) <= 1e-10
-    assert math.isnan(Trajectory(3, [0.0], [s0.data[:_tables(3).n_reps]]).h_min)
+    assert math.isnan(Trajectory(3, [0.0], [SpectralState.zeros(3).data]).h_min)
 
 
 @st.composite
