@@ -15,13 +15,14 @@ times, and recorded states and the blow-up guard see q.
 The step rule: each piece between those instants is cut into equal
 steps of at most min(dt_base, cap), cap being a period of the segment's
 fastest harmonic over ``OSCILLATION_RESOLUTION``.  Given a local error
-tolerance, a step grows from there in whole multiples of it, never
-below: up to the piece on a segment with no oscillation, where V = v t
-is exact and only the slow quadratic dynamics limit the step, and up to
-cap on a packet.  Its size comes from the free first-same-as-last
-estimate of the Lawson step (Hochbruck and Ostermann, Exponential
-integrators, Acta Numerica 2010).  Steering sets the tolerance, fp_tol
-times ``LOCAL_TOL_PER_FP_TOL``; every other run keeps the fixed steps.
+tolerance, a step on a segment with no oscillation grows from there in
+whole multiples of it, never below, up to the piece: there V = v t is
+exact and only the slow quadratic dynamics limit the step.  Its size
+comes from the free first-same-as-last estimate of the Lawson step
+(Hochbruck and Ostermann, Exponential integrators, Acta Numerica 2010),
+which cannot see the time-only part of a packet's stages, so packet
+steps stay fixed.  Steering sets the tolerance, fp_tol times
+``LOCAL_TOL_PER_FP_TOL``; every other run keeps the fixed steps.
 
 V is read, never recomputed, here: a segment's evaluator is a view of
 the program's compiled read (``ForcingProgram._read_at``) that positions
@@ -220,9 +221,10 @@ def _steps(q: np.ndarray, ev, tab, nu: float, a: float, b: float, n: int,
     |k4 - k5|, where k5 = N(q_new) - nu |k|^2 V(end) is the next step's
     first stage, so the estimate costs no extra kernel call; plus
     Simpson's error bound on the known stage term -nu |k|^2 V, which
-    k4 - k5 cannot see, with V linear in t as on a constant segment.  A
-    step over tol is taken again with fewer units, down to one; the last
-    step, which has no next stage, is not estimated."""
+    k4 - k5 cannot see, with V linear in t: most > 1 only on a segment
+    with no oscillation.  A step over tol is taken again with fewer
+    units, down to one, from the same first stage; the last step, which
+    has no next stage, is not estimated."""
     nl, u, lam = tab.nonlinear, (b - a) / n, nu * tab.norm_sq
     factors: dict[int, tuple] = {}
     done, m, k1 = 0, 1, None
@@ -307,7 +309,7 @@ def integrate(state0: SpectralState, params: SimParams, program: ForcingProgram,
         brk = np.unique(np.concatenate([[0.0, duration], inner]))
         for a, b in zip(brk[:-1].tolist(), brk[1:].tolist()):
             n = max(1, math.ceil((b - a) / dt_seg - 1e-9))
-            most = 1 if tol is None else max(1, int(min(n, caps[i] * n / (b - a))))
+            most = n if tol is not None and math.isinf(caps[i]) else 1
             for q, t_local, h in _steps(q, ev, tab, params.nu, a, b, n, most, tol):
                 t_now = t0 + t_local
                 _check_finite(q, t_now)

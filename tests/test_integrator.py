@@ -519,15 +519,20 @@ def test_grown_steps_are_whole_multiples_of_the_fixed_step(run):
 
 
 @pytest.mark.parametrize("nu", [0.0, 0.01])
-def test_packet_at_its_cap_steps_the_same_with_a_tolerance(nu):
-    # the cap 2 pi / (2 * 400) / 8 lies below dt_base, so no step can grow
+@pytest.mark.parametrize("omega", [400.0, 10.0])
+def test_packet_steps_the_same_with_a_tolerance(nu, omega):
+    # the estimate cannot see a packet's time-only stage error, so its steps
+    # stay fixed whether the cap lies below dt_base (omega 400) or above it
+    # (omega 10: steps grown to the 6.25 ms cap against 1e-8 would land
+    # 3.7e-7 from the fixed steps)
     s0 = random_decaying_state(5, amplitude=0.3, rng=np.random.default_rng(6))
     prog = ForcingProgram(EVAL_SUPPORT, [
-        cascade_packet((2, 1), (1, 0), (1, 1), 0.4 - 0.3j, 400.0, 0.1)])
-    assert 2 * math.pi / np.abs(prog.freq).max() / integrator.OSCILLATION_RESOLUTION < 1e-3
+        cascade_packet((2, 1), (1, 0), (1, 1), 0.4 - 0.3j, omega, 0.1)])
+    cap = 2 * math.pi / np.abs(prog.freq).max() / integrator.OSCILLATION_RESOLUTION
+    assert (cap < 1e-3) == (omega == 400.0)
     cfg = IntegratorConfig(dt_base=1e-3)
     fixed = integrate(s0, SimParams(nu=nu), prog, cfg)
-    grown = integrate(s0, SimParams(nu=nu), prog, cfg, tol=TOL)
+    grown = integrate(s0, SimParams(nu=nu), prog, cfg, tol=1e-8)
     assert grown.times.tobytes() == fixed.times.tobytes()
     assert grown.data.tobytes() == fixed.data.tobytes()
     assert grown.steps == fixed.steps
@@ -544,12 +549,27 @@ def test_grown_steps_keep_the_euler_invariants(radius):
         assert abs(energy(s) - energy(s0)) <= 1e-9 * energy(s0)
 
 
-def test_a_step_over_the_tolerance_is_taken_again_shorter():
-    # a tolerance far below what the fixed step reaches: every grown trial
-    # is taken again, down to the fixed step, which is kept
+def test_a_tolerance_below_the_fixed_step_s_error_keeps_the_fixed_steps():
+    # a one-unit step is never taken again, and the estimate never lets it grow
     s0 = random_decaying_state(5, amplitude=0.4, rng=np.random.default_rng(2))
     cfg = IntegratorConfig(dt_base=2e-3)
     fixed = integrate(s0, SimParams(nu=0.01), zero_program(0.1), cfg)
     tight = integrate(s0, SimParams(nu=0.01), zero_program(0.1), cfg, tol=1e-30)
     assert tight.steps == fixed.steps and tight.h_max == fixed.h_max
     assert sobolev_norm(tight.final - fixed.final, 0) <= 1e-13
+
+
+def test_a_step_over_the_tolerance_is_taken_again_shorter(monkeypatch):
+    # from rest the state first moves as t^2, so the step grows fivefold
+    # per step until a trial overshoots the tolerance and is taken again
+    # from the same first stage (one retake; 1.4e-11 from dt / 10 measured)
+    s0, params = SpectralState.zeros(5), SimParams(nu=0.01)
+    prog = constant_program(EVAL_SUPPORT, {(1, 0): 1.0, (1, 1): 1.0j}, 1.0)
+    real, calls = integrator._lawson_rk4, []
+    monkeypatch.setattr(integrator, "_lawson_rk4",
+                        lambda *args: calls.append(args[1]) or real(*args))
+    grown = integrate(s0, params, prog, IntegratorConfig(dt_base=2e-3), tol=TOL)
+    monkeypatch.undo()
+    assert len(calls) > grown.steps
+    fine = integrate(s0, params, prog, IntegratorConfig(dt_base=2e-4))
+    assert sobolev_norm(grown.final - fine.final, 0) <= 1e-10

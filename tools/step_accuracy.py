@@ -10,11 +10,13 @@ target twice: as the package does, with steps grown against fp_tol times
 (the tolerance dropped).  Each run's full program is then integrated
 again from rest at dt_base = 1e-4 with 32 steps per period of the
 fastest harmonic, as a reference.  One line per target gives the RK4
-steps and fixed-point passes of both runs, the error against fp_tol, and
-the H0 distances of the final states: grown to fixed, grown to its
-reference, fixed to its reference.  The last line gives the totals, the
-largest distances and the most by which a grown run ends farther from
-its reference than the fixed run from its own.  Exits 1 if a pass count
+steps and fixed-point passes of both runs, the error against fp_tol, the
+H0 distances of the final states (grown to fixed, grown to its
+reference, fixed to its reference) and the reports' tail growth of both
+runs, which is read at the recorded states and so at the grown steps.
+The last line gives the totals, the largest distances, the most by which
+a grown run ends farther from its reference than the fixed run from its
+own, and the largest difference of the tail growths.  Exits 1 if a pass count
 differs or a target misses fp_tol.
 """
 
@@ -70,8 +72,8 @@ def main(argv=None) -> int:
         return mc.sobolev_norm(a - b, 0)
 
     print("seed op | steps grown fixed | passes grown fixed | error | "
-          "H0 grown-fixed grown-ref fixed-ref")
-    totals, worst, ok, farther = [0, 0], [0.0, 0.0, 0.0], True, 0.0
+          "H0 grown-fixed grown-ref fixed-ref | tail growth grown fixed")
+    totals, worst, ok, farther, tail = [0, 0], [0.0, 0.0, 0.0], True, 0.0, 0.0
     for seed in args.seeds:
         wl = workloads.CoverR6(seed)
         ctx = wl.setup()
@@ -90,11 +92,14 @@ def main(argv=None) -> int:
             worst = [max(w, d) for w, d in zip(worst, dists)]
             ok &= grown.iterations == fixed.iterations and grown.error_norm <= wl.FP_TOL
             farther = max(farther, dists[1] - dists[2])
-            print("%4d %2d | %6d %6d | %d %d | %.2e | %.1e %.4e %.4e"
+            tail = max(tail, abs(grown.q_tail_growth - fixed.q_tail_growth))
+            print("%4d %2d | %6d %6d | %d %d | %.2e | %.1e %.4e %.4e | %.6e %.6e"
                   % (seed, i, n_grown, n_fixed, grown.iterations, fixed.iterations,
-                     grown.error_norm, *dists), flush=True)
+                     grown.error_norm, *dists, grown.q_tail_growth,
+                     fixed.q_tail_growth), flush=True)
     print("total   | %6d %6d | largest H0 distances %.1e %.4e %.4e; grown at most "
-          "%.1e farther from its reference than fixed" % (*totals, *worst, farther))
+          "%.1e farther from its reference than fixed; tail growths at most %.1e "
+          "apart" % (*totals, *worst, farther, tail))
     return 0 if ok else 1
 
 
