@@ -9,9 +9,10 @@ not read is an error.  Every run emits its artifacts plus a
 echoing the fully resolved configuration and the tool version;
 re-running from a manifest reproduces the outputs bit for bit.
 
-Exit codes: 0 success, 1 usage error (unknown flag, missing
-``--config``) or configuration/validation error (an unknown, missing
-or unconvertible field is named in the message), 2 numerical failure:
+Exit codes: 0 success, 1 usage error (unknown flag, missing ``--config``)
+or configuration/validation error (an unknown, missing or unconvertible
+field is named in the message; an integer field given a non-integral
+number or a bool is unconvertible, never truncated), 2 numerical failure:
 blow-up or non-convergence with partial results still written, or a
 forcing program that needs more integration steps than the budget
 allows.  ``main`` turns the last two, raised by any subcommand, into
@@ -31,6 +32,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -42,8 +44,8 @@ from .forcing import (ForcingProgram, Oscillatory, chattering_approximation,
                       zero_program)
 from .integrator import (BlowUpError, IntegratorConfig, StepBudgetError,
                          integrate)
-from .lattice import (chain_to_json, norm_sq, parse_mode_set, saturation_chain,
-                      symmetrize)
+from .lattice import (chain_to_json, check_count, check_mode, norm_sq, parse_mode_set,
+                      saturation_chain, symmetrize)
 from .spectral import (SimParams, SpectralState, quadratic_kernel,
                        random_decaying_state, resize, sobolev_norms,
                        state_from_json, state_to_json)
@@ -81,14 +83,12 @@ def _floats(values) -> list[float]:
     return [float(x) for x in values]
 
 
-def _mode(value) -> tuple[int, int]:
-    kx, ky = value
-    return int(kx), int(ky)
+_int = partial(check_count, "value", least=None)    # the library checks the bounds
 
 
 def _pair(value) -> tuple[tuple[int, int], tuple[int, int]]:
     m, n = value
-    return _mode(m), _mode(n)
+    return check_mode(m), check_mode(n)
 
 
 def _load_config(path: str, command: str) -> dict:
@@ -146,9 +146,9 @@ def _initial(cfg: dict, em: _Emitter, radius: int) -> tuple[SpectralState, SimPa
     return state0, SimParams(**_given(cfg, {"nu": float}))
 
 
-_INTEGRATOR_FIELDS = {"dt_base": float, "record_stride": int}
+_INTEGRATOR_FIELDS = {"dt_base": float, "record_stride": _int}
 _STEERING_FIELDS = {"tau": float, "gamma": float, "omega": float,
-                    "max_fp_iters": int, "fp_tol": float, "chatter_windows": int}
+                    "max_fp_iters": _int, "fp_tol": float, "chatter_windows": _int}
 
 
 def _given(cfg: dict, fields: dict) -> dict:
@@ -169,7 +169,7 @@ def _steering_config(cfg: dict) -> SteeringConfig:
 def _chain_for(cfg: dict, observed: frozenset):
     k1 = symmetrize(_parsed(cfg, "mode_set", parse_mode_set))
     need = max(1, int(np.ceil(np.sqrt(max(norm_sq(k) for k in observed)))))
-    return saturation_chain(k1, radius=need, **_given(cfg, {"max_levels": int}))
+    return saturation_chain(k1, radius=need, **_given(cfg, {"max_levels": _int}))
 
 
 class _Emitter:
@@ -231,8 +231,8 @@ class _Emitter:
 
 def _run_saturate(cfg: dict, em: _Emitter) -> int:
     chain = saturation_chain(_parsed(cfg, "mode_set", parse_mode_set),
-                             radius=_get(cfg, "radius", int),
-                             **_given(cfg, {"max_levels": int}))
+                             radius=_get(cfg, "radius", _int),
+                             **_given(cfg, {"max_levels": _int}))
     em.write("chain.json", chain_to_json(chain, indent=2) + "\n")
     print("saturate: status=%s covered_radius=%d levels=%d"
           % (chain.status, chain.covered_radius, len(chain.levels)))
@@ -240,7 +240,7 @@ def _run_saturate(cfg: dict, em: _Emitter) -> int:
 
 
 def _run_simulate(cfg: dict, em: _Emitter) -> int:
-    state0, params = _initial(cfg, em, _get(cfg, "radius", int))
+    state0, params = _initial(cfg, em, _get(cfg, "radius", _int))
     if cfg.get("program"):
         program = _parsed(cfg, "program", program_from_json)
     else:
@@ -279,7 +279,7 @@ def _steer_and_report(em: _Emitter, run):
 def _run_steer(cfg: dict, em: _Emitter) -> int:
     observed = _observed_set(cfg)
     chain = _chain_for(cfg, observed)
-    state0, params = _initial(cfg, em, _get(cfg, "radius", int))
+    state0, params = _initial(cfg, em, _get(cfg, "radius", _int))
     target = _get(cfg, "target", _floats)
     scfg = _steering_config(cfg)
     report, code = _steer_and_report(em, lambda: steer_to_target(
@@ -290,10 +290,10 @@ def _run_steer(cfg: dict, em: _Emitter) -> int:
 
 
 def _run_average(cfg: dict, em: _Emitter) -> int:
-    k = _get(cfg, "k", _mode)
+    k = _get(cfg, "k", check_mode)
     pair = _get(cfg, "pair", _pair)
     omegas = _get(cfg, "omegas", _floats)
-    state0, params = _initial(cfg, em, _get(cfg, "radius", int))
+    state0, params = _initial(cfg, em, _get(cfg, "radius", _int))
     devs, _ = averaging_experiment(
         k, pair, _get(cfg, "amplitude", float, 1.0), omegas,
         _get(cfg, "duration", float), state0, params, _integrator_config(cfg))
@@ -306,9 +306,9 @@ def _run_average(cfg: dict, em: _Emitter) -> int:
 def _run_chatter(cfg: dict, em: _Emitter) -> int:
     program = _parsed(cfg, "program", program_from_json)
     amplitude = _get(cfg, "amplitude", float)
-    windows = _get(cfg, "windows", int)
+    windows = _get(cfg, "windows", _int)
     out = chattering_approximation(program, amplitude, windows,
-                                   **_given(cfg, {"slack_channel": int}))
+                                   **_given(cfg, {"slack_channel": _int}))
     rx = relaxation_distance(out, program)
     # kappa real channels = number of support modes
     bound = 2.0 * amplitude * np.sqrt(len(program.support)) \
@@ -324,10 +324,10 @@ def _run_chatter(cfg: dict, em: _Emitter) -> int:
 def _run_cover(cfg: dict, em: _Emitter) -> int:
     observed = _observed_set(cfg)
     chain = _chain_for(cfg, observed)
-    state0, params = _initial(cfg, em, _get(cfg, "radius", int))
+    state0, params = _initial(cfg, em, _get(cfg, "radius", _int))
     scfg = _steering_config(cfg)
     target_radius = _get(cfg, "target_radius", float)
-    grid_density = _get(cfg, "grid_density", int, 2)
+    grid_density = _get(cfg, "grid_density", _int, 2)
     result = coverage_check(chain, observed, target_radius, grid_density,
                             state0, params, scfg)
     dim = result.targets.shape[1]
@@ -375,7 +375,7 @@ def _run_rxprobe(cfg: dict, em: _Emitter) -> int:
     if mode != "trajectory":
         raise ConfigError("field 'mode': expected 'law' or 'trajectory', got %r"
                           % mode)
-    state0, params = _initial(cfg, em, _get(cfg, "radius", int))
+    state0, params = _initial(cfg, em, _get(cfg, "radius", _int))
     icfg = _integrator_config(cfg)
     sample = np.linspace(0.0, duration, 41)
     base = integrate(state0, params, zero_program(duration, single), icfg, sample).rows_at(sample)
@@ -399,7 +399,7 @@ def _run_project(cfg: dict, em: _Emitter) -> int:
     if not basis:
         raise ConfigError("field 'basis': the file lists no basis vector")
     observed_radius = max(s.radius for s in basis)
-    state0, params = _initial(cfg, em, _get(cfg, "radius", int, max(observed_radius, 4)))
+    state0, params = _initial(cfg, em, _get(cfg, "radius", _int, max(observed_radius, 4)))
     proj, S = subspace_setup(basis, _get(cfg, "epsilon", float))
     chain = _chain_for(cfg, S)
     target = _get(cfg, "target", _floats)
@@ -463,7 +463,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if unknown:
             raise ConfigError("unknown field '%s' for '%s'"
                               % ("', '".join(unknown), command))
-        cfg["seed"] = _get(cfg, "seed", int, 0)
+        cfg["seed"] = _get(cfg, "seed", _int, 0)
         em = _Emitter(cfg, command)
         code = _COMMANDS[command][0](cfg, em)
     except (BlowUpError, StepBudgetError) as exc:

@@ -49,8 +49,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .lattice import (Mode, canonical_rep, check_mode, fold_conjugate, norm_sq,
-                      rep_modes, symmetrize, unfold_conjugate, wedge)
+from .lattice import (Mode, canonical_rep, check_count, check_mode, fold_conjugate,
+                      norm_sq, rep_modes, symmetrize, unfold_conjugate, wedge)
 
 __all__ = [
     "ChannelMap", "Constant", "Oscillatory", "Zero", "ForcingProgram",
@@ -75,7 +75,7 @@ class ChannelMap:
         self._rep_pos = {r: i for i, r in enumerate(self.reps)}
 
     def channel(self, index: int) -> tuple[Mode, str]:
-        rep = self.reps[index // 2]
+        rep = self.reps[check_count("channel index", index, 0) // 2]
         return rep, ("re" if index % 2 == 0 else "im")
 
     def index(self, rep: Mode, part: str) -> int:
@@ -139,7 +139,7 @@ class Oscillatory:
         merged: dict[tuple[Mode, int], complex] = {}
         for k, h, c in components:
             k = check_mode(k)
-            h = int(h)
+            h = check_count("harmonic index", h, None)
             if h == 0:
                 raise ValueError("harmonic index must be nonzero")
             c = complex(c)
@@ -262,7 +262,7 @@ class ForcingProgram:
         times = np.asarray(times, dtype=float)
         T = self.total_duration
         lo, hi = (times.min(), times.max()) if times.size else (0.0, 0.0)
-        if lo < -1e-12 or hi > T + max(1e-12, 1e-12 * T):
+        if not (lo >= -1e-12 and hi <= T + max(1e-12, 1e-12 * T)):    # NaN fails too
             raise ValueError("time out of range: t=%.17g not in [0, %.17g]"
                              % (lo if lo < -1e-12 else hi, T))
         clipped = np.minimum(np.maximum(times, 0.0), T)
@@ -450,14 +450,13 @@ def chattering_approximation(program: ForcingProgram, amplitude: float,
     exactly.  The relaxation distance to the input is at most
     2 * A * sqrt(kappa) * T / windows.
     """
-    if windows < 1:
-        raise ValueError("window count must be >= 1")
+    check_count("window count", windows)
     cmap = ChannelMap(program.support)
     if cmap.size == 0:
         raise ValueError("cannot chatter a program with empty support")
     if not 0 < amplitude < math.inf:
         raise ValueError("extreme amplitude must be positive")
-    if not (0 <= slack_channel < cmap.size):
+    if check_count("slack channel", slack_channel, 0) >= cmap.size:
         raise ValueError("slack channel out of range")
     bound = program.value_l1_bound()
     if bound > amplitude * (1 + 1e-9):
@@ -538,7 +537,7 @@ def _segment_from_dict(entry: dict) -> Segment:
             values[(int(kx), int(ky))] = complex(float(re), float(im))
         return Constant(dur, values)
     if kind == "oscillatory":
-        comps = [(tuple(c["mode"]), int(c["harmonic"]),
+        comps = [(tuple(c["mode"]), c["harmonic"],
                   complex(float(c["coeff"][0]), float(c["coeff"][1])))
                  for c in entry["components"]]
         return Oscillatory(dur, float(entry["omega"]), comps)

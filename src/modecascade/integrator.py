@@ -36,13 +36,13 @@ block, so the RK4 step itself only adds rows.  A grown step reads its own.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .forcing import ForcingProgram
+from .lattice import check_count
 from .spectral import SimParams, SpectralState, _tables, energies, sobolev_norms
 
 __all__ = ["IntegratorConfig", "Trajectory", "BlowUpError", "StepBudgetError",
@@ -81,16 +81,7 @@ class IntegratorConfig:
     def __post_init__(self):
         if not 0 < self.dt_base < math.inf:
             raise ValueError("dt_base must be positive")
-        _check_count(self, "record_stride")
-
-
-def _check_count(config, name: str):
-    """A count field must be an int (not a bool or a float) of at least 1."""
-    value = getattr(config, name)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError("%s must be an integer, not %r" % (name, value))
-    if value < 1:
-        raise ValueError("%s must be >= 1" % name)
+        check_count("record_stride", self.record_stride)
 
 
 class Trajectory:
@@ -130,7 +121,7 @@ class Trajectory:
         """The rows recorded at the given times, each to a relative 1e-9."""
         t = np.asarray(times, dtype=float)
         i = np.abs(self.times - t[:, None]).argmin(axis=1)
-        missed = np.abs(self.times[i] - t) > 1e-9 * np.maximum(1.0, np.abs(t))
+        missed = ~(np.abs(self.times[i] - t) <= 1e-9 * np.maximum(1.0, np.abs(t)))  # NaN too
         if missed.any():
             raise KeyError("no state recorded at t=%g" % t[missed][0])
         return self.data[i]
@@ -284,7 +275,7 @@ def integrate(state0: SpectralState, params: SimParams, program: ForcingProgram,
     T = program.total_duration
     samples = np.array([] if sample_times is None
                        else sorted(set(float(s) for s in sample_times)))
-    if samples.size and (samples.min() < 0 or samples.max() > T * (1 + 1e-12)):
+    if samples.size and not (samples.min() >= 0 and samples.max() <= T * (1 + 1e-12)):
         raise ValueError("sample times escape the program horizon")
 
     durations = program.durations.tolist()

@@ -6,6 +6,7 @@ level iteration K -> next_level(K), saturation decisions for symmetric
 sets, and the generating-pair lookup used by the mode-cascade control
 synthesis.  All norm comparisons are exact integer arithmetic on
 ``kx^2 + ky^2``; no floating point is involved anywhere here.
+``check_count`` is the one place that decides an integer input.
 
 ``next_level`` encodes modes as int64 keys kx*B + ky with B = 4 max|k| + 1:
 keys add like modes and sums decode exactly, so one np.unique dedups.
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from functools import lru_cache
 from typing import Iterable, Mapping
 
@@ -33,12 +35,23 @@ import numpy as np
 Mode = tuple[int, int]
 
 
+def check_count(name: str, value, least: int | None = 1) -> int:
+    """``value`` as an int; a bool, a float, a string or a value below
+    ``least`` (unbounded when None) raises ValueError naming the input."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError("%s must be an integer, not %r" % (name, value))
+    value = operator.index(value)
+    if least is not None and value < least:
+        raise ValueError("%s must be >= %d" % (name, least))
+    return value
+
+
 def check_mode(k: Mode) -> Mode:
     """Validate a lattice mode: integer components, not the zero mode."""
     kx, ky = k
     if kx == 0 and ky == 0:
         raise ValueError("zero mode is not a valid forcing/vorticity mode")
-    return (int(kx), int(ky))
+    return check_count("mode component", kx, None), check_count("mode component", ky, None)
 
 
 def norm_sq(k: Mode) -> int:
@@ -122,10 +135,10 @@ def unfold_conjugate(values: Mapping[Mode, complex]) -> dict[Mode, complex]:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def ball(radius: int) -> frozenset[Mode]:
     """All modes k with 1 <= |k|^2 <= radius^2; cached, so users share tuples."""
-    if radius < 1:
+    if check_count("radius", radius, None) < 1:
         return frozenset()
     r2 = radius * radius
     out = set()
@@ -224,10 +237,8 @@ def saturation_chain(k1: Iterable[Mode], radius: int, max_levels: int = 32) -> S
     modes is already held or lies outside the ball, so this is next_level
     exactly.
     """
-    if radius < 1:
-        raise ValueError("radius must be >= 1")
-    if max_levels < 1:
-        raise ValueError("max_levels must be >= 1")
+    check_count("radius", radius)
+    check_count("max_levels", max_levels)
     seed = frozenset(check_mode(k) for k in k1)
     extent = max((norm_sq(k) for k in seed), default=1)
     w = 2 * max(radius, int(extent ** 0.5) + 1)

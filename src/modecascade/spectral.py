@@ -54,7 +54,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .lattice import (Mode, ball, canonical_rep, check_mode, fold_conjugate,
+from .lattice import (Mode, ball, canonical_rep, check_count, check_mode, fold_conjugate,
                       is_symmetric, neg, norm_sq, rep_modes, unfold_conjugate, wedge)
 
 __all__ = [
@@ -194,10 +194,9 @@ class _Tables:
                                self.tri_start)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)     # typed: 3.0 must not hit the entry of 3
 def _tables(radius: int) -> _Tables:
-    if radius < 1:
-        raise ValueError("resolution radius must be >= 1")
+    check_count("resolution radius", radius)
     return _Tables(radius)
 
 
@@ -309,7 +308,7 @@ def sobolev_norm(state: SpectralState, order: int = 0) -> float:
 
 def sobolev_norms(radius: int, rows: np.ndarray, order: int = 0) -> np.ndarray:
     """``sobolev_norm`` of each coefficient row (last axis) at a radius."""
-    if order not in (0, 1, 2):
+    if check_count("Sobolev order", order, None) not in (0, 1, 2):
         raise ValueError("Sobolev order must be 0, 1 or 2")
     w = _tables(radius).norm_sq ** order
     return np.sqrt(2.0 * np.sum(w * np.abs(rows) ** 2, axis=-1))
@@ -429,4 +428,4 @@ def state_from_json(text: str) -> SpectralState:
     for key, (re, im) in data["coeffs"].items():
         kx, ky = key.split(",")
         coeffs[(int(kx), int(ky))] = float(re) + 1j * float(im)
-    return SpectralState.from_coeffs(coeffs, int(data["radius"]))
+    return SpectralState.from_coeffs(coeffs, data["radius"])

@@ -25,9 +25,9 @@ from .forcing import (ChannelMap, Constant, ForcingProgram, Zero,
                       cascade_packet, chattering_approximation,
                       constant_program, zero_program)
 from .integrator import (LOCAL_TOL_PER_FP_TOL, BlowUpError, IntegratorConfig,
-                         StepBudgetError, Trajectory, _check_count, integrate)
-from .lattice import (Mode, SaturationChain, check_mode, find_generating_pair,
-                      norm_sq, symmetrize)
+                         StepBudgetError, Trajectory, integrate)
+from .lattice import (Mode, SaturationChain, check_count, check_mode,
+                      find_generating_pair, norm_sq, symmetrize)
 from .spectral import (SimParams, SpectralState, _rep_mask, _tables, inner0,
                        resize, resize_rows, sobolev_norm, sobolev_norms)
 
@@ -69,7 +69,7 @@ class SteeringConfig:
         if not 1 < self.gamma < math.inf:
             raise ValueError("gamma must exceed 1")
         for name in ("max_fp_iters", "chatter_windows"):
-            _check_count(self, name)
+            check_count(name, getattr(self, name))
 
 
 @dataclass(frozen=True, eq=False)
@@ -497,11 +497,10 @@ def coverage_grid(dimension: int, radius: float, density: int) -> np.ndarray:
 
     density=2 gives the 2*kappa ball vertices plus the center.
     """
-    if density < 2:
-        raise ValueError("grid density must be at least 2 per dimension")
+    check_count("grid density", density, 2)
     if not 0 <= radius < math.inf:
         raise ValueError("grid radius must be finite and non-negative")
-    points = [np.zeros(dimension)]
+    points = [np.zeros(check_count("dimension", dimension, 0))]
     if radius > 0:
         for mag in np.linspace(radius / (density - 1), radius, density - 1):
             for c in range(dimension):

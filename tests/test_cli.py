@@ -1,10 +1,13 @@
 """Command-line front end: subcommands, exit codes, manifest reproducibility."""
 
 import json
+import runpy
+import sys
 
 import numpy as np
 import pytest
 
+from modecascade import __version__
 from modecascade.cli import (_integrator_config, _steering_config, build_parser,
                              main)
 from modecascade.forcing import (chattering_approximation, constant_program,
@@ -785,6 +788,78 @@ def test_bad_value_exits_1_naming_the_field(tmp_path, mode_file, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err
     assert not (out / "manifest.json").exists()
+
+
+AVERAGE = {"k": [2, 1], "pair": [[1, 0], [1, 1]], "omegas": [40], "duration": 0.02,
+           "radius": 4}
+STEER = {"mode_set": "K1", "radius": 4, "target": [0.0] * 4}
+SATURATE = {"mode_set": "K1", "radius": 3}
+CHATTER = {"program": "PROG", "amplitude": 1.0, "windows": 4}
+# each integer field, a command reading it and a config valid apart from it;
+# "K1" names the mode-set file and "PROG" a program file
+INTEGER_FIELD_RUNS = {
+    "record_stride": ("simulate", {"radius": 3, "duration": 0.02}),
+    "max_fp_iters": ("steer", STEER), "chatter_windows": ("steer", STEER),
+    "radius": ("saturate", SATURATE), "seed": ("saturate", SATURATE),
+    "max_levels": ("saturate", SATURATE),
+    "windows": ("chatter", CHATTER), "slack_channel": ("chatter", CHATTER),
+    "grid_density": ("cover", {"mode_set": "K1", "radius": 4, "target_radius": 0.2}),
+    "k": ("average", AVERAGE), "pair": ("average", AVERAGE),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, True], ids=["float", "bool"])
+@pytest.mark.parametrize("field", list(INTEGER_FIELD_RUNS))
+def test_integer_field_given_a_non_integer_exits_1_naming_it(tmp_path, mode_file, capsys,
+                                                              field, value):
+    # int() ran 2.5 as 2 and true as 1 while the manifest recorded 2.5 and true
+    command, fields = INTEGER_FIELD_RUNS[field]
+    program = tmp_path / "prog.json"
+    program.write_text(program_to_json(constant_program(FOUR_MODES, {(1, 0): 0.5}, 1.0)))
+    files = {"K1": mode_file, "PROG": str(program)}
+    payload = {f: files[v] if isinstance(v, str) else v for f, v in fields.items()}
+    payload[field] = {"k": [value, 1], "pair": [[value, 0], [1, 1]]}.get(field, value)
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, "cfg.json", dict(payload, output_dir=str(out)))
+    assert main([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: field '%s': " % field) and err.count("\n") == 1
+    assert not (out / "manifest.json").exists()
+
+
+def test_steer_with_non_integral_counts_exits_1_without_manifest(tmp_path, mode_file,
+                                                                  capsys):
+    # ran 2 iterations, 1 window and stride 2, and the manifest recorded 2.5, true, 2.5
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, "cfg.json", dict(
+        STEER, mode_set=mode_file, max_fp_iters=2.5, chatter_windows=True,
+        record_stride=2.5, output_dir=str(out)))
+    assert main(["steer", "--config", cfg]) == 1
+    assert capsys.readouterr().err == \
+        "error: field 'record_stride': value must be an integer, not 2.5\n"
+    assert not (out / "manifest.json").exists()
+
+
+def run_module_main(monkeypatch, argv) -> int:
+    """Exit code of ``python -m modecascade`` with these arguments, run in-process."""
+    monkeypatch.setattr(sys, "argv", ["modecascade", *argv])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("modecascade", run_name="__main__")
+    return exc.value.code
+
+
+def test_module_entry_prints_the_version(monkeypatch, capsys):
+    assert run_module_main(monkeypatch, ["--version"]) == 0
+    assert capsys.readouterr().out == __version__ + "\n"
+
+
+def test_module_entry_exits_1_on_a_failing_config(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, "cfg.json", {"radius": 2.5, "duration": 0.02,
+                                              "output_dir": str(out)})
+    assert run_module_main(monkeypatch, ["simulate", "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith("error: field 'radius': ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

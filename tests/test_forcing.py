@@ -410,6 +410,11 @@ def test_program_json_unknown_kind_rejected():
 
 
 ONE_CONSTANT = constant_program(SINGLE, {(1, 0): 0.5}, 1.0)
+FLOAT_SUPPORT = json.dumps({"support": [[1.5, 0], [-1.5, 0]],
+                            "segments": [{"kind": "zero", "duration": 1.0}]})
+FLOAT_HARMONIC = json.dumps({"support": [[1, 0], [-1, 0]], "segments": [{
+    "kind": "oscillatory", "duration": 1.0, "omega": 10.0,
+    "components": [{"mode": [1, 0], "harmonic": 1.5, "coeff": [0.5, 0.0]}]}]})
 
 
 @pytest.mark.parametrize("call,message", [
@@ -430,9 +435,26 @@ ONE_CONSTANT = constant_program(SINGLE, {(1, 0): 0.5}, 1.0)
     (lambda: program_from_json('{"segments": []}'), "must be a JSON object with 'support'"),
     (lambda: program_from_json('{"support": [], "segments": [[1, 2]]}'),
      "program segment 0 is not a JSON object"),
+    # a float or a bool was truncated, or failed as a TypeError
+    (lambda: Oscillatory(1.0, 10.0, [((1, 0), 1.5, 1.0)]),
+     "harmonic index must be an integer, not 1.5"),
+    (lambda: program_from_json(FLOAT_SUPPORT), "mode component must be an integer, not 1.5"),
+    (lambda: program_from_json(FLOAT_HARMONIC), "harmonic index must be an integer, not 1.5"),
+    (lambda: chattering_approximation(ONE_CONSTANT, 1.0, 2.5),
+     "window count must be an integer, not 2.5"),
+    (lambda: chattering_approximation(ONE_CONSTANT, 1.0, 4, slack_channel=True),
+     "slack channel must be an integer, not True"),
+    (lambda: chattering_approximation(ONE_CONSTANT, 1.0, 4, slack_channel=-1),
+     "slack channel must be >= 0"),
+    (lambda: ChannelMap(SINGLE).channel(1.0), "channel index must be an integer"),
+    # NaN failed no range test and read NaN rows
+    (lambda: ONE_CONSTANT.channel_primitive(np.array([0.5, math.nan]), ChannelMap(SINGLE)),
+     "time out of range: t=nan"),
 ], ids=["vector_length", "harmonic", "no_segments", "segment_support",
         "packet_pair", "windows", "empty_support", "slack_channel", "json_not_object",
-        "json_missing_key", "json_segment_not_object"])
+        "json_missing_key", "json_segment_not_object", "float_harmonic",
+        "json_float_support", "json_float_harmonic", "float_windows", "bool_slack_channel",
+        "negative_slack_channel", "float_channel_index", "nan_time"])
 def test_forcing_rejects_bad_input(call, message):
     with pytest.raises(ValueError, match=message):
         call()

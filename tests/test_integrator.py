@@ -40,7 +40,10 @@ def test_integrator_config_rejects_a_bad_dt_base(dt_base):
                        sample_times=[0.5, 1.5]), "sample times escape the program horizon"),
     (lambda: integrate(SpectralState.zeros(3), SimParams(nu=0.0), zero_program(1.0),
                        tol=0.0), "tol must be positive"),
-], ids=["record_stride", "sample_times", "tol"])
+    # a NaN sample failed no range test and was dropped
+    (lambda: integrate(SpectralState.zeros(3), SimParams(nu=0.0), zero_program(1.0),
+                       sample_times=[0.5, math.nan]), "sample times escape the program horizon"),
+], ids=["record_stride", "sample_times", "tol", "nan_sample_time"])
 def test_integrator_rejects_bad_input(call, message):
     with pytest.raises(ValueError, match=message):
         call()
@@ -277,6 +280,14 @@ def test_trajectory_is_one_read_only_array():
     assert np.array_equal(traj.rows_at(traj.times[3:4]), traj.data[3:4])
     with pytest.raises(KeyError, match="no state recorded"):
         traj.rows_at([0.0, 0.0123])
+
+
+def test_rows_at_rejects_a_nan_time():
+    # NaN passed the missed-record test and read the t = 0 record
+    traj = integrate(SpectralState.zeros(3), SimParams(), zero_program(0.1),
+                     IntegratorConfig(dt_base=1e-2))
+    with pytest.raises(KeyError, match="no state recorded at t=nan"):
+        traj.rows_at([0.05, math.nan])
 
 
 def test_summary_rows_match_the_per_state_norms_bitwise():

@@ -202,10 +202,26 @@ def test_mode_set_parse_errors():
     (lambda: saturation_chain(FOUR_MODES, radius=0), "radius must be >= 1"),
     (lambda: saturation_chain(FOUR_MODES, radius=3, max_levels=0), "max_levels must be >= 1"),
     (lambda: parse_mode_set("1 x\n"), "line 1: non-integer component in '1 x'"),
-], ids=["radius", "max_levels", "component"])
+    # a float or a bool was truncated to another mode, or failed in range()
+    (lambda: check_mode((1.5, 0)), "mode component must be an integer, not 1.5"),
+    (lambda: check_mode((True, 0)), "mode component must be an integer, not True"),
+    (lambda: symmetrize({(1.5, 0)}), "mode component must be an integer, not 1.5"),
+    (lambda: saturation_chain(FOUR_MODES, radius=2.5), "radius must be an integer"),
+    (lambda: saturation_chain(FOUR_MODES, radius=3, max_levels=2.5),
+     "max_levels must be an integer"),
+    (lambda: ball(2.5), "radius must be an integer"),
+], ids=["radius", "max_levels", "component", "float_component", "bool_component",
+        "symmetrize", "float_radius", "float_max_levels", "ball_radius"])
 def test_lattice_rejects_bad_input(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_numpy_integers_pass_as_python_ints():
+    k = check_mode((np.int64(2), np.int32(-1)))
+    assert k == (2, -1) and all(type(c) is int for c in k)
+    chain = saturation_chain(FOUR_MODES, radius=np.int64(3), max_levels=np.int32(10))
+    assert chain.status == "covered" and ball(np.int64(2)) == ball(2)
 
 
 def test_chain_json_schema_and_round_trip():

@@ -87,8 +87,15 @@ def test_state_readers_reject_non_finite_coefficients(value):
      "states must share a resolution radius"),
     (lambda: state_from_json("[1, 2]"), "must be a JSON object with 'radius'"),
     (lambda: state_from_json('{"coeffs": {}}'), "must be a JSON object with 'radius'"),
+    # a float radius read as its floor, or as the cached table of the integer
+    (lambda: state_from_json('{"radius": 3.7, "coeffs": {}}'),
+     "resolution radius must be an integer, not 3.7"),
+    (lambda: (_tables(3), SpectralState.zeros(3.0)),
+     "resolution radius must be an integer, not 3.0"),
+    (lambda: sobolev_norms(3, np.zeros(14), order=1.0), "Sobolev order must be an integer"),
 ], ids=["radius", "vector_length", "sobolev_order", "inner0_radii", "json_not_object",
-        "json_missing_key"])
+        "json_missing_key", "json_float_radius", "cached_float_radius",
+        "float_sobolev_order"])
 def test_spectral_rejects_bad_input(call, message):
     with pytest.raises(ValueError, match=message):
         call()

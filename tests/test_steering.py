@@ -213,7 +213,11 @@ BASIS = [SpectralState.from_coeffs({(1, 0): 0.8, (2, 1): 0.6 + 0.2j}, 6),
     (lambda: steer_in_projection(*subspace_setup(BASIS, epsilon=0.05), np.zeros(3), CHAIN,
                                  SpectralState.zeros(6), SimParams(nu=0.01), quick_config()),
      "target must have one coordinate per basis vector"),
-], ids=["cascade_oscillatory", "steer_target", "averaging_pair", "projection_target"])
+    # a float density failed in linspace; a bool dimension read as 1
+    (lambda: coverage_grid(2, 0.3, 2.5), "grid density must be an integer, not 2.5"),
+    (lambda: coverage_grid(True, 0.3, 2), "dimension must be an integer, not True"),
+], ids=["cascade_oscillatory", "steer_target", "averaging_pair", "projection_target",
+        "float_grid_density", "bool_grid_dimension"])
 def test_steering_rejects_bad_input(call, message):
     with pytest.raises(ValueError, match=message):
         call()
