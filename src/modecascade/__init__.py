@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 
 from .lattice import (Mode, SaturationChain, admissible_pair, ball,
                       find_generating_pair, is_saturating_symmetric,
-                      next_level, norm_sq, saturation_chain, symmetrize, wedge)
+                      norm_sq, saturation_chain, symmetrize, wedge)
 from .spectral import (SimParams, SpectralState, energy, enstrophy, inner0,
                        nonlinear_term, project, project_complement,
                        random_decaying_state, resize, sobolev_norm,

@@ -12,7 +12,8 @@ re-running from a manifest reproduces the outputs bit for bit.
 Exit codes: 0 success, 1 usage error (unknown flag, missing ``--config``)
 or configuration/validation error (an unknown, missing or unconvertible
 field is named in the message; an integer field given a non-integral
-number or a bool is unconvertible, never truncated), 2 numerical failure:
+number or a bool, and a real field given a bool or a string, is
+unconvertible, never truncated or parsed), 2 numerical failure:
 blow-up or non-convergence with partial results still written, or a
 forcing program that needs more integration steps than the budget
 allows.  ``main`` turns the last two, raised by any subcommand, into
@@ -44,8 +45,8 @@ from .forcing import (ForcingProgram, Oscillatory, chattering_approximation,
                       zero_program)
 from .integrator import (BlowUpError, IntegratorConfig, StepBudgetError,
                          integrate)
-from .lattice import (chain_to_json, check_count, check_mode, norm_sq, parse_mode_set,
-                      saturation_chain, symmetrize)
+from .lattice import (chain_to_json, check_count, check_mode, check_real, norm_sq,
+                      parse_mode_set, saturation_chain, symmetrize)
 from .spectral import (SimParams, SpectralState, quadratic_kernel,
                        random_decaying_state, resize, sobolev_norms,
                        state_from_json, state_to_json)
@@ -79,11 +80,13 @@ def _get(cfg: dict, field: str, convert, default=REQUIRED):
         raise ConfigError("field '%s': %s" % (field, exc)) from None
 
 
-def _floats(values) -> list[float]:
-    return [float(x) for x in values]
+# the library checks the bounds
+_int = partial(check_count, "value", least=None)
+_real = partial(check_real, "value", above=None)
 
 
-_int = partial(check_count, "value", least=None)    # the library checks the bounds
+def _reals(values, above: float | None = None) -> list[float]:
+    return [check_real("value", x, above) for x in values]
 
 
 def _pair(value) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -129,7 +132,7 @@ def _load_state(cfg: dict, radius: int) -> SpectralState:
     if source == "rest":
         return SpectralState.zeros(radius)
     if source == "random":
-        given = _given(cfg, {"state_amplitude": float, "decay": float})
+        given = _given(cfg, {"state_amplitude": _real, "decay": _real})
         return random_decaying_state(radius, rng=_rng(cfg), **{
             name.removeprefix("state_"): value for name, value in given.items()})
     state = _parsed(cfg, "state", state_from_json)
@@ -143,12 +146,12 @@ def _initial(cfg: dict, em: _Emitter, radius: int) -> tuple[SpectralState, SimPa
     records the state's resolution for the manifest."""
     state0 = _load_state(cfg, radius)
     em.radius = state0.radius
-    return state0, SimParams(**_given(cfg, {"nu": float}))
+    return state0, SimParams(**_given(cfg, {"nu": _real}))
 
 
-_INTEGRATOR_FIELDS = {"dt_base": float, "record_stride": _int}
-_STEERING_FIELDS = {"tau": float, "gamma": float, "omega": float,
-                    "max_fp_iters": _int, "fp_tol": float, "chatter_windows": _int}
+_INTEGRATOR_FIELDS = {"dt_base": _real, "record_stride": _int}
+_STEERING_FIELDS = {"tau": _real, "gamma": _real, "omega": _real,
+                    "max_fp_iters": _int, "fp_tol": _real, "chatter_windows": _int}
 
 
 def _given(cfg: dict, fields: dict) -> dict:
@@ -244,7 +247,7 @@ def _run_simulate(cfg: dict, em: _Emitter) -> int:
     if cfg.get("program"):
         program = _parsed(cfg, "program", program_from_json)
     else:
-        program = zero_program(_get(cfg, "duration", float))
+        program = zero_program(_get(cfg, "duration", _real))
     traj = integrate(state0, params, program, _integrator_config(cfg))
     em.write_csv("trajectory.csv", ["t", "kx", "ky", "re", "im"],
                  ((t, kx, ky, v.real, v.imag) for t, s in zip(traj.times, traj.states)
@@ -280,7 +283,7 @@ def _run_steer(cfg: dict, em: _Emitter) -> int:
     observed = _observed_set(cfg)
     chain = _chain_for(cfg, observed)
     state0, params = _initial(cfg, em, _get(cfg, "radius", _int))
-    target = _get(cfg, "target", _floats)
+    target = _get(cfg, "target", _reals)
     scfg = _steering_config(cfg)
     report, code = _steer_and_report(em, lambda: steer_to_target(
         target, chain, observed, state0, params, scfg))
@@ -292,11 +295,11 @@ def _run_steer(cfg: dict, em: _Emitter) -> int:
 def _run_average(cfg: dict, em: _Emitter) -> int:
     k = _get(cfg, "k", check_mode)
     pair = _get(cfg, "pair", _pair)
-    omegas = _get(cfg, "omegas", _floats)
+    omegas = _get(cfg, "omegas", _reals)
     state0, params = _initial(cfg, em, _get(cfg, "radius", _int))
     devs, _ = averaging_experiment(
-        k, pair, _get(cfg, "amplitude", float, 1.0), omegas,
-        _get(cfg, "duration", float), state0, params, _integrator_config(cfg))
+        k, pair, _get(cfg, "amplitude", _real, 1.0), omegas,
+        _get(cfg, "duration", _real), state0, params, _integrator_config(cfg))
     em.write_csv("deviations.csv", ["omega", "deviation"], zip(omegas, devs))
     print("average: " + ", ".join("D(%g)=%.4g" % (w, d)
                                   for w, d in zip(omegas, devs)))
@@ -305,7 +308,7 @@ def _run_average(cfg: dict, em: _Emitter) -> int:
 
 def _run_chatter(cfg: dict, em: _Emitter) -> int:
     program = _parsed(cfg, "program", program_from_json)
-    amplitude = _get(cfg, "amplitude", float)
+    amplitude = _get(cfg, "amplitude", _real)
     windows = _get(cfg, "windows", _int)
     out = chattering_approximation(program, amplitude, windows,
                                    **_given(cfg, {"slack_channel": _int}))
@@ -326,7 +329,7 @@ def _run_cover(cfg: dict, em: _Emitter) -> int:
     chain = _chain_for(cfg, observed)
     state0, params = _initial(cfg, em, _get(cfg, "radius", _int))
     scfg = _steering_config(cfg)
-    target_radius = _get(cfg, "target_radius", float)
+    target_radius = _get(cfg, "target_radius", _real)
     grid_density = _get(cfg, "grid_density", _int, 2)
     result = coverage_check(chain, observed, target_radius, grid_density,
                             state0, params, scfg)
@@ -338,7 +341,7 @@ def _run_cover(cfg: dict, em: _Emitter) -> int:
                   for t, rep, miss in zip(result.targets, result.reports, result.misses)))
     em.write_json("coverage.json", {"fraction": result.fraction,
                                     "targets": int(len(result.targets))})
-    ladder = _get(cfg, "tau_ladder", _floats, [])
+    ladder = _get(cfg, "tau_ladder", _reals, [])
     if ladder:
         em.write_csv("near_identity.csv", ["tau", "near_identity_gap"],
                      [(tau, near_identity_gap(observed, result.targets, tau, state0,
@@ -359,11 +362,11 @@ def _run_rxprobe(cfg: dict, em: _Emitter) -> int:
     the unforced one.
     """
     mode = _get(cfg, "mode", str, "trajectory")
-    duration = _get(cfg, "duration", float, 1.0)
+    duration = _get(cfg, "duration", _real, 1.0)
     single = symmetrize({(1, 0)})
     if mode == "law":
         rows = []
-        for omega in _get(cfg, "omegas", _floats, [1e2, 1e3, 1e4]):
+        for omega in _get(cfg, "omegas", partial(_reals, above=0.0), [1e2, 1e3, 1e4]):
             seg = Oscillatory.from_cos_pairs(duration, omega,
                                              [((1, 0), omega ** -0.5)])
             rx = relaxation_distance(ForcingProgram(single, [seg]),
@@ -380,7 +383,7 @@ def _run_rxprobe(cfg: dict, em: _Emitter) -> int:
     sample = np.linspace(0.0, duration, 41)
     base = integrate(state0, params, zero_program(duration, single), icfg, sample).rows_at(sample)
     rows = []
-    for delta in _get(cfg, "deltas", _floats, [0.1, 0.05, 0.025]):
+    for delta in _get(cfg, "deltas", partial(_reals, above=0.0), [0.1, 0.05, 0.025]):
         omega = 1.0 / delta ** 2
         seg = Oscillatory.from_cos_pairs(duration, omega, [((1, 0), delta)])
         prog = ForcingProgram(single, [seg])
@@ -400,9 +403,9 @@ def _run_project(cfg: dict, em: _Emitter) -> int:
         raise ConfigError("field 'basis': the file lists no basis vector")
     observed_radius = max(s.radius for s in basis)
     state0, params = _initial(cfg, em, _get(cfg, "radius", _int, max(observed_radius, 4)))
-    proj, S = subspace_setup(basis, _get(cfg, "epsilon", float))
+    proj, S = subspace_setup(basis, _get(cfg, "epsilon", _real))
     chain = _chain_for(cfg, S)
-    target = _get(cfg, "target", _floats)
+    target = _get(cfg, "target", _reals)
     scfg = _steering_config(cfg)
     report, code = _steer_and_report(em, lambda: steer_in_projection(
         proj, S, target, chain, state0, params, scfg))
@@ -463,7 +466,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if unknown:
             raise ConfigError("unknown field '%s' for '%s'"
                               % ("', '".join(unknown), command))
-        cfg["seed"] = _get(cfg, "seed", _int, 0)
+        cfg["seed"] = _get(cfg, "seed", partial(check_count, "value", least=0), 0)
         em = _Emitter(cfg, command)
         code = _COMMANDS[command][0](cfg, em)
     except (BlowUpError, StepBudgetError) as exc:

@@ -49,8 +49,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .lattice import (Mode, canonical_rep, check_count, check_mode, fold_conjugate,
-                      norm_sq, rep_modes, symmetrize, unfold_conjugate, wedge)
+from .lattice import (Mode, canonical_rep, check_count, check_mode, check_real,
+                      fold_conjugate, norm_sq, rep_modes, symmetrize, unfold_conjugate, wedge)
 
 __all__ = [
     "ChannelMap", "Constant", "Oscillatory", "Zero", "ForcingProgram",
@@ -111,9 +111,7 @@ class Constant:
     __slots__ = ("duration", "values")
 
     def __init__(self, duration: float, values: Mapping[Mode, complex]):
-        if not 0 < duration < math.inf:
-            raise ValueError("segment duration must be positive")
-        self.duration = float(duration)
+        self.duration = check_real("segment duration", duration)
         self.values = fold_conjugate(values, 1e-9, "forcing")
         if not all(map(cmath.isfinite, self.values.values())):
             raise ValueError("forcing values must be finite")
@@ -130,12 +128,8 @@ class Oscillatory:
 
     def __init__(self, duration: float, omega: float,
                  components: Iterable[tuple[Mode, int, complex]]):
-        if not 0 < duration < math.inf:
-            raise ValueError("segment duration must be positive")
-        if not 0 < omega < math.inf:
-            raise ValueError("oscillation frequency must be positive")
-        self.duration = float(duration)
-        self.omega = float(omega)
+        self.duration = check_real("segment duration", duration)
+        self.omega = check_real("oscillation frequency", omega)
         merged: dict[tuple[Mode, int], complex] = {}
         for k, h, c in components:
             k = check_mode(k)
@@ -174,9 +168,7 @@ class Zero:
     __slots__ = ("duration",)
 
     def __init__(self, duration: float):
-        if not 0 < duration < math.inf:
-            raise ValueError("segment duration must be positive")
-        self.duration = float(duration)
+        self.duration = check_real("segment duration", duration)
 
     def __repr__(self):
         return "Zero(duration=%g)" % self.duration
@@ -396,10 +388,8 @@ def _interaction_coeff(m: Mode, n: Mode) -> float:
 def snap_omega(omega: float, duration: float) -> float:
     """Smallest frequency >= omega that fits a positive whole number of
     cycles in the segment (so primitives close up)."""
-    if not 0 < duration < math.inf:
-        raise ValueError("segment duration must be positive")
-    if not 0 < omega < math.inf:
-        raise ValueError("oscillation frequency must be positive")
+    duration = check_real("segment duration", duration)
+    omega = check_real("oscillation frequency", omega)
     cycles = max(1, math.ceil(omega * duration / (2.0 * math.pi) - 1e-9))
     return 2.0 * math.pi * cycles / duration
 
@@ -454,8 +444,7 @@ def chattering_approximation(program: ForcingProgram, amplitude: float,
     cmap = ChannelMap(program.support)
     if cmap.size == 0:
         raise ValueError("cannot chatter a program with empty support")
-    if not 0 < amplitude < math.inf:
-        raise ValueError("extreme amplitude must be positive")
+    amplitude = check_real("extreme amplitude", amplitude)
     if check_count("slack channel", slack_channel, 0) >= cmap.size:
         raise ValueError("slack channel out of range")
     bound = program.value_l1_bound()
@@ -527,7 +516,7 @@ def program_from_json(text: str) -> ForcingProgram:
 
 def _segment_from_dict(entry: dict) -> Segment:
     kind = entry["kind"]
-    dur = float(entry["duration"])
+    dur = entry["duration"]
     if kind == "zero":
         return Zero(dur)
     if kind == "constant":
@@ -540,5 +529,5 @@ def _segment_from_dict(entry: dict) -> Segment:
         comps = [(tuple(c["mode"]), c["harmonic"],
                   complex(float(c["coeff"][0]), float(c["coeff"][1])))
                  for c in entry["components"]]
-        return Oscillatory(dur, float(entry["omega"]), comps)
+        return Oscillatory(dur, entry["omega"], comps)
     raise ValueError("unknown segment kind %r" % kind)

@@ -42,7 +42,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .forcing import ForcingProgram
-from .lattice import check_count
+from .lattice import check_count, check_real
 from .spectral import SimParams, SpectralState, _tables, energies, sobolev_norms
 
 __all__ = ["IntegratorConfig", "Trajectory", "BlowUpError", "StepBudgetError",
@@ -79,8 +79,7 @@ class IntegratorConfig:
     record_stride: int = 1
 
     def __post_init__(self):
-        if not 0 < self.dt_base < math.inf:
-            raise ValueError("dt_base must be positive")
+        check_real("dt_base", self.dt_base)
         check_count("record_stride", self.record_stride)
 
 
@@ -269,8 +268,8 @@ def integrate(state0: SpectralState, params: SimParams, program: ForcingProgram,
     boundary/sample instants and the final state.  Deterministic for a
     fixed configuration.
     """
-    if tol is not None and not 0 < tol < math.inf:
-        raise ValueError("tol must be positive")
+    if tol is not None:
+        check_real("tol", tol)
     tab = _tables(state0.radius)
     T = program.total_duration
     samples = np.array([] if sample_times is None

@@ -2,18 +2,11 @@
 
 Modes are points of Z^2 \\ {0}, addressed as plain ``(kx, ky)`` tuples.
 This module provides the wedge product, the admissible-pair test, the
-level iteration K -> next_level(K), saturation decisions for symmetric
-sets, and the generating-pair lookup used by the mode-cascade control
-synthesis.  All norm comparisons are exact integer arithmetic on
-``kx^2 + ky^2``; no floating point is involved anywhere here.
-``check_count`` is the one place that decides an integer input.
-
-``next_level`` encodes modes as int64 keys kx*B + ky with B = 4 max|k| + 1:
-keys add like modes and sums decode exactly, so one np.unique dedups.
-``saturation_chain`` does not call it: it holds its levels on a boolean
-grid over the working ball and sums only the pairs with a mode fresh at
-the previous level, which gives the same levels; ``next_level`` stays as
-their one-step definition, against which the tests check the chain.
+saturation chain of levels for symmetric sets, saturation decisions and
+the generating-pair lookup used by the mode-cascade control synthesis.
+All norm comparisons are exact integer arithmetic on ``kx^2 + ky^2``.
+``check_count`` is the one place that decides an integer input, and
+``check_real`` the one place that decides a real one.
 
 Vorticity and forcing are real fields on T^2, so every coefficient map
 obeys v(-k) = conj(v(k)) and is stored on the canonical representative
@@ -26,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 from functools import lru_cache
 from typing import Iterable, Mapping
@@ -43,6 +37,21 @@ def check_count(name: str, value, least: int | None = 1) -> int:
     value = operator.index(value)
     if least is not None and value < least:
         raise ValueError("%s must be >= %d" % (name, least))
+    return value
+
+
+def check_real(name: str, value, above: float | None = 0.0) -> float:
+    """``value`` as a float; a bool, a non-real (a string, None, a
+    complex) or a value outside the open interval (``above``, inf) raises
+    ValueError naming the input.  With ``above`` None only the type is
+    checked; any bound fails NaN and +-inf."""
+    # float and int short-cut the slower numbers.Real ABC check
+    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
+        raise ValueError("%s must be a real number, not %r" % (name, value))
+    value = float(value)
+    if above is not None and not above < value < math.inf:
+        raise ValueError("%s must %s" % (name, {0.0: "be positive", -math.inf: "be finite"}
+                                         .get(above, "exceed %g" % above)))
     return value
 
 
@@ -149,36 +158,12 @@ def ball(radius: int) -> frozenset[Mode]:
     return frozenset(out)
 
 
-def next_level(modes: Iterable[Mode]) -> frozenset[Mode]:
-    """One step of the level iteration.
-
-    Returns K together with every nonzero sum m+n over admissible pairs
-    m, n in K.  The result always contains K, so iterating is monotone.
-    """
-    k_set = frozenset(check_mode(k) for k in modes)
-    extent = max((max(abs(kx), abs(ky)) for kx, ky in k_set), default=0)
-    if extent >= 2 ** 29:       # keeps every key, norm and wedge inside int64
-        raise ValueError("mode components must stay below 2**29")
-    arr = np.array(list(k_set), dtype=np.int64).reshape(-1, 2)
-    kx, ky = arr[:, 0], arr[:, 1]
-    norms = kx * kx + ky * ky
-    i, j = np.triu_indices(len(arr), 1)
-    ok = (norms[i] != norms[j]) & (kx[i] * ky[j] != ky[i] * kx[j])
-    # sums have components in [-2 extent, 2 extent], so base 4 extent + 1
-    # decodes them exactly; an admissible pair never sums to zero (n = -m
-    # is collinear)
-    base = 4 * extent + 1
-    keys = kx * base + ky
-    sums = np.unique(keys[i[ok]] + keys[j[ok]]) + 2 * extent
-    sx, sy = np.divmod(sums, base)
-    return k_set | frozenset(zip(sx.tolist(), (sy - 2 * extent).tolist()))
-
-
 class SaturationChain:
     """Monotone sequence of mode-set levels with a termination status.
 
     ``levels[0]`` is the seed set of controlled modes; each further
-    entry is ``next_level`` of the previous one.  ``status`` is one of
+    entry adds to the previous one every sum m+n over its admissible
+    pairs m, n (the level iteration).  ``status`` is one of
     "covered" (every mode of the requested ball reached), "stationary"
     (the iteration stopped growing before covering the ball, which is
     definitive within that ball) or "budget" (level budget exhausted,
@@ -222,8 +207,8 @@ class SaturationChain:
 
 
 def saturation_chain(k1: Iterable[Mode], radius: int, max_levels: int = 32) -> SaturationChain:
-    """Iterate next_level until the radius ball is covered, the chain is
-    stationary, or the level budget runs out.
+    """Run the level iteration until the radius ball is covered, the chain
+    is stationary, or the level budget runs out.
 
     The iteration is restricted to a working ball of radius
     W = 2 * max(radius, floor(max |k| over the seed) + 1): new sums outside
@@ -234,8 +219,8 @@ def saturation_chain(k1: Iterable[Mode], radius: int, max_levels: int = 32) -> S
     The levels live on a boolean grid over |kx|, |ky| <= W, which holds
     the seed.  A level adds the in-ball sums of the admissible pairs with
     at least one mode fresh at the previous level; a sum of two older
-    modes is already held or lies outside the ball, so this is next_level
-    exactly.
+    modes is already held or lies outside the ball, so this is the level
+    iteration exactly.
     """
     check_count("radius", radius)
     check_count("max_levels", max_levels)

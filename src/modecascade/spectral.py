@@ -54,8 +54,9 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .lattice import (Mode, ball, canonical_rep, check_count, check_mode, fold_conjugate,
-                      is_symmetric, neg, norm_sq, rep_modes, unfold_conjugate, wedge)
+from .lattice import (Mode, ball, canonical_rep, check_count, check_mode, check_real,
+                      fold_conjugate, is_symmetric, neg, norm_sq, rep_modes,
+                      unfold_conjugate, wedge)
 
 __all__ = [
     "SimParams", "SpectralState", "nonlinear_term",
@@ -73,7 +74,7 @@ class SimParams:
     nu: float = 0.0
 
     def __post_init__(self):
-        if not 0 <= self.nu < np.inf:
+        if check_real("viscosity", self.nu, -np.inf) < 0:
             raise ValueError("viscosity must be nonnegative")
 
 
@@ -194,10 +195,13 @@ class _Tables:
                                self.tri_start)
 
 
-@lru_cache(maxsize=None, typed=True)     # typed: 3.0 must not hit the entry of 3
+_tables_of = lru_cache(maxsize=None)(_Tables)
+
+
 def _tables(radius: int) -> _Tables:
-    check_count("resolution radius", radius)
-    return _Tables(radius)
+    """The tables of a radius, built once.  The radius is checked before
+    the cache, so 3.0 fails and np.int64(6) shares the table of 6."""
+    return _tables_of(check_count("resolution radius", radius))
 
 
 class SpectralState:
@@ -207,7 +211,7 @@ class SpectralState:
 
     def __init__(self, radius: int, data: np.ndarray | None = None, _copy: bool = True):
         tab = _tables(radius)
-        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "radius", tab.radius)
         if data is None:
             arr = np.zeros(tab.n_reps, dtype=np.complex128)
         else:
@@ -398,8 +402,8 @@ def random_decaying_state(radius: int, amplitude: float = 0.3, decay: float = 3.
                           rng: np.random.Generator | None = None) -> SpectralState:
     """Random smooth state with |q_k| = amplitude * |k|^-decay and uniform
     random phases; the seed is the caller's responsibility to record."""
-    if not np.isfinite([amplitude, decay]).all():
-        raise ValueError("amplitude and decay must be finite")
+    amplitude = check_real("amplitude", amplitude, -np.inf)
+    decay = check_real("decay", decay, -np.inf)
     if rng is None:
         rng = np.random.default_rng(0)
     tab = _tables(radius)

@@ -26,7 +26,7 @@ from .forcing import (ChannelMap, Constant, ForcingProgram, Zero,
                       constant_program, zero_program)
 from .integrator import (LOCAL_TOL_PER_FP_TOL, BlowUpError, IntegratorConfig,
                          StepBudgetError, Trajectory, integrate)
-from .lattice import (Mode, SaturationChain, check_count, check_mode,
+from .lattice import (Mode, SaturationChain, check_count, check_mode, check_real,
                       find_generating_pair, norm_sq, symmetrize)
 from .spectral import (SimParams, SpectralState, _rep_mask, _tables, inner0,
                        resize, resize_rows, sobolev_norm, sobolev_norms)
@@ -64,10 +64,8 @@ class SteeringConfig:
 
     def __post_init__(self):
         for name in ("tau", "fp_tol", "omega"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError("%s must be positive" % name)
-        if not 1 < self.gamma < math.inf:
-            raise ValueError("gamma must exceed 1")
+            check_real(name, getattr(self, name))
+        check_real("gamma", self.gamma, 1.0)
         for name in ("max_fp_iters", "chatter_windows"):
             check_count(name, getattr(self, name))
 
@@ -170,8 +168,7 @@ def base_step_program(support: Iterable[Mode], p: np.ndarray, tau: float
                       ) -> ForcingProgram:
     """Constant ramp v = p / tau on the support channels; its primitive at
     tau equals p, so from rest the observed endpoint is p up to O(tau)."""
-    if not 0 < tau < math.inf:
-        raise ValueError("tau must be positive")
+    tau = check_real("tau", tau)
     support = symmetrize(support)
     cmap = ChannelMap(support)
     values = cmap.vector_to_rep_coeffs(np.asarray(p, dtype=float) / tau)
@@ -321,6 +318,7 @@ def steer_to_target(target: np.ndarray, chain: SaturationChain, k_obs,
     if target.shape != (proj.dimension,):
         raise ValueError("target must have one entry per observed channel (%d)"
                          % proj.dimension)
+    check_real("target", np.abs(target).max(initial=0.0), -math.inf)    # NaN propagates
     aim = target
     best: EndpointReport | None = None
     for it in range(1, config.max_fp_iters + 1):
@@ -376,8 +374,7 @@ def averaging_experiment(k: Mode, pair: tuple[Mode, Mode], amplitude: float,
     stays O(1) (the oscillation rides there) and is what the terminal
     correction of the synthesis settles; it is returned as a diagnostic.
     """
-    if not math.isfinite(amplitude):
-        raise ValueError("amplitude must be finite")
+    amplitude = check_real("amplitude", amplitude, -math.inf)
     m, n = pair
     k = check_mode(k)
     if (m[0] + n[0], m[1] + n[1]) != k:
@@ -411,8 +408,7 @@ def subspace_setup(basis_raw: Sequence[SpectralState], epsilon: float
     basis) and the coordinate set S; the truncated vectors stay within
     (len(basis)+1) * epsilon of their projection onto the subspace.
     """
-    if not 0 < epsilon < math.inf:
-        raise ValueError("epsilon must be positive")
+    epsilon = check_real("epsilon", epsilon)
     radius = max((s.radius for s in basis_raw), default=1)   # of_basis rejects []
     basis: list[SpectralState] = []
     for v in (resize(s, radius) for s in basis_raw):
@@ -498,8 +494,8 @@ def coverage_grid(dimension: int, radius: float, density: int) -> np.ndarray:
     density=2 gives the 2*kappa ball vertices plus the center.
     """
     check_count("grid density", density, 2)
-    if not 0 <= radius < math.inf:
-        raise ValueError("grid radius must be finite and non-negative")
+    if check_real("grid radius", radius, -math.inf) < 0:
+        raise ValueError("grid radius must be non-negative")
     points = [np.zeros(check_count("dimension", dimension, 0))]
     if radius > 0:
         for mag in np.linspace(radius / (density - 1), radius, density - 1):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from modecascade import __version__
-from modecascade.cli import (_integrator_config, _steering_config, build_parser,
+from modecascade.cli import (_COMMANDS, _integrator_config, _steering_config, build_parser,
                              main)
 from modecascade.forcing import (chattering_approximation, constant_program,
                                  program_from_json, program_to_json, zero_program)
@@ -642,7 +642,7 @@ def test_empty_config_takes_the_dataclass_defaults():
     assert _integrator_config({}) == IntegratorConfig()
     assert _steering_config({}) == SteeringConfig()
     # given keys are converted; a null one keeps the default
-    scfg = _steering_config({"tau": 1, "omega": None, "dt_base": "5e-3"})
+    scfg = _steering_config({"tau": 1, "omega": None, "dt_base": 5e-3})
     assert scfg.tau == 1.0 and scfg.omega == SteeringConfig().omega
     assert scfg.integrator == IntegratorConfig(dt_base=5e-3)
 
@@ -838,6 +838,74 @@ def test_steer_with_non_integral_counts_exits_1_without_manifest(tmp_path, mode_
     assert capsys.readouterr().err == \
         "error: field 'record_stride': value must be an integer, not 2.5\n"
     assert not (out / "manifest.json").exists()
+
+
+# a config of each command, valid as it stands, that reads every real field
+# (a random state reads state_amplitude and decay); "BASIS" names a basis file
+RANDOM = {"radius": 4, "state": "random"}
+REAL_FIELD_CONFIGS = {
+    "simulate": dict(RANDOM, duration=0.02),
+    "steer": dict(STEER, state="random"),
+    "average": dict(AVERAGE, state="random"),
+    "chatter": CHATTER,
+    "cover": dict(RANDOM, mode_set="K1", target_radius=0.2),
+    "project": dict(RANDOM, mode_set="K1", basis="BASIS", epsilon=0.05, target=[0.2]),
+    "rxprobe": dict(RANDOM, duration=0.02),
+}
+NOT_REAL = {"radius", "record_stride", "max_fp_iters", "chatter_windows", "max_levels",
+            "windows", "slack_channel", "grid_density", "k", "pair", "mode_set", "observed",
+            "state", "program", "basis", "mode"}
+REAL_FIELDS = [(command, field) for command, (_, fields) in _COMMANDS.items()
+               for field in fields if field not in NOT_REAL]
+
+
+@pytest.mark.parametrize("value", [True, "0.5"], ids=["bool", "string"])
+@pytest.mark.parametrize("command,field", REAL_FIELDS,
+                         ids=["%s-%s" % run for run in REAL_FIELDS])
+def test_real_field_given_a_bool_or_a_string_exits_1_naming_it(tmp_path, mode_file, capsys,
+                                                               command, field, value):
+    # float() ran true as 1 and parsed "0.5", and the manifest echoed both
+    program = tmp_path / "prog.json"
+    program.write_text(program_to_json(constant_program(FOUR_MODES, {(1, 0): 0.5}, 1.0)))
+    basis = tmp_path / "basis.json"
+    basis.write_text(json.dumps([json.loads(state_to_json(
+        SpectralState.from_coeffs({(2, 1): 0.5}, 4)))]))
+    files = {"K1": mode_file, "PROG": str(program), "BASIS": str(basis)}
+    payload = {f: files.get(v, v) if isinstance(v, str) else v
+               for f, v in REAL_FIELD_CONFIGS[command].items()}
+    list_field = field in ("target", "omegas", "tau_ladder", "deltas")
+    payload[field] = [value] if list_field else value
+    if field == "omegas" and command == "rxprobe":
+        payload["mode"] = "law"
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, "cfg.json", dict(payload, output_dir=str(out)))
+    assert main([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: field '%s': " % field) and err.count("\n") == 1
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("field,value", [("deltas", [0]), ("omegas", [0]), ("omegas", [-1])])
+def test_rxprobe_rejects_a_frequency_or_delta_that_is_not_positive(tmp_path, capsys,
+                                                                   field, value):
+    # 0 died in a ZeroDivisionError traceback; -1 was read as a complex amplitude
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, "cfg.json", {
+        "mode": "law" if field == "omegas" else "trajectory", "duration": 0.02,
+        "radius": 3, field: value, "output_dir": str(out)})
+    assert main(["rxprobe", "--config", cfg]) == 1
+    assert capsys.readouterr().err == "error: field '%s': value must be positive\n" % field
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_negative_seed_exits_1_naming_it(tmp_path, capsys, command):
+    # numpy rejected it without naming the field, and saturate ran with it
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, "cfg.json", {"seed": -1, "output_dir": str(out)})
+    assert main([command, "--config", cfg]) == 1
+    assert capsys.readouterr().err == "error: field 'seed': value must be >= 0\n"
+    assert not out.exists()
 
 
 def run_module_main(monkeypatch, argv) -> int:

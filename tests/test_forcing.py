@@ -415,6 +415,8 @@ FLOAT_SUPPORT = json.dumps({"support": [[1.5, 0], [-1.5, 0]],
 FLOAT_HARMONIC = json.dumps({"support": [[1, 0], [-1, 0]], "segments": [{
     "kind": "oscillatory", "duration": 1.0, "omega": 10.0,
     "components": [{"mode": [1, 0], "harmonic": 1.5, "coeff": [0.5, 0.0]}]}]})
+STRING_DURATION = json.dumps({"support": [[1, 0], [-1, 0]],
+                              "segments": [{"kind": "zero", "duration": "1.0"}]})
 
 
 @pytest.mark.parametrize("call,message", [
@@ -450,11 +452,20 @@ FLOAT_HARMONIC = json.dumps({"support": [[1, 0], [-1, 0]], "segments": [{
     # NaN failed no range test and read NaN rows
     (lambda: ONE_CONSTANT.channel_primitive(np.array([0.5, math.nan]), ChannelMap(SINGLE)),
      "time out of range: t=nan"),
+    # a string failed as a TypeError, or float() parsed it; True read as 1
+    (lambda: Zero("0.01"), "segment duration must be a real number, not '0.01'"),
+    (lambda: program_from_json(STRING_DURATION),
+     "segment duration must be a real number, not '1.0'"),
+    (lambda: Oscillatory(1.0, 10j, [((1, 0), 1, 1.0)]),
+     "oscillation frequency must be a real number, not 10j"),
+    (lambda: chattering_approximation(ONE_CONSTANT, True, 4),
+     "extreme amplitude must be a real number, not True"),
 ], ids=["vector_length", "harmonic", "no_segments", "segment_support",
         "packet_pair", "windows", "empty_support", "slack_channel", "json_not_object",
         "json_missing_key", "json_segment_not_object", "float_harmonic",
         "json_float_support", "json_float_harmonic", "float_windows", "bool_slack_channel",
-        "negative_slack_channel", "float_channel_index", "nan_time"])
+        "negative_slack_channel", "float_channel_index", "nan_time", "string_duration",
+        "json_string_duration", "complex_omega", "bool_amplitude"])
 def test_forcing_rejects_bad_input(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -43,7 +43,12 @@ def test_integrator_config_rejects_a_bad_dt_base(dt_base):
     # a NaN sample failed no range test and was dropped
     (lambda: integrate(SpectralState.zeros(3), SimParams(nu=0.0), zero_program(1.0),
                        sample_times=[0.5, math.nan]), "sample times escape the program horizon"),
-], ids=["record_stride", "sample_times", "tol", "nan_sample_time"])
+    # True stepped at 1, and a string tolerance failed as a TypeError
+    (lambda: IntegratorConfig(dt_base=True), "dt_base must be a real number, not True"),
+    (lambda: integrate(SpectralState.zeros(3), SimParams(nu=0.0), zero_program(1.0),
+                       tol="1e-8"), "tol must be a real number, not '1e-8'"),
+], ids=["record_stride", "sample_times", "tol", "nan_sample_time", "bool_dt_base",
+        "string_tol"])
 def test_integrator_rejects_bad_input(call, message):
     with pytest.raises(ValueError, match=message):
         call()

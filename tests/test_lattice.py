@@ -1,16 +1,20 @@
 """Lattice mode algebra: wedge products, level iteration, saturation."""
 
+import ast
 import json
+import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modecascade.lattice import (admissible_pair, ball, chain_to_json, check_mode,
+from modecascade.lattice import (admissible_pair, ball, chain_to_json, check_mode, check_real,
                                  find_generating_pair,
                                  is_saturating_symmetric, is_symmetric,
-                                 next_level, norm_sq, parse_mode_set,
+                                 norm_sq, parse_mode_set,
                                  saturation_chain, symmetrize, wedge)
 
 FOUR_MODES = frozenset({(1, 0), (-1, 0), (1, 1), (-1, -1)})
@@ -29,6 +33,14 @@ def brute_next_level(modes):
                 if s != (0, 0):
                     out.add(s)
     return frozenset(out)
+
+
+def chain_step(modes):
+    """One step of the level iteration, read from saturation_chain: the
+    radius lies past every seed component, so the seed never covers its
+    ball, and the working ball holds every pairwise sum."""
+    extent = max((max(abs(kx), abs(ky)) for kx, ky in modes), default=0)
+    return saturation_chain(modes, radius=extent + 1, max_levels=1).levels[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -62,17 +74,17 @@ def test_zero_mode_rejected():
 
 def test_next_level_four_modes():
     expected = FOUR_MODES | {(2, 1), (-2, -1), (0, 1), (0, -1)}
-    assert next_level(FOUR_MODES) == expected
-    assert next_level(FOUR_MODES) == brute_next_level(FOUR_MODES)
+    assert chain_step(FOUR_MODES) == expected
+    assert chain_step(FOUR_MODES) == brute_next_level(FOUR_MODES)
 
 
 def test_next_level_collinear_fixed_point():
     k = frozenset({(1, 0), (-1, 0)})
-    assert next_level(k) == k
+    assert chain_step(k) == k
 
 
 def test_next_level_empty():
-    assert next_level(frozenset()) == frozenset()
+    assert chain_step(frozenset()) == frozenset()
 
 
 def test_saturation_chain_four_modes_radius3():
@@ -135,26 +147,26 @@ modes_strategy = st.frozensets(
 @given(modes_strategy)
 @settings(max_examples=100, deadline=None)
 def test_next_level_monotone(k):
-    assert k <= next_level(k)
+    assert k <= chain_step(k)
 
 
 @given(modes_strategy)
 @settings(max_examples=100, deadline=None)
 def test_next_level_matches_brute_force(k):
-    assert next_level(k) == brute_next_level(k)
+    assert chain_step(k) == brute_next_level(k)
 
 
 @given(modes_strategy)
 @settings(max_examples=100, deadline=None)
 def test_symmetry_preserved(k):
     sym = symmetrize(k)
-    assert is_symmetric(next_level(sym))
+    assert is_symmetric(chain_step(sym))
 
 
 @given(modes_strategy)
 @settings(max_examples=50, deadline=None)
 def test_generating_pair_postconditions(k):
-    grown = next_level(k)
+    grown = chain_step(k)
     for new in sorted(grown - k):
         m, n = find_generating_pair(new, k)
         assert (m[0] + n[0], m[1] + n[1]) == new
@@ -217,6 +229,48 @@ def test_lattice_rejects_bad_input(call, message):
         call()
 
 
+@pytest.mark.parametrize("value,above,message", [
+    (True, None, "x must be a real number, not True"),
+    ("0.5", None, "x must be a real number, not '0.5'"),
+    (None, None, "x must be a real number, not None"),
+    (0.5 + 0j, None, r"x must be a real number, not \(0.5\+0j\)"),
+    (np.complex128(0.5), None, "x must be a real number"),
+    (np.bool_(True), None, "x must be a real number"),
+    (0.0, 0.0, "x must be positive"),
+    (math.nan, 0.0, "x must be positive"),
+    (math.inf, 0.0, "x must be positive"),
+    (-math.inf, -math.inf, "x must be finite"),
+    (math.nan, -math.inf, "x must be finite"),
+    (1.0, 1.0, "x must exceed 1"),
+], ids=["bool", "string", "none", "complex", "numpy_complex", "numpy_bool", "zero", "nan",
+        "inf", "minus_inf_not_finite", "nan_not_finite", "at_the_bound"])
+def test_check_real_rejects(value, above, message):
+    with pytest.raises(ValueError, match=message):
+        check_real("x", value, above)
+
+
+def test_check_real_returns_a_python_float():
+    for value in (3, np.int64(3), np.float32(3.0), 3.0):
+        assert type(check_real("x", value)) is float and check_real("x", value) == 3.0
+    assert check_real("x", -math.inf, None) == -math.inf
+    assert check_real("x", -2, -math.inf) == -2.0
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "modecascade"
+REAL_RULE = re.compile(r"< math\.inf|< np\.inf|\bmath\.isfinite\(")
+
+
+def test_check_real_is_the_only_real_number_rule():
+    lattice = ast.parse((SRC / "lattice.py").read_text())
+    rule = next(f for f in lattice.body
+                if isinstance(f, ast.FunctionDef) and f.name == "check_real")
+    found = ["%s:%d" % (path.name, n) for path in sorted(SRC.glob("*.py"))
+             for n, line in enumerate(path.read_text().splitlines(), 1)
+             if REAL_RULE.search(line)
+             and not (path.name == "lattice.py" and rule.lineno <= n <= rule.end_lineno)]
+    assert not found, "real inputs checked outside lattice.check_real: %s" % found
+
+
 def test_numpy_integers_pass_as_python_ints():
     k = check_mode((np.int64(2), np.int32(-1)))
     assert k == (2, -1) and all(type(c) is int for c in k)
@@ -238,22 +292,12 @@ large_modes = st.frozensets(
     min_size=49, max_size=200)
 
 
-@given(large_modes, st.sampled_from(["asymmetric", "symmetric", "far mode"]))
+@given(large_modes, st.booleans())
 @settings(max_examples=30, deadline=None)
-def test_next_level_matches_brute_force_on_large_sets(k, shape):
-    if shape == "symmetric":
+def test_next_level_matches_brute_force_on_large_sets(k, symmetric):
+    if symmetric:
         k = symmetrize(k)          # holds k and -k, whose sum is zero
-    elif shape == "far mode":
-        k = k | {(10 ** 6, 3)}
-    assert next_level(k) == brute_next_level(k)
-
-
-def test_next_level_exact_at_the_largest_components():
-    big = 2 ** 29 - 1
-    k = frozenset({(big, 1), (-big, 2), (3, -big), (1, 1), (-1, -1)})
-    assert next_level(k) == brute_next_level(k)
-    with pytest.raises(ValueError, match="below 2"):
-        next_level(k | {(2 ** 29, 0)})
+    assert chain_step(k) == brute_next_level(k)
 
 
 # ---------------------------------------------------------------------------
@@ -261,15 +305,15 @@ def test_next_level_exact_at_the_largest_components():
 
 
 def plain_chain(seed, radius, max_levels):
-    """saturation_chain as plain next_level frozensets: (levels, status,
-    covered_radius)."""
+    """saturation_chain as plain brute_next_level frozensets: (levels,
+    status, covered_radius)."""
     extent = max((norm_sq(k) for k in seed), default=1)
     clip = ball(2 * max(radius, int(extent ** 0.5) + 1)) | seed
     levels, status = [frozenset(seed)], "budget"
     while not ball(radius) <= levels[-1]:
         if len(levels) > max_levels:
             break
-        grown = next_level(levels[-1]) & clip
+        grown = brute_next_level(levels[-1]) & clip
         if grown == levels[-1]:
             status = "stationary"
             break

@@ -93,12 +93,22 @@ def test_state_readers_reject_non_finite_coefficients(value):
     (lambda: (_tables(3), SpectralState.zeros(3.0)),
      "resolution radius must be an integer, not 3.0"),
     (lambda: sobolev_norms(3, np.zeros(14), order=1.0), "Sobolev order must be an integer"),
+    # True ran as nu = 1, and a string decay failed as a TypeError
+    (lambda: SimParams(nu=True), "viscosity must be a real number, not True"),
+    (lambda: random_decaying_state(3, decay="3"), "decay must be a real number, not '3'"),
 ], ids=["radius", "vector_length", "sobolev_order", "inner0_radii", "json_not_object",
         "json_missing_key", "json_float_radius", "cached_float_radius",
-        "float_sobolev_order"])
+        "float_sobolev_order", "bool_viscosity", "string_decay"])
 def test_spectral_rejects_bad_input(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_numpy_integer_radius_shares_the_table_of_the_int():
+    # the typed cache built a second table and the state kept np.int64
+    s = SpectralState.zeros(np.int64(6))
+    assert type(s.radius) is int and _tables(np.int64(6)) is _tables(6)
+    assert state_from_json(state_to_json(s)).radius == 6
 
 
 def test_random_state_without_a_generator_draws_from_seed_0():

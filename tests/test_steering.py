@@ -216,8 +216,17 @@ BASIS = [SpectralState.from_coeffs({(1, 0): 0.8, (2, 1): 0.6 + 0.2j}, 6),
     # a float density failed in linspace; a bool dimension read as 1
     (lambda: coverage_grid(2, 0.3, 2.5), "grid density must be an integer, not 2.5"),
     (lambda: coverage_grid(True, 0.3, 2), "dimension must be an integer, not True"),
+    # True ran as tau = 1; a NaN target failed as non-finite forcing values;
+    # a string radius failed as a TypeError
+    (lambda: SteeringConfig(tau=True), "tau must be a real number, not True"),
+    (lambda: steer_to_target(np.array([0.1, math.nan, 0.0, 0.0]), CHAIN, K1,
+                             SpectralState.zeros(3), SimParams(nu=0.01), quick_config()),
+     "target must be finite"),
+    (lambda: coverage_grid(2, "0.3", 2), "grid radius must be a real number, not '0.3'"),
+    (lambda: subspace_setup(BASIS, epsilon=True), "epsilon must be a real number, not True"),
 ], ids=["cascade_oscillatory", "steer_target", "averaging_pair", "projection_target",
-        "float_grid_density", "bool_grid_dimension"])
+        "float_grid_density", "bool_grid_dimension", "bool_tau", "nan_target",
+        "string_grid_radius", "bool_epsilon"])
 def test_steering_rejects_bad_input(call, message):
     with pytest.raises(ValueError, match=message):
         call()
@@ -340,6 +349,8 @@ def test_steering_config_validation():
     # a float count failed later in range(); True counted as 1
     ("max_fp_iters", 2.5), ("max_fp_iters", True), ("chatter_windows", 2.5),
     ("chatter_windows", True),
+    # True ran as 1, a string failed as a TypeError
+    ("tau", True), ("gamma", "1.5"), ("omega", None), ("fp_tol", 1e-3 + 0j),
 ])
 def test_steering_config_names_the_bad_field(field, value):
     with pytest.raises(ValueError, match=field):
