@@ -9,13 +9,14 @@ not read is an error.  Every run emits its artifacts plus a
 echoing the fully resolved configuration and the tool version;
 re-running from a manifest reproduces the outputs bit for bit.
 
-Exit codes: 0 success, 1 usage error (unknown flag, missing ``--config``)
-or configuration/validation error (an unknown, missing or unconvertible
-field is named in the message; an integer field given a non-integral
-number or a bool, and a real field given a bool or a string, is
-unconvertible, never truncated or parsed), 2 numerical failure:
-blow-up or non-convergence with partial results still written, or a
-forcing program that needs more integration steps than the budget
+Exit codes: 0 success, 1 usage error (unknown flag, missing
+``--config``) or configuration/validation error (an unknown, missing or
+unconvertible field is named in the message; an integer field given a
+non-integral number or a bool, a real field or a coefficient part of a
+state or program file given a bool or a string, and a list field given
+a non-list, is unconvertible, never truncated or parsed), 2 numerical
+failure: blow-up or non-convergence with partial results still written,
+or a forcing program that needs more integration steps than the budget
 allows.  ``main`` turns the last two, raised by any subcommand, into
 ``failure.json`` plus the manifest.  The manifest of a run that
 integrates also names the quadratic-term kernel ("triad" or "fft") its
@@ -85,13 +86,23 @@ _int = partial(check_count, "value", least=None)
 _real = partial(check_real, "value", above=None)
 
 
+def _list(value) -> list:
+    if not isinstance(value, list):
+        raise ValueError("value must be a list, not %r" % (value,))
+    return value
+
+
 def _reals(values, above: float | None = None) -> list[float]:
-    return [check_real("value", x, above) for x in values]
+    return [check_real("value", x, above) for x in _list(values)]
+
+
+def _mode(value) -> tuple[int, int]:
+    return check_mode(_list(value))
 
 
 def _pair(value) -> tuple[tuple[int, int], tuple[int, int]]:
-    m, n = value
-    return check_mode(m), check_mode(n)
+    m, n = _list(value)
+    return _mode(m), _mode(n)
 
 
 def _load_config(path: str, command: str) -> dict:
@@ -293,7 +304,7 @@ def _run_steer(cfg: dict, em: _Emitter) -> int:
 
 
 def _run_average(cfg: dict, em: _Emitter) -> int:
-    k = _get(cfg, "k", check_mode)
+    k = _get(cfg, "k", _mode)
     pair = _get(cfg, "pair", _pair)
     omegas = _get(cfg, "omegas", _reals)
     state0, params = _initial(cfg, em, _get(cfg, "radius", _int))

@@ -49,8 +49,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .lattice import (Mode, canonical_rep, check_count, check_mode, check_real,
-                      fold_conjugate, norm_sq, rep_modes, symmetrize, unfold_conjugate, wedge)
+from .lattice import (Mode, canonical_rep, check_complex, check_count, check_mode, check_real,
+                      coeff_from_json, coeffs_from_json, coeffs_to_json, fold_conjugate,
+                      norm_sq, rep_modes, symmetrize, unfold_conjugate, wedge)
 
 __all__ = [
     "ChannelMap", "Constant", "Oscillatory", "Zero", "ForcingProgram",
@@ -112,9 +113,7 @@ class Constant:
 
     def __init__(self, duration: float, values: Mapping[Mode, complex]):
         self.duration = check_real("segment duration", duration)
-        self.values = fold_conjugate(values, 1e-9, "forcing")
-        if not all(map(cmath.isfinite, self.values.values())):
-            raise ValueError("forcing values must be finite")
+        self.values = fold_conjugate(values, 1e-9, "forcing values")
 
     def __repr__(self):
         return "Constant(duration=%g, modes=%s)" % (self.duration, sorted(self.values))
@@ -136,9 +135,7 @@ class Oscillatory:
             h = check_count("harmonic index", h, None)
             if h == 0:
                 raise ValueError("harmonic index must be nonzero")
-            c = complex(c)
-            if not cmath.isfinite(c):
-                raise ValueError("oscillation coefficients must be finite")
+            c = check_complex("oscillation coefficients", c)
             if canonical_rep(k) != k:
                 k, h, c = canonical_rep(k), -h, c.conjugate()
             merged[(k, h)] = merged.get((k, h), 0j) + c
@@ -153,8 +150,9 @@ class Oscillatory:
         """Plain cosine bundle: v_k(t) = A * omega * cos(omega t
         + phase) on each listed mode and its conjugate partner."""
         comps = []
+        phase = check_real("phase", phase, None)
         for k, amp in pairs:
-            c_plus = complex(amp) / 2j * cmath.exp(1j * phase)
+            c_plus = check_complex("oscillation coefficients", amp) / 2j * cmath.exp(1j * phase)
             comps.append((k, +1, c_plus))
             comps.append((k, -1, c_plus.conjugate()))
         return cls(duration, omega, comps)
@@ -412,7 +410,7 @@ def cascade_packet(k: Mode, m: Mode, n: Mode, target: complex, omega: float,
     if coeff == 0.0:
         raise ValueError("inadmissible pair: collinear or equal-length modes")
     w = snap_omega(omega, duration)
-    z = complex(target) / (2.0 * coeff)
+    z = check_complex("target", target) / (2.0 * coeff)
     if z == 0:          # a zero target, or one so small that its drive underflows
         return Zero(duration)
     a = math.sqrt(abs(z)) * cmath.exp(1j * cmath.phase(z) / 2.0)
@@ -478,17 +476,13 @@ def chattering_approximation(program: ForcingProgram, amplitude: float,
 # serialization
 
 
-def _mode_key(k: Mode) -> str:
-    return "%d,%d" % k
-
-
 def program_to_json(program: ForcingProgram, indent: int | None = None) -> str:
     segs = []
     for seg in program.segments:
         segs.append({"kind": type(seg).__name__.lower(), "duration": seg.duration})
         if isinstance(seg, Constant):
-            segs[-1]["values"] = {_mode_key(k): [v.real, v.imag] for k, v in
-                                  unfold_conjugate(dict(sorted(seg.values.items()))).items()}
+            segs[-1]["values"] = coeffs_to_json(
+                unfold_conjugate(dict(sorted(seg.values.items()))).items())
         elif isinstance(seg, Oscillatory):
             segs[-1].update(omega=seg.omega, components=[
                 {"mode": list(k), "harmonic": h, "coeff": [c.real, c.imag]}
@@ -520,14 +514,10 @@ def _segment_from_dict(entry: dict) -> Segment:
     if kind == "zero":
         return Zero(dur)
     if kind == "constant":
-        values = {}
-        for key, (re, im) in entry["values"].items():
-            kx, ky = key.split(",")
-            values[(int(kx), int(ky))] = complex(float(re), float(im))
-        return Constant(dur, values)
+        return Constant(dur, coeffs_from_json("forcing values", entry["values"]))
     if kind == "oscillatory":
         comps = [(tuple(c["mode"]), c["harmonic"],
-                  complex(float(c["coeff"][0]), float(c["coeff"][1])))
+                  coeff_from_json("oscillation coefficients", c["coeff"]))
                  for c in entry["components"]]
         return Oscillatory(dur, entry["omega"], comps)
     raise ValueError("unknown segment kind %r" % kind)

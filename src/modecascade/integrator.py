@@ -273,7 +273,7 @@ def integrate(state0: SpectralState, params: SimParams, program: ForcingProgram,
     tab = _tables(state0.radius)
     T = program.total_duration
     samples = np.array([] if sample_times is None
-                       else sorted(set(float(s) for s in sample_times)))
+                       else sorted(set(check_real("sample time", s, None) for s in sample_times)))
     if samples.size and not (samples.min() >= 0 and samples.max() <= T * (1 + 1e-12)):
         raise ValueError("sample times escape the program horizon")
 

@@ -5,14 +5,15 @@ This module provides the wedge product, the admissible-pair test, the
 saturation chain of levels for symmetric sets, saturation decisions and
 the generating-pair lookup used by the mode-cascade control synthesis.
 All norm comparisons are exact integer arithmetic on ``kx^2 + ky^2``.
-``check_count`` is the one place that decides an integer input, and
-``check_real`` the one place that decides a real one.
+``check_count``, ``check_real`` and ``check_complex`` are the one check
+of an integer, a real and a complex input.
 
 Vorticity and forcing are real fields on T^2, so every coefficient map
 obeys v(-k) = conj(v(k)) and is stored on the canonical representative
 of each {k, -k} pair (``canonical_rep``).  ``fold_conjugate`` is the one
 place a map given on either member is checked and folded onto the
 representatives; ``unfold_conjugate`` expands it back to both members.
+Lattice also owns the ``{"kx,ky": [re, im]}`` file form of such a map.
 """
 
 from __future__ import annotations
@@ -53,6 +54,15 @@ def check_real(name: str, value, above: float | None = 0.0) -> float:
         raise ValueError("%s must %s" % (name, {0.0: "be positive", -math.inf: "be finite"}
                                          .get(above, "exceed %g" % above)))
     return value
+
+
+def check_complex(name: str, value) -> complex:
+    """``value`` as a Python complex; a bool, a non-number (a string, None,
+    a numpy bool) or a NaN or +-inf part raises ValueError naming the input."""
+    if isinstance(value, bool) or not isinstance(value, (complex, float, int, numbers.Complex)):
+        raise ValueError("%s must be a number, not %r" % (name, value))
+    return complex(check_real(name, value.real, -math.inf),
+                   check_real(name, value.imag, -math.inf))
 
 
 def check_mode(k: Mode) -> Mode:
@@ -126,7 +136,8 @@ def fold_conjugate(values: Mapping[Mode, complex], rtol: float,
     for k, v in values.items():
         k = check_mode(k)
         r = canonical_rep(k)
-        val = complex(v) if k == r else complex(v).conjugate()
+        v = check_complex(what, v)
+        val = v if k == r else v.conjugate()
         if r not in out:
             out[r] = val
         elif abs(out[r] - val) > rtol * max(1.0, abs(val)):
@@ -332,6 +343,23 @@ def parse_mode_set(text: str) -> frozenset[Mode]:
         except ValueError as exc:
             raise ValueError("line %d: %s" % (lineno, exc)) from None
     return frozenset(out)
+
+
+def coeffs_to_json(items: Iterable[tuple[Mode, complex]]) -> dict[str, list[float]]:
+    """The ``{"kx,ky": [re, im]}`` file map of (mode, coefficient) pairs."""
+    return {"%d,%d" % k: [v.real, v.imag] for k, v in items}
+
+
+def coeff_from_json(what: str, pair) -> complex:
+    """A file coefficient ``[re, im]``; each part must be a real number."""
+    re, im = pair
+    return complex(check_real(what, re, None), check_real(what, im, None))
+
+
+def coeffs_from_json(what: str, entries: Mapping[str, list]) -> dict[Mode, complex]:
+    """The mode -> coefficient map of a ``{"kx,ky": [re, im]}`` file map."""
+    return {tuple(map(int, key.split(","))): coeff_from_json(what, pair)
+            for key, pair in entries.items()}
 
 
 def chain_to_json(chain: SaturationChain, indent: int | None = None) -> str:

@@ -55,8 +55,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .lattice import (Mode, ball, canonical_rep, check_count, check_mode, check_real,
-                      fold_conjugate, is_symmetric, neg, norm_sq, rep_modes,
-                      unfold_conjugate, wedge)
+                      coeffs_from_json, coeffs_to_json, fold_conjugate, is_symmetric, neg,
+                      norm_sq, rep_modes, unfold_conjugate, wedge)
 
 __all__ = [
     "SimParams", "SpectralState", "nonlinear_term",
@@ -240,11 +240,8 @@ class SpectralState:
         both if v(-k) = conj(v(k)) to within 1e-12 * max(1, |v|), and
         must be finite.
         """
-        values = fold_conjugate(coeffs, 1e-12, "state")
-        data = _tables(radius).vector(values)
-        if not np.isfinite(data).all():
-            raise ValueError("state coefficients must be finite")
-        return cls(radius, data, _copy=False)
+        values = fold_conjugate(coeffs, 1e-12, "state coefficients")
+        return cls(radius, _tables(radius).vector(values), _copy=False)
 
     # -- access -------------------------------------------------------------
 
@@ -419,8 +416,7 @@ def random_decaying_state(radius: int, amplitude: float = 0.3, decay: float = 3.
 def state_to_json(state: SpectralState) -> str:
     return json.dumps({
         "radius": state.radius,
-        "coeffs": {"%d,%d" % k: [float(v.real), float(v.imag)]
-                   for k, v in state.items() if v != 0},
+        "coeffs": coeffs_to_json((k, v) for k, v in state.items() if v != 0),
     })
 
 
@@ -428,8 +424,5 @@ def state_from_json(text: str) -> SpectralState:
     data = json.loads(text)
     if not isinstance(data, dict) or not {"radius", "coeffs"} <= data.keys():
         raise ValueError("a state must be a JSON object with 'radius' and 'coeffs' keys")
-    coeffs = {}
-    for key, (re, im) in data["coeffs"].items():
-        kx, ky = key.split(",")
-        coeffs[(int(kx), int(ky))] = float(re) + 1j * float(im)
+    coeffs = coeffs_from_json("state coefficients", data["coeffs"])
     return SpectralState.from_coeffs(coeffs, data["radius"])

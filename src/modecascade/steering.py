@@ -206,13 +206,12 @@ def cascade_program(extended: ForcingProgram, k_prev: Iterable[Mode],
                              % active.size)
         channel = int(active[0])
         rep, part = cmap.channel(channel)
-        value = float(vec[channel])
+        value = float(vec[channel]) if part == "re" else 1j * float(vec[channel])
         if rep in k_prev:
-            out.append(Constant(duration, {rep: value if part == "re" else 1j * value}))
+            out.append(Constant(duration, {rep: value}))
             continue
         m, n = find_generating_pair(rep, k_prev)
-        target = complex(value) if part == "re" else 1j * value
-        out.append(cascade_packet(rep, m, n, target, omega, duration))
+        out.append(cascade_packet(rep, m, n, value, omega, duration))
     return ForcingProgram(k_prev, out)
 
 

@@ -296,6 +296,21 @@ def test_non_finite_state_file_exits_1(tmp_path, capsys, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("coeff,shown", [("[0.5, true]", "True"), ('["0.5", 0.0]', "'0.5'")],
+                         ids=["bool", "string"])
+def test_state_file_with_a_non_real_part_exits_1(tmp_path, capsys, coeff, shown):
+    # float() read true as 1 and integrated q(1,0) = 0.5+1j
+    state = tmp_path / "state.json"
+    state.write_text('{"radius": 3, "coeffs": {"1,0": %s}}' % coeff)
+    out = tmp_path / "sim"
+    cfg = write_config(tmp_path, "cfg.json", {
+        "radius": 3, "duration": 0.01, "state": str(state), "output_dir": str(out)})
+    assert main(["simulate", "--config", cfg]) == 1
+    assert capsys.readouterr().err == (
+        "error: field 'state': state coefficients must be a real number, not %s\n" % shown)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_simulate_raises_a_smaller_state_file_to_the_run_radius(tmp_path, capsys, fmt):
     # a state file is JSON; a CSV one (the old "# radius=R" format) is refused
@@ -859,20 +874,25 @@ REAL_FIELDS = [(command, field) for command, (_, fields) in _COMMANDS.items()
                for field in fields if field not in NOT_REAL]
 
 
-@pytest.mark.parametrize("value", [True, "0.5"], ids=["bool", "string"])
-@pytest.mark.parametrize("command,field", REAL_FIELDS,
-                         ids=["%s-%s" % run for run in REAL_FIELDS])
-def test_real_field_given_a_bool_or_a_string_exits_1_naming_it(tmp_path, mode_file, capsys,
-                                                               command, field, value):
-    # float() ran true as 1 and parsed "0.5", and the manifest echoed both
+def real_field_config(tmp_path, mode_file, command):
+    """``REAL_FIELD_CONFIGS[command]`` with its file names written and filled in."""
     program = tmp_path / "prog.json"
     program.write_text(program_to_json(constant_program(FOUR_MODES, {(1, 0): 0.5}, 1.0)))
     basis = tmp_path / "basis.json"
     basis.write_text(json.dumps([json.loads(state_to_json(
         SpectralState.from_coeffs({(2, 1): 0.5}, 4)))]))
     files = {"K1": mode_file, "PROG": str(program), "BASIS": str(basis)}
-    payload = {f: files.get(v, v) if isinstance(v, str) else v
-               for f, v in REAL_FIELD_CONFIGS[command].items()}
+    return {f: files.get(v, v) if isinstance(v, str) else v
+            for f, v in REAL_FIELD_CONFIGS[command].items()}
+
+
+@pytest.mark.parametrize("value", [True, "0.5"], ids=["bool", "string"])
+@pytest.mark.parametrize("command,field", REAL_FIELDS,
+                         ids=["%s-%s" % run for run in REAL_FIELDS])
+def test_real_field_given_a_bool_or_a_string_exits_1_naming_it(tmp_path, mode_file, capsys,
+                                                               command, field, value):
+    # float() ran true as 1 and parsed "0.5", and the manifest echoed both
+    payload = real_field_config(tmp_path, mode_file, command)
     list_field = field in ("target", "omegas", "tau_ladder", "deltas")
     payload[field] = [value] if list_field else value
     if field == "omegas" and command == "rxprobe":
@@ -882,6 +902,25 @@ def test_real_field_given_a_bool_or_a_string_exits_1_naming_it(tmp_path, mode_fi
     assert main([command, "--config", cfg]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: field '%s': " % field) and err.count("\n") == 1
+    assert not (out / "manifest.json").exists()
+
+
+LIST_FIELDS = [("steer", "target"), ("project", "target"), ("average", "omegas"),
+               ("rxprobe", "omegas"), ("rxprobe", "deltas"), ("cover", "tau_ladder"),
+               ("average", "k"), ("average", "pair")]
+
+
+@pytest.mark.parametrize("command,field", LIST_FIELDS, ids=["%s-%s" % run for run in LIST_FIELDS])
+def test_list_field_given_a_string_exits_1_naming_it(tmp_path, mode_file, capsys,
+                                                     command, field):
+    # the string was read one character at a time, so "21" failed naming '2'
+    payload = dict(real_field_config(tmp_path, mode_file, command), **{field: "21"})
+    if field == "omegas" and command == "rxprobe":
+        payload["mode"] = "law"
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, "cfg.json", dict(payload, output_dir=str(out)))
+    assert main([command, "--config", cfg]) == 1
+    assert capsys.readouterr().err == "error: field '%s': value must be a list, not '21'\n" % field
     assert not (out / "manifest.json").exists()
 
 

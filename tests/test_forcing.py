@@ -417,6 +417,10 @@ FLOAT_HARMONIC = json.dumps({"support": [[1, 0], [-1, 0]], "segments": [{
     "components": [{"mode": [1, 0], "harmonic": 1.5, "coeff": [0.5, 0.0]}]}]})
 STRING_DURATION = json.dumps({"support": [[1, 0], [-1, 0]],
                               "segments": [{"kind": "zero", "duration": "1.0"}]})
+BOOL_VALUE = json.dumps({"support": [[1, 0], [-1, 0]], "segments": [{
+    "kind": "constant", "duration": 1.0, "values": {"1,0": [0.5, True]}}]})
+STRING_COEFF = FLOAT_HARMONIC.replace('"harmonic": 1.5, "coeff": [0.5',
+                                      '"harmonic": 1, "coeff": ["0.5"')
 
 
 @pytest.mark.parametrize("call,message", [
@@ -460,12 +464,27 @@ STRING_DURATION = json.dumps({"support": [[1, 0], [-1, 0]],
      "oscillation frequency must be a real number, not 10j"),
     (lambda: chattering_approximation(ONE_CONSTANT, True, 4),
      "extreme amplitude must be a real number, not True"),
+    # complex() parsed a string and read True as 1; a string phase failed as a TypeError
+    (lambda: Constant(1.0, {(1, 0): True}), "forcing values must be a number, not True"),
+    (lambda: Oscillatory(1.0, 10.0, [((1, 0), 1, "2j")]),
+     "oscillation coefficients must be a number, not '2j'"),
+    (lambda: Oscillatory.from_cos_pairs(1.0, 10.0, [((1, 0), "0.5")]),
+     "oscillation coefficients must be a number, not '0.5'"),
+    (lambda: Oscillatory.from_cos_pairs(1.0, 10.0, [((1, 0), 0.5)], phase="0.3"),
+     "phase must be a real number, not '0.3'"),
+    (lambda: cascade_packet((2, 1), (1, 0), (1, 1), "1", 10.0, 1.0),
+     "target must be a number, not '1'"),
+    (lambda: program_from_json(BOOL_VALUE), "forcing values must be a real number, not True"),
+    (lambda: program_from_json(STRING_COEFF),
+     "oscillation coefficients must be a real number, not '0.5'"),
 ], ids=["vector_length", "harmonic", "no_segments", "segment_support",
         "packet_pair", "windows", "empty_support", "slack_channel", "json_not_object",
         "json_missing_key", "json_segment_not_object", "float_harmonic",
         "json_float_support", "json_float_harmonic", "float_windows", "bool_slack_channel",
         "negative_slack_channel", "float_channel_index", "nan_time", "string_duration",
-        "json_string_duration", "complex_omega", "bool_amplitude"])
+        "json_string_duration", "complex_omega", "bool_amplitude", "bool_constant_value",
+        "string_coefficient", "string_cos_amplitude", "string_phase", "string_packet_target",
+        "json_bool_value", "json_string_coeff"])
 def test_forcing_rejects_bad_input(call, message):
     with pytest.raises(ValueError, match=message):
         call()

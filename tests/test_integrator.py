@@ -47,8 +47,11 @@ def test_integrator_config_rejects_a_bad_dt_base(dt_base):
     (lambda: IntegratorConfig(dt_base=True), "dt_base must be a real number, not True"),
     (lambda: integrate(SpectralState.zeros(3), SimParams(nu=0.0), zero_program(1.0),
                        tol="1e-8"), "tol must be a real number, not '1e-8'"),
+    # float() parsed the string and read True as 1
+    (lambda: integrate(SpectralState.zeros(3), SimParams(nu=0.0), zero_program(1.0),
+                       sample_times=["0.5"]), "sample time must be a real number, not '0.5'"),
 ], ids=["record_stride", "sample_times", "tol", "nan_sample_time", "bool_dt_base",
-        "string_tol"])
+        "string_tol", "string_sample_time"])
 def test_integrator_rejects_bad_input(call, message):
     with pytest.raises(ValueError, match=message):
         call()

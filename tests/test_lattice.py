@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modecascade.lattice import (admissible_pair, ball, chain_to_json, check_mode, check_real,
+from modecascade.lattice import (admissible_pair, ball, chain_to_json, check_complex,
+                                 check_mode, check_real,
                                  find_generating_pair,
                                  is_saturating_symmetric, is_symmetric,
                                  norm_sq, parse_mode_set,
@@ -256,8 +257,33 @@ def test_check_real_returns_a_python_float():
     assert check_real("x", -2, -math.inf) == -2.0
 
 
+@pytest.mark.parametrize("value,message", [
+    (True, "z must be a number, not True"),
+    (np.bool_(True), "z must be a number, not "),
+    ("0.5", "z must be a number, not '0.5'"),
+    (None, "z must be a number, not None"),
+    (complex(math.nan, 0.0), "z must be finite"),
+    (complex(0.0, math.nan), "z must be finite"),
+    (complex(math.inf, 0.0), "z must be finite"),
+    (complex(0.0, -math.inf), "z must be finite"),
+    (math.nan, "z must be finite"),
+], ids=["bool", "numpy_bool", "string", "none", "nan_real", "nan_imag", "inf_real",
+        "minus_inf_imag", "nan_float"])
+def test_check_complex_rejects(value, message):
+    with pytest.raises(ValueError, match=message):
+        check_complex("z", value)
+
+
+def test_check_complex_returns_a_python_complex():
+    for value, want in ((np.complex128(1 - 2j), 1 - 2j), (np.float64(0.5), 0.5 + 0j),
+                        (3, 3 + 0j), (np.int64(3), 3 + 0j), (0.5 + 1j, 0.5 + 1j)):
+        got = check_complex("z", value)
+        assert type(got) is complex and got == want
+
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "modecascade"
-REAL_RULE = re.compile(r"< math\.inf|< np\.inf|\bmath\.isfinite\(")
+# isfinite of math, cmath or numpy alike: check_complex decides its parts with check_real
+REAL_RULE = re.compile(r"< math\.inf|< np\.inf|\bisfinite\b")
 
 
 def test_check_real_is_the_only_real_number_rule():

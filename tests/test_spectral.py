@@ -96,9 +96,15 @@ def test_state_readers_reject_non_finite_coefficients(value):
     # True ran as nu = 1, and a string decay failed as a TypeError
     (lambda: SimParams(nu=True), "viscosity must be a real number, not True"),
     (lambda: random_decaying_state(3, decay="3"), "decay must be a real number, not '3'"),
+    # complex() parsed a string, and float() a string part and True as 1
+    (lambda: SpectralState.from_coeffs({(1, 0): "0.5"}, 3),
+     "state coefficients must be a number, not '0.5'"),
+    (lambda: state_from_json('{"radius": 3, "coeffs": {"1,0": ["0.5", true]}}'),
+     "state coefficients must be a real number, not '0.5'"),
 ], ids=["radius", "vector_length", "sobolev_order", "inner0_radii", "json_not_object",
         "json_missing_key", "json_float_radius", "cached_float_radius",
-        "float_sobolev_order", "bool_viscosity", "string_decay"])
+        "float_sobolev_order", "bool_viscosity", "string_decay", "string_coefficient",
+        "json_string_part"])
 def test_spectral_rejects_bad_input(call, message):
     with pytest.raises(ValueError, match=message):
         call()
@@ -402,6 +408,14 @@ def test_json_round_trip():
     back = state_from_json(state_to_json(s))
     assert back.radius == 4
     assert sobolev_norm(back - s, 0) == 0
+
+
+def test_state_json_round_trip_keeps_signed_zero_parts():
+    # float(re) + 1j * float(im) read [0.5, -0.0] as 0.5+0j and [-0.0, 1.0] as 1j
+    s = SpectralState.from_coeffs({(1, 0): complex(0.5, -0.0), (2, 1): complex(-0.0, 1.0)}, 3)
+    back = state_from_json(state_to_json(s))
+    assert np.signbit(back.data.view(float)).tolist() == np.signbit(s.data.view(float)).tolist()
+    assert np.signbit(s.data.view(float)).sum() == 2
 
 
 coefficient_parts = st.one_of(st.just(0.0), st.floats(allow_nan=False, allow_infinity=False))
