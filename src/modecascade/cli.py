@@ -409,7 +409,7 @@ def _run_rxprobe(cfg: dict, em: _Emitter) -> int:
 
 def _run_project(cfg: dict, em: _Emitter) -> int:
     basis = _parsed(cfg, "basis", lambda text: [state_from_json(json.dumps(e))
-                                                for e in json.loads(text)])
+                                                for e in _list(json.loads(text))])
     if not basis:
         raise ConfigError("field 'basis': the file lists no basis vector")
     observed_radius = max(s.radius for s in basis)

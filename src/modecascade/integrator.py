@@ -20,9 +20,16 @@ whole multiples of it, never below, up to the piece: there V = v t is
 exact and only the slow quadratic dynamics limit the step.  Its size
 comes from the free first-same-as-last estimate of the Lawson step
 (Hochbruck and Ostermann, Exponential integrators, Acta Numerica 2010),
-which cannot see the time-only part of a packet's stages, so packet
-steps stay fixed.  Steering sets the tolerance, fp_tol times
-``LOCAL_TOL_PER_FP_TOL``; every other run keeps the fixed steps.
+which cannot see the time-only part of a packet's stages.  So a packet
+segment of at least two base periods, those of its slowest harmonic, is
+sized from a measured error instead: its first period is stepped at the
+cap alone, n_hi steps made even, and again at n_hi / 2, and Richardson
+extrapolation of the two (Hairer, Norsett and Wanner, Solving ODEs I,
+II.4) gives the fewest steps per period, down to n_hi / 2, that hold
+the tolerance for the rest; dt_base does not bound them.  A shorter
+packet, or one cut by a sample time, keeps the fixed steps.  Steering
+sets the tolerance, fp_tol times ``LOCAL_TOL_PER_FP_TOL``; every other
+run keeps the fixed steps.
 
 V is read, never recomputed, here: a segment's evaluator is a view of
 the program's compiled read (``ForcingProgram._read_at``) that positions
@@ -56,8 +63,10 @@ _SAFETY = 0.9      # fraction of the step the error estimate allows that is take
 # steps per period of the fastest harmonic; 8 keeps the seed-7 cover_r6 main
 # intervals within 1e-8 of a 320-steps-per-period run
 OSCILLATION_RESOLUTION = 8
-# local error tolerance of a steering run's steps, per unit of its fp_tol
-LOCAL_TOL_PER_FP_TOL = 1e-8
+# local error tolerance of a steering run's steps, per unit of its fp_tol; 1e-6
+# keeps the cover_r6 end states of seeds 1, 7 and 42 within 1e-3 fp_tol of a
+# finely stepped run (tools/step_accuracy.py)
+LOCAL_TOL_PER_FP_TOL = 1e-6
 
 
 class BlowUpError(RuntimeError):
@@ -159,13 +168,15 @@ def _segment_evaluator(program: ForcingProgram, i: int, tab
     return ev
 
 
-def _segment_caps(program: ForcingProgram) -> np.ndarray:
-    """Longest step of each segment: a period of its fastest harmonic over
-    OSCILLATION_RESOLUTION, inf on a segment with no oscillation."""
-    fastest = np.zeros(len(program.durations))
-    np.maximum.at(fastest, program.comp_seg, np.abs(program.freq))
-    with np.errstate(divide="ignore"):
-        return 2.0 * math.pi / fastest / OSCILLATION_RESOLUTION
+def _segment_caps(program: ForcingProgram) -> tuple[np.ndarray, np.ndarray]:
+    """Longest step of each segment, a period of its fastest harmonic over
+    OSCILLATION_RESOLUTION, and its base period, that of its slowest
+    harmonic: inf and 0 on a segment with no oscillation."""
+    periods, n = 2.0 * math.pi / np.abs(program.freq), len(program.durations)
+    shortest, base = np.full(n, math.inf), np.zeros(n)
+    np.minimum.at(shortest, program.comp_seg, periods)
+    np.maximum.at(base, program.comp_seg, periods)
+    return shortest / OSCILLATION_RESOLUTION, base
 
 
 def _integrating_factors(nu: float, tab, h: float):
@@ -214,7 +225,8 @@ def _steps(q: np.ndarray, ev, tab, nu: float, a: float, b: float, n: int,
     k4 - k5 cannot see, with V linear in t: most > 1 only on a segment
     with no oscillation.  A step over tol is taken again with fewer
     units, down to one, from the same first stage; the last step, which
-    has no next stage, is not estimated."""
+    has no next stage, is not estimated.  A packet is sized by
+    ``_packet_steps`` from whole runs of one-unit steps instead."""
     nl, u, lam = tab.nonlinear, (b - a) / n, nu * tab.norm_sq
     factors: dict[int, tuple] = {}
     done, m, k1 = 0, 1, None
@@ -245,6 +257,35 @@ def _steps(q: np.ndarray, ev, tab, nu: float, a: float, b: float, n: int,
             q = q_new
             yield q, (b if done == n else start + h), h
             m = max(1, min(most, int(m * grow)))
+
+
+def _steps_per_period(err: float, n_hi: int, tol: float) -> int:
+    """The least m in [n_hi / 2, n_hi] at which a step's error, about
+    (err / n_hi) (n_hi / m)^5 from the error err of one period at n_hi
+    steps, is at most tol; n_hi when none is."""
+    return next((m for m in range(n_hi // 2, n_hi)
+                 if err / n_hi * (n_hi / m) ** 5 <= tol), n_hi)
+
+
+def _packet_steps(q: np.ndarray, ev, tab, nu: float, duration: float, w: float,
+                  cap: float, tol: float):
+    """Steps over a packet segment of at least two base periods w, yielded
+    as by ``_steps``.  Its first period takes n_hi steps, w / cap
+    made even.  Then that period is taken again from the same start at
+    n_hi / 2, the probe, whose steps are yielded with no time: they count
+    as steps but leave the run.  err = max |y_hi - y_lo| / 15 is the
+    Richardson estimate of the first period's error, and the rest of the
+    segment takes ``_steps_per_period`` steps per period.  Below n_hi / 2, 4
+    steps per period of the fastest harmonic, the error no longer falls as
+    the fourth power of the step, so the estimate would not hold there."""
+    n_hi = 2 * math.ceil(w / cap / 2.0 - 1e-9)
+    for q_hi, t, h in _steps(q, ev, tab, nu, 0.0, w, n_hi):
+        yield q_hi, t, h
+    for q_lo, _, h in _steps(q, ev, tab, nu, 0.0, w, n_hi // 2):
+        yield q_lo, None, h
+    m = _steps_per_period(float(np.abs(q_hi - q_lo).max()) / 15.0, n_hi, tol)
+    yield from _steps(q_hi, ev, tab, nu, w, duration,
+                      max(1, math.ceil((duration / w - 1.0) * m - 1e-9)))
 
 
 def _check_finite(q: np.ndarray, t: float):
@@ -278,7 +319,7 @@ def integrate(state0: SpectralState, params: SimParams, program: ForcingProgram,
         raise ValueError("sample times escape the program horizon")
 
     durations = program.durations.tolist()
-    caps = _segment_caps(program)
+    caps, bases = _segment_caps(program)
     dts = np.minimum(config.dt_base, caps)
     planned = int(np.ceil(program.durations / dts - 1e-9).sum())
     if planned > MAX_STEPS:
@@ -294,17 +335,23 @@ def integrate(state0: SpectralState, params: SimParams, program: ForcingProgram,
         t0 = float(program.starts[i])
         t1 = float(program.starts[i + 1])
         ev = _segment_evaluator(program, i, tab)
-        dt_seg = float(dts[i])
+        dt_seg, cap, w = float(dts[i]), float(caps[i]), float(bases[i])
         inner = samples[(samples > t0 + 1e-15) & (samples < t1 - 1e-15)] - t0
         brk = np.unique(np.concatenate([[0.0, duration], inner]))
         for a, b in zip(brk[:-1].tolist(), brk[1:].tolist()):
-            n = max(1, math.ceil((b - a) / dt_seg - 1e-9))
-            most = n if tol is not None and math.isinf(caps[i]) else 1
-            for q, t_local, h in _steps(q, ev, tab, params.nu, a, b, n, most, tol):
-                t_now = t0 + t_local
-                _check_finite(q, t_now)
+            if tol is not None and w and not inner.size and duration >= (2.0 - 1e-9) * w:
+                steps = _packet_steps(q, ev, tab, params.nu, duration, w, cap, tol)
+            else:
+                n = max(1, math.ceil((b - a) / dt_seg - 1e-9))
+                most = n if tol is not None and math.isinf(cap) else 1
+                steps = _steps(q, ev, tab, params.nu, a, b, n, most, tol)
+            for q_step, t_local, h in steps:
                 step_count += 1
                 h_min, h_max = min(h_min, h), max(h_max, h)
+                if t_local is None:         # a probe's step, off the run
+                    continue
+                q, t_now = q_step, t0 + t_local
+                _check_finite(q, t_now)
                 if ((t_local == b or step_count % config.record_stride == 0)
                         and t_now > times[-1]):
                     times.append(t_now)

@@ -282,7 +282,8 @@ class SpectralState:
         return self._binary(other, np.subtract)
 
     def __mul__(self, scalar):
-        return SpectralState(self.radius, self.data * float(scalar), _copy=False)
+        return SpectralState(self.radius, self.data * check_real("scalar", scalar, None),
+                             _copy=False)
 
     __rmul__ = __mul__
 

@@ -228,6 +228,20 @@ def test_empty_basis_file_exits_1_naming_the_field(tmp_path, mode_file, capsys):
     assert not (out / "manifest.json").exists()
 
 
+def test_basis_file_of_one_state_object_exits_1_naming_the_field(tmp_path, mode_file, capsys):
+    # the object's keys were read as the basis, each failing as not a state
+    basis = tmp_path / "basis.json"
+    basis.write_text(state_to_json(SpectralState.from_coeffs({(1, 0): 0.5}, 3)))
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, "cfg.json", {
+        "mode_set": mode_file, "basis": str(basis), "epsilon": 0.05, "target": [0.2],
+        "output_dir": str(out)})
+    assert main(["project", "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: field 'basis': value must be a list, not {'radius': 3")
+    assert not (out / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("field", ["observed", "mode_set"])
 @pytest.mark.parametrize("command,fields", [("steer", {"target": [0.1]}),
                                             ("cover", {"target_radius": 0.1})])

@@ -1,6 +1,7 @@
 """Integrator: exact viscous decay, conservation, convergence order,
 determinism, blow-up detection, trajectory records."""
 
+import cmath
 import math
 
 import numpy as np
@@ -537,13 +538,27 @@ def test_grown_steps_are_whole_multiples_of_the_fixed_step(run):
     assert gap.max() <= 1e-12
 
 
+def fine_final(s0, params, prog):
+    """End state at dt_base = 1e-4 and 32 steps per period of the fastest
+    harmonic, four times the fixed rule's."""
+    saved = integrator.OSCILLATION_RESOLUTION
+    integrator.OSCILLATION_RESOLUTION = 32
+    try:
+        return integrate(s0, params, prog, IntegratorConfig(dt_base=1e-4)).final
+    finally:
+        integrator.OSCILLATION_RESOLUTION = saved
+
+
 @pytest.mark.parametrize("nu", [0.0, 0.01])
 @pytest.mark.parametrize("omega", [400.0, 10.0])
 def test_packet_steps_the_same_with_a_tolerance(nu, omega):
-    # the estimate cannot see a packet's time-only stage error, so its steps
-    # stay fixed whether the cap lies below dt_base (omega 400) or above it
-    # (omega 10: steps grown to the 6.25 ms cap against 1e-8 would land
-    # 3.7e-7 from the fixed steps)
+    # omega 10 snaps to one cycle over 0.1 s, which is not probed: its steps
+    # stay fixed byte for byte under any tolerance (grown to its 6.25 ms cap
+    # on the first-same-as-last estimate against 1e-8 they landed 3.7e-7
+    # from the fixed steps).  omega 400 snaps to seven cycles, which are
+    # probed, and at a tolerance no step meets the probe keeps n_hi = 16
+    # steps per period, the fixed steps up to the round-off of their ends,
+    # plus the probe's 8.
     s0 = random_decaying_state(5, amplitude=0.3, rng=np.random.default_rng(6))
     prog = ForcingProgram(EVAL_SUPPORT, [
         cascade_packet((2, 1), (1, 0), (1, 1), 0.4 - 0.3j, omega, 0.1)])
@@ -551,10 +566,88 @@ def test_packet_steps_the_same_with_a_tolerance(nu, omega):
     assert (cap < 1e-3) == (omega == 400.0)
     cfg = IntegratorConfig(dt_base=1e-3)
     fixed = integrate(s0, SimParams(nu=nu), prog, cfg)
-    grown = integrate(s0, SimParams(nu=nu), prog, cfg, tol=1e-8)
-    assert grown.times.tobytes() == fixed.times.tobytes()
-    assert grown.data.tobytes() == fixed.data.tobytes()
-    assert grown.steps == fixed.steps
+    if omega == 10.0:
+        grown = integrate(s0, SimParams(nu=nu), prog, cfg, tol=1e-3)
+        assert grown.times.tobytes() == fixed.times.tobytes()
+        assert grown.data.tobytes() == fixed.data.tobytes()
+        assert grown.steps == fixed.steps
+    else:
+        grown = integrate(s0, SimParams(nu=nu), prog, cfg, tol=1e-16)
+        assert (fixed.steps, grown.steps) == (7 * 16, 7 * 16 + 8)
+        assert grown.h_max == pytest.approx(2 * fixed.h_max, rel=1e-12)
+        assert sobolev_norm(grown.final - fixed.final, 0) <= 1e-13
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.01])
+def test_probed_packet_lands_within_a_thousandth_of_fp_tol_of_a_fine_run(nu):
+    # the steering contract: at tol = fp_tol * LOCAL_TOL_PER_FP_TOL the end
+    # state lies within 1e-3 fp_tol of a fine run; seven periods of a strong
+    # packet all at the floor, n_hi / 2 per period with no probe, miss it
+    fp_tol = 1e-3
+    s0 = random_decaying_state(5, amplitude=0.3, rng=np.random.default_rng(6))
+    prog = ForcingProgram(EVAL_SUPPORT, [
+        cascade_packet((2, 1), (1, 0), (1, 1), 2.0, 400.0, 0.1)])
+    grown = integrate(s0, SimParams(nu=nu), prog, IntegratorConfig(),
+                      tol=fp_tol * integrator.LOCAL_TOL_PER_FP_TOL)
+    assert sobolev_norm(grown.final - fine_final(s0, SimParams(nu=nu), prog), 0) <= 1e-3 * fp_tol
+
+
+def test_packet_cut_by_a_sample_time_keeps_the_fixed_steps():
+    # the probe needs whole periods from the segment's start, so a packet
+    # with a sample time inside steps as without a tolerance, byte for byte
+    s0 = random_decaying_state(5, amplitude=0.3, rng=np.random.default_rng(6))
+    prog = ForcingProgram(EVAL_SUPPORT, [
+        cascade_packet((2, 1), (1, 0), (1, 1), 2.0, 400.0, 0.1)])
+    fixed = integrate(s0, SimParams(nu=0.01), prog, IntegratorConfig(), [0.05])
+    grown = integrate(s0, SimParams(nu=0.01), prog, IntegratorConfig(), [0.05], tol=1e-3)
+    assert grown.data.tobytes() == fixed.data.tobytes() and grown.steps == fixed.steps
+
+
+@st.composite
+def packet_runs(draw):
+    """A start state at R = 4 or 5 and a cascade packet of two to four
+    cycles on EVAL_SUPPORT, with its base period."""
+    s0 = random_decaying_state(draw(st.integers(4, 5)), amplitude=draw(st.floats(0.0, 0.4)),
+                               rng=np.random.default_rng(draw(st.integers(0, 2 ** 16))))
+    omega = draw(st.floats(200.0, 1000.0))
+    target = draw(st.floats(0.2, 2.0)) * cmath.exp(1j * draw(st.floats(0.0, 2 * math.pi)))
+    duration = draw(st.integers(2, 4)) * 2 * math.pi / omega
+    prog = ForcingProgram(EVAL_SUPPORT, [
+        cascade_packet((2, 1), (1, 0), (1, 1), target, omega, duration)])
+    return s0, SimParams(nu=draw(st.sampled_from([0.0, 0.01]))), prog, \
+        2 * math.pi / np.abs(prog.freq).min()
+
+
+@given(packet_runs(), st.floats(-12.0, -7.0))
+@settings(max_examples=25, deadline=None)
+def test_packet_probe_estimates_its_period_s_error(run, log_tol):
+    # the Richardson estimate |y_hi - y_lo| / 15 of the first period at n_hi
+    # steps lies within a factor 3 of its distance to 32 steps per fastest
+    # period (0.83 to 1.11 over 150 draws), and the steps per period stay in
+    # [n_hi / 2, n_hi], where the error still falls as the fourth power
+    s0, params, prog, w = run
+    chosen, real = [], integrator._steps_per_period
+
+    def recorded(err, n_hi, tol):
+        chosen.append((err, n_hi, real(err, n_hi, tol)))
+        return chosen[-1][2]
+
+    integrator._steps_per_period = recorded
+    try:
+        integrate(s0, params, prog, IntegratorConfig(), tol=10.0 ** log_tol)
+    finally:
+        integrator._steps_per_period = real
+    (err, n_hi, m), = chosen
+    assert n_hi == 16 and n_hi // 2 <= m <= n_hi
+    wide = IntegratorConfig(dt_base=1.0)
+    y_hi = integrate(s0, params, prog, wide, [w]).rows_at([w])[0]
+    integrator.OSCILLATION_RESOLUTION = 32
+    try:
+        y_ref = integrate(s0, params, prog, wide, [w]).rows_at([w])[0]
+    finally:
+        integrator.OSCILLATION_RESOLUTION = 8
+    dist = np.abs(y_hi - y_ref).max()
+    assert dist / 3 <= err <= 3 * dist
 
 
 @pytest.mark.parametrize("radius", [4, 5, 6])

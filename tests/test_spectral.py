@@ -101,10 +101,13 @@ def test_state_readers_reject_non_finite_coefficients(value):
      "state coefficients must be a number, not '0.5'"),
     (lambda: state_from_json('{"radius": 3, "coeffs": {"1,0": ["0.5", true]}}'),
      "state coefficients must be a real number, not '0.5'"),
+    # float() read the string as 2.0 and True as 1.0
+    (lambda: SpectralState.zeros(3) * "2", "scalar must be a real number, not '2'"),
+    (lambda: True * SpectralState.zeros(3), "scalar must be a real number, not True"),
 ], ids=["radius", "vector_length", "sobolev_order", "inner0_radii", "json_not_object",
         "json_missing_key", "json_float_radius", "cached_float_radius",
         "float_sobolev_order", "bool_viscosity", "string_decay", "string_coefficient",
-        "json_string_part"])
+        "json_string_part", "string_scalar", "bool_scalar"])
 def test_spectral_rejects_bad_input(call, message):
     with pytest.raises(ValueError, match=message):
         call()
