@@ -270,12 +270,11 @@ def _steps_per_period(err: float, n_hi: int, tol: float) -> int:
 def _packet_steps(q: np.ndarray, ev, tab, nu: float, duration: float, w: float,
                   cap: float, tol: float):
     """Steps over a packet segment of at least two base periods w, yielded
-    as by ``_steps``.  Its first period takes n_hi steps, w / cap
-    made even.  Then that period is taken again from the same start at
-    n_hi / 2, the probe, whose steps are yielded with no time: they count
-    as steps but leave the run.  err = max |y_hi - y_lo| / 15 is the
-    Richardson estimate of the first period's error, and the rest of the
-    segment takes ``_steps_per_period`` steps per period.  Below n_hi / 2, 4
+    as by ``_steps``: the first period at n_hi steps, w / cap made even;
+    the probe, that period again at n_hi / 2, yielded with no time, since
+    it counts as steps but leaves the run; and the rest at
+    ``_steps_per_period`` steps per period from the Richardson estimate
+    max |y_hi - y_lo| / 15 of the first period's error.  Below n_hi / 2, 4
     steps per period of the fastest harmonic, the error no longer falls as
     the fourth power of the step, so the estimate would not hold there."""
     n_hi = 2 * math.ceil(w / cap / 2.0 - 1e-9)

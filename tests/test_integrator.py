@@ -641,11 +641,11 @@ def test_packet_probe_estimates_its_period_s_error(run, log_tol):
     assert n_hi == 16 and n_hi // 2 <= m <= n_hi
     wide = IntegratorConfig(dt_base=1.0)
     y_hi = integrate(s0, params, prog, wide, [w]).rows_at([w])[0]
-    integrator.OSCILLATION_RESOLUTION = 32
+    saved, integrator.OSCILLATION_RESOLUTION = integrator.OSCILLATION_RESOLUTION, 32
     try:
         y_ref = integrate(s0, params, prog, wide, [w]).rows_at([w])[0]
     finally:
-        integrator.OSCILLATION_RESOLUTION = 8
+        integrator.OSCILLATION_RESOLUTION = saved
     dist = np.abs(y_hi - y_ref).max()
     assert dist / 3 <= err <= 3 * dist
 
